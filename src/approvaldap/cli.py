@@ -22,6 +22,7 @@ from typing import Optional
 from . import experiments
 from . import io as eio
 from .core import Election, stats, subsample
+from .divpol import check_out_div_size
 from .generators import FAMILIES, CultureSpec, gen_noisy, sample
 from .io import ParseError
 
@@ -192,7 +193,7 @@ def _cmd_index(args) -> int:
         if name not in experiments.INDEX_NAMES:
             raise ValueError(f"unknown index {name!r}")
     rows = []
-    failures = 0
+    failures = refused = 0
     for i, raw in enumerate(args.paths):
         path = Path(raw)
         try:
@@ -207,13 +208,28 @@ def _cmd_index(args) -> int:
             continue
         run_seed = experiments.derive_seed(seed, "index", i)
         if not args.full:
+            full = e
             e = subsample(
                 e, experiments.SUBSAMPLE_CANDIDATES, experiments.SUBSAMPLE_VOTERS, run_seed
             )
+            if e is not full:
+                print(
+                    f"notice: {path}: subsampled {full.num_voters}x{full.num_candidates} -> "
+                    f"{e.num_voters}x{e.num_candidates} (use --full to keep all)",
+                    file=sys.stderr,
+                )
+        if "out_div" in names:
+            try:
+                check_out_div_size(e)
+            except ValueError as exc:
+                print(f"error: {path}: {exc}", file=sys.stderr)
+                refused += 1
+                continue
         values = [experiments.evaluate_index(name, e, run_seed) for name in names]
         rows.append([str(path), e.label or "", *values])
     sys.stdout.write(eio.write_csv_matrix(rows, ["file", "label", *names]))
-    return 1 if failures else 0
+    # too large for out_div: validation error (2); unreadable: runtime failure (1)
+    return 2 if refused else 1 if failures else 0
 
 
 # -- manifests ----------------------------------------------------------

@@ -171,6 +171,11 @@ class Election:
             self._memo[key] = value
             return value
 
+    def clear_cache(self) -> None:
+        """Drop the memoised derived artifacts (pair-count matrices, spectral
+        bases); later calls recompute them."""
+        self._memo.clear()
+
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .agreement import cntr_agr, pcc_agr
 from .clustering import Partition, kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
@@ -35,12 +35,22 @@ __all__ = [
     "pair_pol",
     "ham_single_to_unc",
     "ham_to_universe",
+    "check_out_div_size",
     "out_div",
 ]
 
 _DIV_MAX_CLUSTERS = 5
 _SAMPLE_STREAM = 0x0D1F
 _EXACT_UNIVERSE_MAX_M = 20
+# memory cap on the sampled matching, whichever solver runs it
+_MATCHING_MAX_BYTES = 1 << 30
+# peak HiGHS memory per transportation-LP variable (1.15-1.28 kB measured
+# at 2e5 and 8e5 variables)
+_LP_BYTES_PER_VARIABLE = 1200
+# the sampled matching runs as the LP over distinct ballots when that LP has
+# this many times fewer variables than the dense assignment has cells; at
+# 5000 draws the LP was faster at 2400x fewer and slower at 530x fewer
+_LP_CELL_RATIO = 1000
 
 Clusterer = Callable[[Election, int, int], Partition]
 
@@ -160,9 +170,12 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
     The universe weights each ballot by its probability under independent
     approvals with the election's saturation.  By default the universe is
     approximated with ``sample_multiplier`` seeded draws per voter and the
-    matching is solved as a transportation problem over distinct ballots;
+    matching is solved as an assignment problem over the repeated ballots,
+    or as a transportation LP over the distinct ones when ballots repeat so
+    much that the LP is far smaller (both reach the same integral optimum);
     with ``exact=True`` the full weighted universe of ``2^m`` ballots is
-    used (only viable for small ``m``).
+    used (only viable for small ``m``) and the fractional matching is
+    solved as a transportation LP.
     """
     cfg = cfg if cfg is not None else OuterDiversityConfig()
     n, m = e.num_voters, e.num_candidates
@@ -184,17 +197,52 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
         cost = cross_hamming(Election(ballots), Election(universe)).astype(np.float64)
         return _transport(cost, supply, demand) / m
 
-    rng = seeded_rng(cfg.seed, _SAMPLE_STREAM)
+    check_out_div_size(e, cfg)
     n_samples = cfg.sample_multiplier * n
+    rng = seeded_rng(cfg.seed, _SAMPLE_STREAM)
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
     sample_ballots, sample_counts = _distinct_rows(samples)
+    # integer supplies and demands give the transportation problem an
+    # integral optimum: a one-to-one matching of the repeated ballots
     cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
-    value = _transport(
-        cost,
-        (counts * cfg.sample_multiplier).astype(np.float64),
-        sample_counts.astype(np.float64),
-    )
+    n_cells = n_samples * n_samples
+    if 8 * n_cells > _MATCHING_MAX_BYTES or _LP_CELL_RATIO * cost.size <= n_cells:
+        supply = (counts * cfg.sample_multiplier).astype(np.float64)
+        value = round(_transport(cost, supply, sample_counts.astype(np.float64)))
+    else:
+        rows = np.repeat(np.arange(len(ballots)), counts * cfg.sample_multiplier)
+        cols = np.repeat(np.arange(len(sample_ballots)), sample_counts)
+        cost = cost[rows[:, None], cols[None, :]]
+        r, c = linear_sum_assignment(cost)
+        value = int(cost[r, c].sum())
     return value / (n_samples * m)
+
+
+def check_out_div_size(e: Election, cfg: OuterDiversityConfig | None = None) -> None:
+    """Raise ``ValueError`` if the sampled matching of :func:`out_div` would
+    need more than ``_MATCHING_MAX_BYTES`` with either solver.
+
+    The assignment holds ``(k*n)^2`` float64 costs for ``k*n`` draws; the
+    transportation LP has one variable per pair of a distinct ballot and a
+    distinct draw, of which there are at most ``min(k*n, 2^m)``.
+    """
+    cfg = cfg if cfg is not None else OuterDiversityConfig()
+    n, m = e.num_voters, e.num_candidates
+    if e.total_approvals() in (0, n * m):
+        return
+    n_samples = cfg.sample_multiplier * n
+    dense = 8 * n_samples * n_samples
+    if dense <= _MATCHING_MAX_BYTES:
+        return
+    n_distinct = len(_distinct_rows(e.matrix)[0])
+    lp = _LP_BYTES_PER_VARIABLE * n_distinct * min(n_samples, 2**m)
+    if lp > _MATCHING_MAX_BYTES:
+        gib = 2**30
+        raise ValueError(
+            f"out_div of {n} voters needs a {n_samples}x{n_samples} cost matrix "
+            f"({dense / gib:.1f} GiB) or a transportation LP of up to {lp / gib:.1f} GiB, "
+            f"over the {_MATCHING_MAX_BYTES / gib:.1f} GiB limit; use fewer voters"
+        )
 
 
 def out_div(e: Election, cfg: OuterDiversityConfig | None = None, exact: bool = False) -> float:

@@ -587,7 +587,7 @@ def map_of_elections(
     def features_for(task):
         idx, (label, group, e) = task
         arr = feature_vector(e, derive_seed(seed, "map", idx), triple).as_array()
-        e._memo.clear()  # large pair matrices are not needed past this point
+        e.clear_cache()  # large pair matrices are not needed past this point
         return arr
 
     rows = _parallel(features_for, list(enumerate(items)), threads)

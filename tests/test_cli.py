@@ -185,15 +185,45 @@ def test_index_subsamples_oversized_files(tmp_path, capsys):
     big = Election((rng.random((1500, 8)) < 0.4).astype(np.uint8))
     path = tmp_path / "big.json"
     path.write_text(write_native(big))
-    code, stdout, _ = run(capsys, "index", str(path), "--indices", "satr,pair_agr", "--seed", "2")
+    code, stdout, stderr = run(capsys, "index", str(path), "--indices", "satr,pair_agr", "--seed", "2")
     assert code == 0
-    code_full, stdout_full, _ = run(
+    assert stderr == f"notice: {path}: subsampled 1500x8 -> 1000x8 (use --full to keep all)\n"
+    code_full, stdout_full, stderr_full = run(
         capsys, "index", str(path), "--indices", "satr,pair_agr", "--seed", "2", "--full"
     )
     assert code_full == 0
+    assert stderr_full == ""
     sampled = float(stdout.strip().splitlines()[1].split(",")[2])
     full = float(stdout_full.strip().splitlines()[1].split(",")[2])
     assert abs(sampled - full) < 0.05  # statistics agree, computed on 1000 of 1500 ballots
+
+
+def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
+    from approvaldap import divpol, experiments
+    from approvaldap.generators import gen_k_party
+    from approvaldap.io import write_native
+
+    small, big = tmp_path / "small.json", tmp_path / "big.json"
+    small.write_text(write_native(gen_k_party(10, 4, 2)))
+    big.write_text(write_native(gen_k_party(10, 40, 2)))
+    # 20 draws fit densely (3200 bytes); 200 draws fit neither densely
+    # (320000 bytes) nor as an LP (1200 * 2 * 200 bytes)
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 1 << 12)
+    evaluated = []
+    evaluate = experiments.evaluate_index
+
+    def recording(name, e, seed):
+        evaluated.append(e.num_voters)
+        return evaluate(name, e, seed)
+
+    monkeypatch.setattr(experiments, "evaluate_index", recording)
+    code, stdout, stderr = run(
+        capsys, "index", str(big), str(small), "--indices", "satr,out_div", "--seed", "1"
+    )
+    assert code == 2
+    assert [line.split(",")[0] for line in stdout.strip().splitlines()] == ["file", str(small)]
+    assert f"error: {big}: out_div of 40 voters needs a 200x200 cost matrix" in stderr
+    assert evaluated == [4, 4]  # nothing was computed on the refused file
 
 
 def test_table_compass_manifest_loads():

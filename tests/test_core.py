@@ -12,6 +12,7 @@ from approvaldap.core import (
     subsample,
 )
 from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle
+from approvaldap.metrics import intersection_matrix
 
 from conftest import make_random_election
 
@@ -107,6 +108,15 @@ def test_subsample_rows_are_restrictions():
     sub = subsample(e, 5, 4, seed=0)
     original_rows = {r.tobytes() for r in e.matrix}
     assert all(r.tobytes() in original_rows for r in sub.matrix)
+
+
+def test_clear_cache_recomputes_memoised_matrix():
+    e = gen_k_party(6, 6, 2)
+    first = intersection_matrix(e)
+    assert intersection_matrix(e) is first
+    e.clear_cache()
+    again = intersection_matrix(e)
+    assert again is not first and np.array_equal(again, first)
 
 
 def test_restrict_voters_keeps_order():

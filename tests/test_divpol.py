@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from approvaldap import divpol
 from approvaldap.agreement import pcc_agr
 from approvaldap.clustering import spectral_pcc
-from approvaldap.core import Election, reverse, stats
+from approvaldap.core import Election, reverse, seeded_rng, stats
 from approvaldap.divpol import (
     OuterDiversityConfig,
     a_div,
@@ -20,8 +21,9 @@ from approvaldap.divpol import (
     pcc_div,
     pcc_pol,
 )
-from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle
-from approvaldap.metrics import hamming_matrix
+from approvaldap.experiments import compass_specs
+from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle, sample
+from approvaldap.metrics import cross_hamming, hamming_matrix
 
 from conftest import make_random_election
 
@@ -155,6 +157,89 @@ def _oracle_out_div(e: Election, networkx):
     distance = flow_cost / total_mass / m
     p = float(frac)
     return min(1.0, max(0.0, 1.0 - distance / (2 * p * (1 - p))))
+
+
+def _transport_ham_to_universe(e: Election, cfg: OuterDiversityConfig) -> float:
+    """Sampled distance solved as the transportation LP over distinct ballots."""
+    n, m = e.num_voters, e.num_candidates
+    p = e.total_approvals() / (n * m)
+    n_samples = cfg.sample_multiplier * n
+    rng = seeded_rng(cfg.seed, divpol._SAMPLE_STREAM)
+    samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
+    ballots, counts = np.unique(e.matrix, axis=0, return_counts=True)
+    sample_ballots, sample_counts = np.unique(samples, axis=0, return_counts=True)
+    cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
+    supply = (counts * cfg.sample_multiplier).astype(np.float64)
+    value = divpol._transport(cost, supply, sample_counts.astype(np.float64))
+    return value / (n_samples * m)
+
+
+def test_sampled_assignment_matches_transport_oracle(rng, monkeypatch):
+    monkeypatch.setattr(divpol, "_LP_CELL_RATIO", float("inf"))  # always the assignment
+    elections = [make_random_election(rng, max_m=30, max_n=30) for _ in range(210)]
+    elections += [sample(spec.with_seed(42)) for spec in compass_specs()]
+    checked = 0
+    for i, e in enumerate(elections):
+        if e.total_approvals() in (0, e.num_voters * e.num_candidates):
+            continue
+        cfg = OuterDiversityConfig(sample_multiplier=(1, 3, 5)[i % 3], seed=i)
+        assert abs(ham_to_universe(e, cfg) - _transport_ham_to_universe(e, cfg)) <= 1e-12
+        checked += 1
+    assert checked >= 200 + len(compass_specs())
+
+
+def _few_distinct_ballots(n: int, m: int, seed: int) -> Election:
+    """Pabulib-like ballots: every voter approves one or two of ``m`` projects."""
+    rng = np.random.default_rng(seed)
+    mat = np.zeros((n, m), dtype=np.uint8)
+    for v in range(n):
+        mat[v, rng.choice(m, size=1 + v % 2, replace=False)] = 1
+    return Election(mat)
+
+
+def _fail(*args):
+    raise AssertionError("solver not expected here")
+
+
+def test_sampled_matching_uses_lp_for_repeated_ballots(monkeypatch):
+    e = _few_distinct_ballots(300, 6, seed=4)  # 1500 draws, at most 21 x 64 LP variables
+    cfg = OuterDiversityConfig(seed=2)
+    monkeypatch.setattr(divpol, "linear_sum_assignment", _fail)
+    assert ham_to_universe(e, cfg) == _transport_ham_to_universe(e, cfg)
+
+
+def test_sampled_matching_beyond_dense_cap_falls_back_to_lp(monkeypatch):
+    # 15000 draws: a 1.8 GiB dense cost, over the default cap, but the LP
+    # over at most 36 x 256 distinct ballot pairs is small
+    e = _few_distinct_ballots(3000, 8, seed=5)
+    cfg = OuterDiversityConfig(seed=3)
+    assert 8 * (5 * e.num_voters) ** 2 > divpol._MATCHING_MAX_BYTES
+    monkeypatch.setattr(divpol, "linear_sum_assignment", _fail)
+    divpol.check_out_div_size(e, cfg)
+    assert ham_to_universe(e, cfg) == _transport_ham_to_universe(e, cfg)
+
+
+def test_sampled_matching_over_dense_cap_runs_lp(monkeypatch):
+    e = _few_distinct_ballots(60, 5, seed=6)  # 300 draws; LP of at most 15 x 32 variables
+    cfg = OuterDiversityConfig(seed=1)
+    expected = _transport_ham_to_universe(e, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(divpol, "_transport", _fail)
+        assert ham_to_universe(e, cfg) == expected  # under the default cap: assignment
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 300 * 300 - 1)
+    monkeypatch.setattr(divpol, "linear_sum_assignment", _fail)
+    assert ham_to_universe(e, cfg) == expected
+
+
+def test_sampled_matching_refuses_when_neither_solver_fits(monkeypatch):
+    e = gen_k_party(10, 40, 2)
+    cfg = OuterDiversityConfig(sample_multiplier=2, seed=0)
+    # dense: 8 * 80^2 = 51200 bytes; LP: 1200 * 2 distinct ballots * 80 draws = 192000
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80 - 1)
+    with pytest.raises(ValueError, match=r"out_div of 40 voters needs a 80x80 cost matrix"):
+        ham_to_universe(e, cfg)
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80)
+    assert ham_to_universe(e, cfg) > 0.0
 
 
 def test_ham_to_universe_single_ballot_closed_form():
