@@ -152,7 +152,7 @@ AGREEMENT_INDICES = {
     "av_agr": av_agr,
     "cntr_agr": cntr_agr,
     "pair_agr": pair_agr,
-    "jacc_agr": jacc_agr,
     "pcc_agr": pcc_agr,
+    "jacc_agr": jacc_agr,
     "pccplus_agr": pccplus_agr,
 }

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
@@ -25,8 +24,6 @@ from .core import Election, stats, subsample
 from .divpol import check_out_div_size
 from .generators import FAMILIES, CultureSpec, gen_noisy, sample
 from .io import ParseError
-
-_SYNTHETIC_MANIFEST = "synthetic_map.json"
 
 
 class ManifestError(ValueError):
@@ -90,7 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
     tab_src = tab.add_mutually_exclusive_group(required=True)
     tab_src.add_argument("--manifest", help="culture manifest (specs, samples, seed)")
     tab_src.add_argument(
-        "--compass", action="store_true", help="use the bundled reference-culture manifest"
+        "--compass",
+        action="store_true",
+        help=f"the fourteen compass cultures, {experiments.COMPASS_SAMPLES} samples each "
+        f"at seed {experiments.COMPASS_SEED}",
     )
     tab.add_argument("--out-dir", default=".")
     tab.set_defaults(handler=_cmd_table)
@@ -108,7 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
     src = mp.add_mutually_exclusive_group(required=True)
     src.add_argument("--manifest", help="map manifest (specs and/or election files)")
     src.add_argument(
-        "--synthetic", action="store_true", help="use the bundled synthetic corpus manifest"
+        "--synthetic",
+        action="store_true",
+        help=f"the 244-election synthetic corpus at seed {experiments.SYNTHETIC_MAP_SEED}",
     )
     mp.add_argument("--out-dir", default=".")
     mp.set_defaults(handler=_cmd_map)
@@ -148,29 +150,13 @@ def _cmd_generate(args) -> int:
 
 def _collect_params(args) -> dict:
     params: dict = {}
-    for name in ("p", "phi", "x", "y"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    for name in ("k", "variant"):
+    for name in ("p", "phi", "x", "y", "k", "variant"):
         value = getattr(args, name)
         if value is not None:
             params[name] = value
     if args.probs is not None:
         params["probs"] = [float(tok) for tok in args.probs.split(",") if tok.strip()]
-    required = {
-        "p_id": ["p"],
-        "k_party": ["k"],
-        "xy_two_party": ["x", "y"],
-        "p_ic": ["p"],
-        "iam": ["probs"],
-        "resampling": ["p", "phi"],
-        "euclidean": ["variant"],
-        "id_ic": ["p"],
-        "id_mixture": ["k", "p"],
-        "iam_mixture": ["k"],
-    }
-    missing = [key for key in required.get(args.family, []) if key not in params]
+    missing = [key for key in FAMILIES[args.family].params if key not in params]
     if missing:
         raise ValueError(f"family {args.family!r} needs --{' --'.join(missing)}")
     return params
@@ -265,13 +251,7 @@ def _parse_spec(entry, pointer: str) -> CultureSpec:
         raise ManifestError(pointer, str(exc)) from None
 
 
-def _cmd_table(args) -> int:
-    if args.compass:
-        doc = json.loads(
-            resources.files("approvaldap").joinpath("data", "compass_table.json").read_text("utf-8")
-        )
-    else:
-        doc = _load_json(args.manifest)
+def _table_manifest(doc):
     if not isinstance(doc, dict):
         raise ManifestError("/", "manifest must be a JSON object")
     seed = _require(doc, "seed", "/", int, "an integer")
@@ -288,7 +268,16 @@ def _cmd_table(args) -> int:
     for i, name in enumerate(indices):
         if name not in experiments.INDEX_NAMES:
             raise ManifestError(f"/indices/{i}", f"unknown index {name!r}")
+    return specs, samples, seed, indices
 
+
+def _cmd_table(args) -> int:
+    if args.compass:
+        specs = experiments.compass_specs()
+        samples, seed = experiments.COMPASS_SAMPLES, experiments.COMPASS_SEED
+        indices = list(experiments.INDEX_NAMES)
+    else:
+        specs, samples, seed, indices = _table_manifest(_load_json(args.manifest))
     table = experiments.index_table(specs, samples=samples, seed=seed, indices=indices)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,13 +312,7 @@ def _cmd_resample(args) -> int:
     return 0
 
 
-def _cmd_map(args) -> int:
-    if args.synthetic:
-        doc = json.loads(
-            resources.files("approvaldap").joinpath("data", _SYNTHETIC_MANIFEST).read_text("utf-8")
-        )
-    else:
-        doc = _load_json(args.manifest)
+def _map_manifest(doc):
     if not isinstance(doc, dict):
         raise ManifestError("/", "manifest must be a JSON object")
     seed = _require(doc, "seed", "/", int, "an integer")
@@ -361,7 +344,18 @@ def _cmd_map(args) -> int:
         items.append((e.label or path.name, raw.get("group", "file"), e))
     if len(items) < 2:
         raise ManifestError("/", "map needs at least two elections (entries plus files)")
+    return seed, items
 
+
+def _cmd_map(args) -> int:
+    if args.synthetic:
+        seed = experiments.SYNTHETIC_MAP_SEED
+        items = [
+            (en.spec.display_label(), en.group, sample(en.spec))
+            for en in experiments.synthetic_map_entries(seed)
+        ]
+    else:
+        seed, items = _map_manifest(_load_json(args.manifest))
     result = experiments.map_of_elections(items, seed=seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

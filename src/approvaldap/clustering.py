@@ -144,7 +144,8 @@ def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray
                 costs = dist[np.ix_(members, members)].sum(axis=0)
                 medoids[c] = members[int(np.argmin(costs))]
         obj = int(dist[np.arange(n), medoids[labels]].sum())
-        assert obj <= prev_obj, "k-medoids objective increased"
+        if obj > prev_obj:
+            raise RuntimeError("k-medoids objective increased")
         if obj >= prev_obj:
             break
         prev_obj = obj
@@ -153,7 +154,7 @@ def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray
     return labels, obj
 
 
-def _spectral_groups(e: Election, literal_affinity: bool):
+def _spectral_groups(e: Election):
     """Distinct-ballot spectral system: (group index per voter, weights, basis).
 
     Duplicate ballots are interchangeable vertices of the affinity graph,
@@ -163,20 +164,15 @@ def _spectral_groups(e: Election, literal_affinity: bool):
     they occupy the bottom of the spectrum; working with them resolves
     the eigenvector ambiguity that repeated ballots would otherwise cause.
     """
-    key = ("spectral_groups", literal_affinity)
-    return e._cache(key, lambda: _compute_spectral_groups(e, literal_affinity))
+    return e._cache("spectral_groups", lambda: _compute_spectral_groups(e))
 
 
-def _compute_spectral_groups(e: Election, literal_affinity: bool):
+def _compute_spectral_groups(e: Election):
     ballots, inverse, counts = np.unique(
         e.matrix, axis=0, return_inverse=True, return_counts=True
     )
     distinct = Election(ballots)
-    pcc = pcc_matrix(distinct)
-    if literal_affinity:
-        affinity = 1.0 + 0.5 * pcc
-    else:
-        affinity = 0.5 * (1.0 + pcc)
+    affinity = 0.5 * (1.0 + pcc_matrix(distinct))
     weights = counts.astype(np.float64)
     degree = affinity @ weights
     scale = np.sqrt(weights) / np.sqrt(degree)
@@ -187,16 +183,14 @@ def _compute_spectral_groups(e: Election, literal_affinity: bool):
     return inverse.ravel(), weights, basis
 
 
-def spectral_pcc(e: Election, k: int, seed: int, literal_affinity: bool = False) -> Partition:
+def spectral_pcc(e: Election, k: int, seed: int) -> Partition:
     """Partition voters by spectral clustering on the PCC affinity.
 
     The affinity of two ballots is ``(1 + pcc) / 2``, rescaled to [0, 1]
-    so that 0 means total dissimilarity and 1 means equal votes
-    (``literal_affinity`` keeps the unshifted ``1 + pcc/2`` variant for
-    sensitivity checks).  Rows of the k leading eigenvectors of the
-    symmetric-normalized graph Laplacian are length-normalized and
-    clustered with seeded k-means; identical ballots always land in the
-    same cluster.
+    so that 0 means total dissimilarity and 1 means equal votes.  Rows of
+    the k leading eigenvectors of the symmetric-normalized graph Laplacian
+    are length-normalized and clustered with seeded k-means; identical
+    ballots always land in the same cluster.
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
@@ -206,7 +200,7 @@ def spectral_pcc(e: Election, k: int, seed: int, literal_affinity: bool = False)
     if k == 1:
         return Partition(assignments=(0,) * n, k=1)
 
-    inverse, weights, basis = _spectral_groups(e, literal_affinity)
+    inverse, weights, basis = _spectral_groups(e)
     dims = min(k, basis.shape[1])
     embed = basis[:, :dims].copy()
     norms = np.linalg.norm(embed, axis=1)

@@ -85,21 +85,25 @@ class Election:
         label: Optional[str] = None,
     ) -> "Election":
         """Build an election from per-voter collections of approved indices."""
-        rows = []
+        flat: list = []
+        ends: list[int] = []  # end of each voter's run in ``flat``
         for votes in approval_sets:
-            row = np.zeros(num_candidates, dtype=np.uint8)
-            idx = list(votes)
-            if idx:
-                arr = np.asarray(idx)
-                if arr.dtype.kind not in "iu":
-                    raise ValueError(f"candidate indices must be integers, got {arr.dtype}")
-                if arr.min() < 0 or arr.max() >= num_candidates:
-                    raise ValueError("approved candidate index out of range")
-                row[arr] = 1
-            rows.append(row)
-        if not rows:
+            flat.extend(votes)
+            ends.append(len(flat))
+        if not ends:
             raise ValueError("election needs at least one voter")
-        return cls(np.stack(rows), label=label)
+        mat = np.zeros((len(ends), num_candidates), dtype=np.uint8)
+        if flat:
+            cols = np.asarray(flat)
+            # a bool among integers would pass as an integer array
+            dtype = np.dtype(bool) if set(map(type, flat)) & {bool, np.bool_} else cols.dtype
+            if dtype.kind not in "iu":
+                raise ValueError(f"candidate indices must be integers, got {dtype}")
+            if cols.min() < 0 or cols.max() >= num_candidates:
+                raise ValueError("approved candidate index out of range")
+            rows = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+            mat[rows, cols] = 1
+        return cls(mat, label=label)
 
     @classmethod
     def _from_words(cls, num_candidates: int, words: np.ndarray, label: Optional[str]) -> "Election":

@@ -61,21 +61,8 @@ _INDEX_FUNCS: dict[str, Callable[[Election, int], float]] = {
     "pair_pol": lambda e, seed: pair_pol(e),
 }
 
-INDEX_NAMES = (
-    "satr",
-    "av_agr",
-    "cntr_agr",
-    "pair_agr",
-    "pcc_agr",
-    "jacc_agr",
-    "pccplus_agr",
-    "cntr_div",
-    "pcc_div",
-    "out_div",
-    "cntr_pol",
-    "pcc_pol",
-    "pair_pol",
-)
+# index names in table and CSV column order
+INDEX_NAMES = tuple(_INDEX_FUNCS)
 
 DEFAULT_FEATURE_TRIPLE = ("pcc_agr", "pcc_div", "pcc_pol")
 
@@ -459,6 +446,11 @@ class MapEntry:
         return cls(group=data.get("group", spec.family), spec=spec)
 
 
+# the seed and sample count of ``table --compass``
+COMPASS_SEED = 42
+COMPASS_SAMPLES = 10
+
+
 def compass_specs(m: int = 60, n: int = 60) -> list[CultureSpec]:
     """The fourteen reference cultures spanning the agreement/diversity/
     polarization extremes, at the standard 60x60 size."""
@@ -488,8 +480,12 @@ def compass_specs(m: int = 60, n: int = 60) -> list[CultureSpec]:
     ]
 
 
+# the seed of ``map --synthetic``: it draws the corpus parameters and seeds the map
+SYNTHETIC_MAP_SEED = 20260809
+
+
 def synthetic_map_entries(seed: int = 0) -> list[MapEntry]:
-    """The bundled synthetic map corpus (244 elections).
+    """The synthetic map corpus (244 elections) of ``map --synthetic``.
 
     Compass cultures at 60x60 plus impartial-culture, Lin-IC, resampling,
     noisy-2-party, unbalanced-2-party, party-list, mixture, and planar

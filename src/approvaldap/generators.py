@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import Election, seeded_rng
 __all__ = [
     "CultureSpec",
     "FAMILIES",
+    "Family",
     "sample",
     "gen_p_id",
     "gen_k_party",
@@ -302,26 +303,58 @@ def gen_uneven_party_list(m: int, n: int, seed: int) -> Election:
     return _party_blocks(m, cand_sizes, voter_sizes)
 
 
-# -- declarative specs --------------------------------------------------
+# -- the family table ----------------------------------------------------
 
-FAMILIES = (
-    "p_id",
-    "k_party",
-    "xy_two_party",
-    "diagonal",
-    "triangle",
-    "cyclic",
-    "p_ic",
-    "iam",
-    "resampling",
-    "euclidean",
-    "id_ic",
-    "lin_ic",
-    "noisy",
-    "id_mixture",
-    "iam_mixture",
-    "uneven_party_list",
-)
+
+@dataclass(frozen=True)
+class Family:
+    """How one family draws: ``draw(m, n, params, seed)``, the parameter
+    names it requires, and whether it requires ``n = m``."""
+
+    draw: Callable[[int, int, Mapping, int], Election]
+    params: tuple = ()
+    square: bool = False
+
+
+def _draw_noisy(m: int, n: int, params: Mapping, seed: int) -> Election:
+    base_spec = params["base"]
+    if not isinstance(base_spec, CultureSpec):
+        base_spec = CultureSpec.from_dict(base_spec)
+    base = sample(base_spec.with_seed(seed))
+    return gen_noisy(base, params["phi"], seed)
+
+
+FAMILIES: dict[str, Family] = {
+    "p_id": Family(lambda m, n, par, seed: gen_p_id(m, n, par["p"]), ("p",)),
+    "k_party": Family(lambda m, n, par, seed: gen_k_party(m, n, int(par["k"])), ("k",)),
+    "xy_two_party": Family(
+        lambda m, n, par, seed: gen_xy_two_party(m, n, par["x"], par["y"]), ("x", "y")
+    ),
+    "diagonal": Family(lambda m, n, par, seed: gen_diagonal(m), square=True),
+    "triangle": Family(lambda m, n, par, seed: gen_triangle(m), square=True),
+    "cyclic": Family(lambda m, n, par, seed: gen_cyclic(m), square=True),
+    "p_ic": Family(lambda m, n, par, seed: gen_p_ic(m, n, par["p"], seed), ("p",)),
+    "iam": Family(lambda m, n, par, seed: gen_iam(m, n, par["probs"], seed), ("probs",)),
+    "resampling": Family(
+        lambda m, n, par, seed: gen_resampling(m, n, par["p"], par["phi"], seed), ("p", "phi")
+    ),
+    "euclidean": Family(
+        lambda m, n, par, seed: gen_euclidean(m, n, int(par["variant"]), seed), ("variant",)
+    ),
+    "id_ic": Family(lambda m, n, par, seed: gen_id_ic(m, n, par["p"], seed), ("p",)),
+    "lin_ic": Family(lambda m, n, par, seed: gen_lin_ic(m, n, seed)),
+    "noisy": Family(_draw_noisy, ("phi", "base")),
+    "id_mixture": Family(
+        lambda m, n, par, seed: gen_id_mixture(m, n, int(par["k"]), par["p"], seed), ("k", "p")
+    ),
+    "iam_mixture": Family(
+        lambda m, n, par, seed: gen_iam_mixture(m, n, int(par["k"]), seed), ("k",)
+    ),
+    "uneven_party_list": Family(lambda m, n, par, seed: gen_uneven_party_list(m, n, seed)),
+}
+
+
+# -- declarative specs --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -342,8 +375,14 @@ class CultureSpec:
     label: Optional[str] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        family = FAMILIES.get(self.family)
+        if family is None:
             raise ValueError(f"unknown family {self.family!r}")
+        missing = [name for name in family.params if name not in self.params]
+        if missing:
+            raise ValueError(f"family {self.family!r} needs parameter(s) {', '.join(missing)}")
+        if family.square and self.m != self.n:
+            raise ValueError(f"{self.family} elections require n = m, got m={self.m}, n={self.n}")
 
     def with_seed(self, seed: int) -> "CultureSpec":
         return replace(self, seed=seed)
@@ -383,47 +422,6 @@ class CultureSpec:
 
 def sample(spec: CultureSpec) -> Election:
     """Draw the election described by a spec; deterministic per (spec, seed)."""
-    m, n, seed, params = spec.m, spec.n, spec.seed, dict(spec.params)
-    family = spec.family
-    if family in ("diagonal", "triangle", "cyclic") and m != n:
-        raise ValueError(f"{family} elections require n = m, got m={m}, n={n}")
-    if family == "p_id":
-        e = gen_p_id(m, n, params["p"])
-    elif family == "k_party":
-        e = gen_k_party(m, n, int(params["k"]))
-    elif family == "xy_two_party":
-        e = gen_xy_two_party(m, n, params["x"], params["y"])
-    elif family == "diagonal":
-        e = gen_diagonal(m)
-    elif family == "triangle":
-        e = gen_triangle(m)
-    elif family == "cyclic":
-        e = gen_cyclic(m)
-    elif family == "p_ic":
-        e = gen_p_ic(m, n, params["p"], seed)
-    elif family == "iam":
-        e = gen_iam(m, n, params["probs"], seed)
-    elif family == "resampling":
-        e = gen_resampling(m, n, params["p"], params["phi"], seed)
-    elif family == "euclidean":
-        e = gen_euclidean(m, n, int(params["variant"]), seed)
-    elif family == "id_ic":
-        e = gen_id_ic(m, n, params["p"], seed)
-    elif family == "lin_ic":
-        e = gen_lin_ic(m, n, seed)
-    elif family == "noisy":
-        base_spec = params["base"]
-        if not isinstance(base_spec, CultureSpec):
-            base_spec = CultureSpec.from_dict(base_spec)
-        base = sample(base_spec.with_seed(seed))
-        e = gen_noisy(base, params["phi"], seed)
-    elif family == "id_mixture":
-        e = gen_id_mixture(m, n, int(params["k"]), params["p"], seed)
-    elif family == "iam_mixture":
-        e = gen_iam_mixture(m, n, int(params["k"]), seed)
-    elif family == "uneven_party_list":
-        e = gen_uneven_party_list(m, n, seed)
-    else:  # pragma: no cover - guarded by __post_init__
-        raise ValueError(f"unknown family {family!r}")
+    e = FAMILIES[spec.family].draw(spec.m, spec.n, spec.params, spec.seed)
     e.label = spec.display_label()
     return e

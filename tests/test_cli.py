@@ -128,6 +128,14 @@ def test_table_manifest_spec_pointer(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "table", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and "/specs/1" in stderr
+    # family parameters and n = m are checked before any sampling starts
+    for spec, message in (
+        ({"family": "p_ic", "m": 6, "n": 6, "seed": 0, "params": {}}, "needs parameter(s) p"),
+        ({"family": "diagonal", "m": 6, "n": 7, "seed": 0}, "require n = m"),
+    ):
+        path.write_text(json.dumps({"seed": 1, "samples": 1, "specs": [spec]}))
+        code, _, stderr = run(capsys, "table", "--manifest", str(path), "--out-dir", str(tmp_path))
+        assert code == 2 and "/specs/0" in stderr and message in stderr
 
 
 def test_map_command(tmp_path, capsys):
@@ -157,19 +165,19 @@ def test_map_manifest_missing_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and "/files/0" in stderr
+    party = {"family": "k_party", "m": 6, "n": 6, "seed": 0, "params": {"k": 2}}
+    doc = {"seed": 1, "entries": [{"spec": party}, {"spec": {**party, "params": {}}}]}
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
+    assert code == 2 and "/entries/1/spec" in stderr and "needs parameter(s) k" in stderr
 
 
 def test_bundled_synthetic_manifest_loads():
-    import json
-    from importlib import resources
+    # `map --synthetic` draws this corpus under this seed
+    from approvaldap.experiments import SYNTHETIC_MAP_SEED, synthetic_map_entries
 
-    from approvaldap.experiments import MapEntry
-
-    doc = json.loads(
-        resources.files("approvaldap").joinpath("data", "synthetic_map.json").read_text("utf-8")
-    )
-    assert isinstance(doc["seed"], int)
-    entries = [MapEntry.from_dict(d) for d in doc["entries"]]
+    assert SYNTHETIC_MAP_SEED == 20260809
+    entries = synthetic_map_entries(SYNTHETIC_MAP_SEED)
     assert len(entries) == 244
     labels = {en.spec.label for en in entries if en.group == "compass"}
     assert {"1/3-ID", "2-Party", "1/2-IC"} <= labels
@@ -227,12 +235,10 @@ def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_table_compass_manifest_loads():
-    import json
-    from importlib import resources
+    # `table --compass` tabulates these cultures with this seed and sample count
+    from approvaldap.experiments import COMPASS_SAMPLES, COMPASS_SEED, compass_specs
 
-    doc = json.loads(
-        resources.files("approvaldap").joinpath("data", "compass_table.json").read_text("utf-8")
-    )
-    assert doc["samples"] == 10 and len(doc["specs"]) == 14
-    labels = {spec["label"] for spec in doc["specs"]}
-    assert {"1/3-ID", "2-Party", "Triangle", "Lin-IC"} <= labels
+    assert COMPASS_SEED == 42 and COMPASS_SAMPLES == 10
+    specs = compass_specs()
+    assert len(specs) == 14
+    assert {"1/3-ID", "2-Party", "Triangle", "Lin-IC"} <= {spec.label for spec in specs}

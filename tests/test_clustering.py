@@ -59,6 +59,16 @@ def test_kmedoids_deterministic(rng):
     assert a == b
 
 
+def test_kmedoids_descent_checks_its_objective():
+    # a non-metric "distance" (nonzero diagonal) lets a medoid update raise
+    # the objective; the check is a real exception, not an assert that -O strips
+    from approvaldap.clustering import _kmedoids_descent
+
+    dist = np.array([[3, 2, 2, 1], [1, 0, 0, 0], [0, 3, 2, 3], [2, 2, 3, 2]])
+    with pytest.raises(RuntimeError, match="objective increased"):
+        _kmedoids_descent(dist, np.array([0, 1]))
+
+
 def test_spectral_trivial_cases(rng):
     e = make_random_election(rng, max_m=8, max_n=10)
     assert set(spectral_pcc(e, 1, seed=0).assignments) == {0}
@@ -99,12 +109,6 @@ def test_spectral_permutation_equivariance(rng):
     inv[perm] = np.arange(perm.size)
     base_blocks = {frozenset(int(inv[i]) for i in g) for g in base.groups() if g.size}
     assert base_blocks == as_blocks(moved)
-
-
-def test_spectral_literal_affinity_flag_runs():
-    e = gen_k_party(30, 30, 3)
-    part = spectral_pcc(e, 3, seed=1, literal_affinity=True)
-    assert as_blocks(part) == {frozenset(range(10)), frozenset(range(10, 20)), frozenset(range(20, 30))}
 
 
 def test_weighted_cluster_agreement():

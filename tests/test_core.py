@@ -28,15 +28,29 @@ def test_construction_validates_entries():
         Election([1, 0, 1])
 
 
-def test_from_approval_sets_round_trip():
+def test_from_approval_sets_round_trip(rng):
+    for _ in range(50):
+        e = make_random_election(rng)
+        sets = [np.flatnonzero(row).tolist() for row in e.matrix]
+        assert Election.from_approval_sets(e.num_candidates, sets) == e
     e = Election.from_approval_sets(5, [[0, 3], [], [4, 1]])
     assert e.matrix.tolist() == [
         [1, 0, 0, 1, 0],
         [0, 0, 0, 0, 0],
         [0, 1, 0, 0, 1],
     ]
-    with pytest.raises(ValueError):
-        Election.from_approval_sets(3, [[3]])
+    # duplicate indices collapse; a voter's indices may come in any iterable
+    dup = Election.from_approval_sets(3, [[2, 0, 2], (i for i in [1]), {0}])
+    assert dup.matrix.tolist() == [[1, 0, 1], [0, 1, 0], [1, 0, 0]]
+    for sets, message in (
+        ([[3]], "out of range"),
+        ([[0], [-1]], "out of range"),
+        ([[0], [1.0]], "must be integers, got float64"),
+        ([[0], [True]], "must be integers, got bool"),
+        ([], "at least one voter"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Election.from_approval_sets(3, sets)
 
 
 def test_equality_and_hash_ignore_label():

@@ -77,6 +77,10 @@ def test_index_table_reproducible():
     b = index_table(specs, samples=3, seed=9)
     assert np.array_equal(a.means, b.means) and np.array_equal(a.stds, b.stds)
     assert a.labels == ("id", "ic") and a.indices == INDEX_NAMES
+    assert INDEX_NAMES == (  # the CSV column order
+        "satr", "av_agr", "cntr_agr", "pair_agr", "pcc_agr", "jacc_agr", "pccplus_agr",
+        "cntr_div", "pcc_div", "out_div", "cntr_pol", "pcc_pol", "pair_pol",
+    )
     row = a.row("id")
     assert row["pair_agr"] == (1.0, 0.0)
     assert "pair_agr_mean" in a.to_csv().splitlines()[0]
@@ -245,3 +249,13 @@ def test_parallelism_does_not_change_results():
     grid_serial = resampling_experiment("pccplus_agr", m=12, n=12, samples=2, seed=3, threads=1)
     grid_parallel = resampling_experiment("pccplus_agr", m=12, n=12, samples=2, seed=3, threads=5)
     assert np.array_equal(grid_serial.values, grid_parallel.values)
+
+    specs = [
+        CultureSpec("p_ic", 12, 10, params={"p": 0.4}),
+        CultureSpec("k_party", 12, 10, params={"k": 3}),
+        CultureSpec("resampling", 12, 10, params={"p": 0.3, "phi": 0.5}),
+    ]
+    table_serial = index_table(specs, samples=2, seed=8, threads=1)
+    table_parallel = index_table(specs, samples=2, seed=8, threads=4)
+    assert np.array_equal(table_serial.means, table_parallel.means)
+    assert np.array_equal(table_serial.stds, table_parallel.stds)

@@ -193,6 +193,10 @@ def test_culture_spec_round_trip():
     assert sample(back) == sample(spec)
     with pytest.raises(ValueError):
         CultureSpec("martian", 5, 5)
+    with pytest.raises(ValueError, match="needs parameter"):
+        CultureSpec("id_mixture", 5, 5, params={"p": 0.5})
+    with pytest.raises(ValueError, match="needs parameter"):
+        CultureSpec.from_dict({"family": "noisy", "m": 5, "n": 5, "params": {"phi": 0.2}})
 
 
 def test_sample_validates_square_families():
