@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _KMEDOIDS_MAX_ITER = 100
+_KMEDOIDS_RESTARTS = 10
 _KMEANS_MAX_ITER = 50
 _KMEANS_INITS = 10
 _MEDOID_STREAM = 0x4D00
@@ -95,19 +96,17 @@ def _plus_plus_pick(dist_to_chosen: np.ndarray, chosen: list[int], rng) -> int:
     return int(rng.choice(weights.size, p=weights / s))
 
 
-def kmedoids_hamming(e: Election, k: int, seed: int, restarts: int = 10) -> Partition:
+def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     """Partition voters by k-medoids on Hamming distance.
 
     Medoids are observed ballots.  Assignment breaks ties toward the
     lowest cluster id, updates pick the lowest-index minimizer, and the
     loop stops once the total intra-cluster distance stops decreasing (or
-    after 100 rounds).  The best of ``restarts`` seeded k-means++ style
+    after 100 rounds).  The best of 10 seeded k-means++ style
     initializations is returned.
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     n = e.num_voters
     if k >= n:
         return _singletons(n)
@@ -117,8 +116,8 @@ def kmedoids_hamming(e: Election, k: int, seed: int, restarts: int = 10) -> Part
     dist = hamming_matrix(e)
     best_obj = math.inf
     best_labels = None
-    for restart in range(restarts):
-        rng = seeded_rng(seed, _MEDOID_STREAM + restart)
+    for start in range(_KMEDOIDS_RESTARTS):
+        rng = seeded_rng(seed, _MEDOID_STREAM + start)
         medoids = [int(rng.integers(n))]
         closest = dist[medoids[0]].copy()
         while len(medoids) < k:

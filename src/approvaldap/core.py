@@ -1,10 +1,11 @@
 """Approval election data model and basic structural operations.
 
 An election is a set of candidates together with an ordered collection of
-approval ballots, one per voter.  Ballots are stored as packed 64-bit
-bitsets so that the pairwise kernels in :mod:`approvaldap.metrics` reduce
-to word-parallel popcounts.  Elections are immutable after construction;
-every operation here is pure and returns fresh objects.
+approval ballots, one per voter.  Ballots are stored as one read-only
+``(n, m)`` uint8 0/1 matrix; the pairwise kernels in
+:mod:`approvaldap.metrics` get their counts from matrix products of it.
+Elections are immutable after construction; every operation here is pure
+and returns fresh objects.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ __all__ = [
     "restrict_voters",
     "restrict_candidates",
 ]
-
-_WORD_BITS = 64
-_SUBSTREAM_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def seeded_rng(seed: int, substream: int = 0) -> Generator:
     """Counter-based RNG stream, reproducible across platforms and threads.
@@ -54,7 +51,7 @@ class Election:
         The label is metadata: it does not participate in equality.
     """
 
-    __slots__ = ("_m", "_words", "label", "_hash", "_scores", "_lengths", "_memo")
+    __slots__ = ("_mat", "label", "_hash", "_scores", "_lengths", "_memo")
 
     def __init__(self, ballots, label: Optional[str] = None):
         mat = np.asarray(ballots)
@@ -66,11 +63,12 @@ class Election:
         if mat.dtype != np.uint8:
             if not np.isin(mat, (0, 1)).all():
                 raise ValueError("ballot entries must be 0 or 1")
-            mat = mat.astype(np.uint8)
         elif mat.max(initial=0) > 1:
             raise ValueError("ballot entries must be 0 or 1")
-        self._m = m
-        self._words = _pack(mat)
+        # a private copy, so later writes to the caller's array change nothing
+        mat = np.array(mat, dtype=np.uint8, order="C")
+        mat.setflags(write=False)
+        self._mat = mat
         self.label = label
         self._hash: Optional[int] = None
         self._scores: Optional[np.ndarray] = None
@@ -105,46 +103,31 @@ class Election:
             mat[rows, cols] = 1
         return cls(mat, label=label)
 
-    @classmethod
-    def _from_words(cls, num_candidates: int, words: np.ndarray, label: Optional[str]) -> "Election":
-        e = cls.__new__(cls)
-        e._m = num_candidates
-        w = np.ascontiguousarray(words, dtype=np.uint64)
-        w.setflags(write=False)
-        e._words = w
-        e.label = label
-        e._hash = None
-        e._scores = None
-        e._lengths = None
-        e._memo = {}
-        return e
-
     # -- basic shape ---------------------------------------------------
 
     @property
     def num_candidates(self) -> int:
-        return self._m
+        return self._mat.shape[1]
 
     @property
     def num_voters(self) -> int:
-        return self._words.shape[0]
-
-    @property
-    def words(self) -> np.ndarray:
-        """Packed ballots, shape ``(n, ceil(m/64))``, candidate ``j`` at bit ``j``."""
-        return self._words
+        return self._mat.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense ``(n, m)`` uint8 view of the ballots (fresh copy)."""
-        return _unpack(self._words, self._m)
+        """The ballots as a C-contiguous ``(n, m)`` uint8 0/1 array.
+
+        This is the stored array itself, not a copy; it is read-only, so
+        writing to it raises ``ValueError``.
+        """
+        return self._mat
 
     def ballot(self, i: int) -> np.ndarray:
-        """The ``i``-th ballot as a dense 0/1 vector."""
+        """A copy of the ``i``-th ballot as a dense 0/1 vector."""
         n = self.num_voters
         if not -n <= i < n:
             raise IndexError(f"voter index {i} out of range for {n} voters")
-        return _unpack(self._words[i % n : i % n + 1], self._m)[0]
+        return self._mat[i].copy()
 
     def approval_counts(self) -> np.ndarray:
         """Per-candidate approval scores ``|A(c_j)|`` as an int64 vector."""
@@ -157,7 +140,7 @@ class Election:
     def ballot_lengths(self) -> np.ndarray:
         """Per-voter approval counts ``|A(v_i)|`` as an int64 vector."""
         if self._lengths is None:
-            lengths = np.bitwise_count(self._words).sum(axis=1, dtype=np.int64)
+            lengths = self._mat.sum(axis=1, dtype=np.int64)
             lengths.setflags(write=False)
             self._lengths = lengths
         return self._lengths
@@ -185,32 +168,17 @@ class Election:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Election):
             return NotImplemented
-        return self._m == other._m and np.array_equal(self._words, other._words)
+        return np.array_equal(self._mat, other._mat)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._m, self._words.shape[0], self._words.tobytes()))
+            self._hash = hash((self._mat.shape, self._mat.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
-        return f"<Election{tag} m={self._m} n={self.num_voters} satr={stats(self).satr:.3f}>"
-
-
-def _pack(mat: np.ndarray) -> np.ndarray:
-    n, m = mat.shape
-    words = -(-m // _WORD_BITS)
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    buf = np.zeros((n, words * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    out = buf.view("<u8")
-    out.setflags(write=False)
-    return out
-
-
-def _unpack(words: np.ndarray, m: int) -> np.ndarray:
-    raw = np.ascontiguousarray(words).view("<u1")
-    return np.unpackbits(raw, axis=1, bitorder="little", count=m).astype(np.uint8)
+        n, m = self._mat.shape
+        return f"<Election{tag} m={m} n={n} satr={stats(self).satr:.3f}>"
 
 
 @dataclass(frozen=True)
@@ -239,14 +207,7 @@ def stats(e: Election) -> ElectionStats:
 
 def reverse(e: Election) -> Election:
     """Flip every entry of every ballot.  An involution."""
-    m = e.num_candidates
-    words = ~e.words
-    # mask out the padding bits beyond candidate m-1
-    tail = m % _WORD_BITS
-    if tail:
-        words = words.copy()
-        words[:, -1] &= np.uint64((1 << tail) - 1)
-    return Election._from_words(m, words, label=e.label)
+    return Election(1 - e.matrix, label=e.label)
 
 
 def restrict_voters(e: Election, indices: Sequence[int]) -> Election:
@@ -254,7 +215,7 @@ def restrict_voters(e: Election, indices: Sequence[int]) -> Election:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("sub-election needs at least one voter")
-    return Election._from_words(e.num_candidates, e.words[idx], label=e.label)
+    return Election(e.matrix[idx], label=e.label)
 
 
 def restrict_candidates(e: Election, indices: Sequence[int]) -> Election:

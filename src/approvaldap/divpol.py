@@ -94,13 +94,9 @@ def a_pol(e: Election, agr, clusterer: Clusterer, seed: int) -> float:
     return min(1.0, best - base)
 
 
-def _kmedoids_clusterer(e: Election, k: int, seed: int) -> Partition:
-    return kmedoids_hamming(e, k, seed)
-
-
 def cntr_div(e: Election, seed: int = 0) -> float:
     """Central diversity: :func:`a_div` with central agreement and k-medoids."""
-    return a_div(e, cntr_agr, _kmedoids_clusterer, seed)
+    return a_div(e, cntr_agr, kmedoids_hamming, seed)
 
 
 def pcc_div(e: Election, seed: int = 0) -> float:
@@ -110,7 +106,7 @@ def pcc_div(e: Election, seed: int = 0) -> float:
 
 def cntr_pol(e: Election, seed: int = 0) -> float:
     """Central polarization: :func:`a_pol` with central agreement and k-medoids."""
-    return a_pol(e, cntr_agr, _kmedoids_clusterer, seed)
+    return a_pol(e, cntr_agr, kmedoids_hamming, seed)
 
 
 def pcc_pol(e: Election, seed: int = 0) -> float:

@@ -165,7 +165,7 @@ def threshold_scores(matrix, threshold: float) -> Election:
 
 def write_native(e: Election) -> str:
     """Serialize an election as JSON (ballots as 0-based approved indices)."""
-    ballots = [np.flatnonzero(e.ballot(i)).tolist() for i in range(e.num_voters)]
+    ballots = [np.flatnonzero(row).tolist() for row in e.matrix]
     doc = {"label": e.label, "num_candidates": e.num_candidates, "ballots": ballots}
     return json.dumps(doc, indent=None, separators=(",", ":")) + "\n"
 

@@ -3,8 +3,10 @@
 Three measures are exposed: Hamming distance, Jaccard distance, and the
 Pearson correlation coefficient of two binary vectors (the phi
 coefficient).  Each comes in a per-pair form and, for the quadratic
-election indices, as an all-pairs kernel over an election that works on
-the packed bitsets via popcounts.
+election indices, as an all-pairs kernel over an election.  The kernels
+get every pair count from one product ``A @ B.T`` of the 0/1 ballot
+matrices, taken in float64 so that it runs on BLAS; it is exact because
+each entry is a sum of at most ``m`` ones.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ __all__ = [
     "cross_hamming",
 ]
 
-_BLOCK_ROWS = 64
+# rows of the product per BLAS call: the float64 temporary stays
+# O(block * n) instead of a second n x n matrix
+_PRODUCT_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -118,25 +122,29 @@ def pcc_from_hamming(p: float, m: int, ham: int) -> float:
 
 
 def intersection_matrix(e: Election) -> np.ndarray:
-    """``(n, n)`` matrix of pairwise approval-set intersection sizes.
+    """``(n, n)`` int64 matrix of pairwise approval-set intersection sizes.
 
     The workhorse of every quadratic index: all pair statistics follow
-    from this matrix plus the per-ballot lengths.  Computed blockwise with
-    word-parallel popcounts on the packed ballots and memoized on the
+    from this matrix plus the per-ballot lengths.  It is the product
+    ``X @ X.T`` of the 0/1 ballot matrix, read-only and memoized on the
     election.
     """
-    return e._cache("intersection_matrix", lambda: _intersection_matrix(e))
+
+    def compute():
+        out = _products(e.matrix, e.matrix)
+        out.setflags(write=False)
+        return out
+
+    return e._cache("intersection_matrix", compute)
 
 
-def _intersection_matrix(e: Election) -> np.ndarray:
-    words = e.words
-    n = words.shape[0]
-    out = np.empty((n, n), dtype=np.int64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        blk = words[lo : lo + _BLOCK_ROWS]
-        inter = blk[:, None, :] & words[None, :, :]
-        out[lo : lo + _BLOCK_ROWS] = np.bitwise_count(inter).sum(axis=2, dtype=np.int64)
-    out.setflags(write=False)
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` of two 0/1 matrices as int64, computed in float64 row blocks."""
+    af = a.astype(np.float64)
+    bt = b.astype(np.float64).T
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
+    for lo in range(0, a.shape[0], _PRODUCT_BLOCK_ROWS):
+        out[lo : lo + _PRODUCT_BLOCK_ROWS] = af[lo : lo + _PRODUCT_BLOCK_ROWS] @ bt
     return out
 
 
@@ -183,10 +191,9 @@ def cross_hamming(a: Election, b: Election) -> np.ndarray:
     """
     if a.num_candidates != b.num_candidates:
         raise ValueError("elections have different candidate counts")
-    wa, wb = a.words, b.words
-    out = np.empty((wa.shape[0], wb.shape[0]), dtype=np.int64)
-    for lo in range(0, wa.shape[0], _BLOCK_ROWS):
-        blk = wa[lo : lo + _BLOCK_ROWS]
-        diff = blk[:, None, :] ^ wb[None, :, :]
-        out[lo : lo + _BLOCK_ROWS] = np.bitwise_count(diff).sum(axis=2, dtype=np.int64)
+    # |u| + |v| - 2|u & v|, in place so no second (n_a, n_b) matrix is made
+    out = _products(a.matrix, b.matrix)
+    out *= -2
+    out += a.ballot_lengths()[:, None]
+    out += b.ballot_lengths()[None, :]
     return out

@@ -12,9 +12,19 @@ settings.load_profile("deterministic")
 ACCEPTANCE_LINES: list[str] = []
 
 
-def make_random_election(rng: np.random.Generator, max_m: int = 20, max_n: int = 20) -> Election:
-    """Random election with a density drawn per election, edge shapes included."""
-    m = int(rng.integers(1, max_m + 1))
+# candidate counts on both sides of 64-bit word boundaries
+BOUNDARY_WIDTHS = (63, 64, 65, 130)
+
+
+def make_random_election(
+    rng: np.random.Generator, max_m: int = 20, max_n: int = 20, m: int | None = None
+) -> Election:
+    """Random election with a density drawn per election, edge shapes included.
+
+    ``m`` fixes the candidate count; otherwise it is drawn up to ``max_m``.
+    """
+    if m is None:
+        m = int(rng.integers(1, max_m + 1))
     n = int(rng.integers(1, max_n + 1))
     p = float(rng.uniform(0.05, 0.95))
     mat = (rng.random((n, m)) < p).astype(np.uint8)

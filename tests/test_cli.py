@@ -242,3 +242,43 @@ def test_table_compass_manifest_loads():
     specs = compass_specs()
     assert len(specs) == 14
     assert {"1/3-ID", "2-Party", "Triangle", "Lin-IC"} <= {spec.label for spec in specs}
+
+
+def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
+    # m >= 65 puts every ballot across a 64-bit word boundary, and two
+    # workers run their matrix products at the same time
+    spec = {"m": 70, "n": 24, "seed": 0}
+    table = {
+        "seed": 5,
+        "samples": 2,
+        "specs": [
+            {**spec, "family": "p_ic", "params": {"p": 0.3}, "label": "ic"},
+            {**spec, "family": "resampling", "params": {"p": 0.4, "phi": 0.5}, "label": "res"},
+            {**spec, "family": "euclidean", "params": {"variant": 2}, "label": "euc"},
+        ],
+    }
+    groups = [
+        ("ic", "p_ic", {"p": 0.5}),
+        ("party", "k_party", {"k": 3}),
+        ("res", "resampling", {"p": 0.3, "phi": 0.2}),
+    ]
+    entries = [
+        {"group": group, "spec": {**spec, "seed": seed, "family": family, "params": params}}
+        for seed, (group, family, params) in enumerate(groups * 2)
+    ]
+    manifests = {"table": table, "map": {"seed": 6, "entries": entries}}
+    outputs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("APPROVAL_DAP_THREADS", threads)
+        for command, manifest in manifests.items():
+            out_dir = tmp_path / f"{command}{threads}"
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(manifest))
+            code, stdout, _ = run(capsys, command, "--manifest", str(path), "--out-dir", str(out_dir))
+            assert code == 0
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+            outputs.setdefault(command, []).append((stdout.replace(str(out_dir), "OUT"), files))
+    assert set(outputs["table"][0][1]) == {"index_table.csv"}
+    assert len(outputs["map"][0][1]) == 4
+    for command, (single, double) in outputs.items():
+        assert single == double, command

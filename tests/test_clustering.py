@@ -39,8 +39,6 @@ def test_kmedoids_trivial_cases(rng):
     assert fine.assignments == tuple(range(e.num_voters))
     with pytest.raises(ValueError):
         kmedoids_hamming(e, 0, seed=0)
-    with pytest.raises(ValueError):
-        kmedoids_hamming(e, 2, seed=0, restarts=0)
 
 
 def test_kmedoids_recovers_party_blocks():

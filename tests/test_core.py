@@ -14,7 +14,7 @@ from approvaldap.core import (
 from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle
 from approvaldap.metrics import intersection_matrix
 
-from conftest import make_random_election
+from conftest import BOUNDARY_WIDTHS, make_random_election
 
 
 def test_construction_validates_entries():
@@ -61,6 +61,24 @@ def test_equality_and_hash_ignore_label():
     assert a != c
 
 
+def test_election_owns_a_read_only_copy():
+    rows = [[1, 0, 1], [0, 1, 0]]
+    arr = np.array(rows, dtype=np.uint8)
+    e = Election(arr)
+    arr[0, 0] = 0
+    assert e.matrix.tolist() == rows
+    assert hash(e) == hash(Election(rows))
+    assert e.matrix.flags.c_contiguous and e.matrix.dtype == np.uint8
+    with pytest.raises(ValueError):
+        e.matrix[0, 1] = 1
+    row = e.ballot(1)
+    row[0] = 1
+    assert row.tolist() == [1, 1, 0] and e.ballot(1).tolist() == [0, 1, 0]
+    assert e.ballot(-1).tolist() == [0, 1, 0]
+    with pytest.raises(IndexError):
+        e.ballot(2)
+
+
 def test_approval_score_examples():
     third_id = gen_p_id(60, 60, 1 / 3)
     assert all(approval_score(third_id, j) == 60 for j in range(20))
@@ -85,10 +103,12 @@ def test_stats_examples():
 
 
 def test_reverse_involution_and_complement(rng):
-    for _ in range(25):
-        e = make_random_election(rng)
+    elections = [make_random_election(rng) for _ in range(25)]
+    elections += [make_random_election(rng, max_n=6, m=m) for m in BOUNDARY_WIDTHS]
+    for e in elections:
         r = reverse(e)
         assert reverse(r) == e
+        assert np.array_equal(r.matrix, 1 - e.matrix)
         assert stats(r).satr == pytest.approx(1 - stats(e).satr)
         n = e.num_voters
         assert np.array_equal(r.approval_counts(), n - e.approval_counts())

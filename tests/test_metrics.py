@@ -19,7 +19,7 @@ from approvaldap.metrics import (
     pcc_matrix,
 )
 
-from conftest import make_random_election
+from conftest import BOUNDARY_WIDTHS, make_random_election
 
 
 def pcc_mean_centered(u, v):
@@ -106,8 +106,9 @@ def test_pcc_from_hamming_agrees_on_fixed_length_pairs(rng):
 
 
 def test_matrices_match_per_pair_calls(rng):
-    for _ in range(20):
-        e = make_random_election(rng, max_m=12, max_n=10)
+    elections = [make_random_election(rng, max_m=12, max_n=10) for _ in range(20)]
+    elections += [make_random_election(rng, max_n=6, m=m) for m in BOUNDARY_WIDTHS]
+    for e in elections:
         mat = e.matrix
         ham = hamming_matrix(e)
         jac = jaccard_similarity_matrix(e)
@@ -120,12 +121,14 @@ def test_matrices_match_per_pair_calls(rng):
 
 
 def test_cross_hamming(rng):
-    a = make_random_election(rng, max_m=9, max_n=7)
-    b = Election((rng.random((5, a.num_candidates)) < 0.5).astype(np.uint8))
-    table = cross_hamming(a, b)
-    for i in range(a.num_voters):
-        for j in range(5):
-            assert table[i, j] == hamming(a.matrix[i], b.matrix[j])
+    for m in (None, *BOUNDARY_WIDTHS):
+        a = make_random_election(rng, max_m=9, max_n=7, m=m)
+        b = Election((rng.random((5, a.num_candidates)) < 0.5).astype(np.uint8))
+        table = cross_hamming(a, b)
+        assert table.shape == (a.num_voters, 5)
+        for i in range(a.num_voters):
+            for j in range(5):
+                assert table[i, j] == hamming(a.matrix[i], b.matrix[j])
     with pytest.raises(ValueError):
         cross_hamming(a, Election([[1] * (a.num_candidates + 1)]))
 
