@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Election, restrict_voters, seeded_rng
-from .metrics import hamming_matrix, pcc_matrix
+from .metrics import intersection_matrix, pcc_matrix
 
 __all__ = [
     "Partition",
@@ -103,7 +103,9 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     lowest cluster id, updates pick the lowest-index minimizer, and the
     loop stops once the total intra-cluster distance stops decreasing (or
     after 100 rounds).  The best of 10 seeded k-means++ style
-    initializations is returned.
+    initializations is returned.  One float64 distance matrix, built from
+    the memoised intersection matrix, serves all 10 restarts; distances
+    are small integers, so every sum of them is exact in float64.
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
@@ -113,7 +115,11 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     if k == 1:
         return Partition(assignments=(0,) * n, k=1)
 
-    dist = hamming_matrix(e)
+    # |u| + |v| - 2|u & v|, built in place so no int64 n x n copy is made
+    lengths = e.ballot_lengths()
+    dist = intersection_matrix(e) * -2.0
+    dist += lengths[:, None]
+    dist += lengths[None, :]
     best_obj = math.inf
     best_labels = None
     for start in range(_KMEDOIDS_RESTARTS):
@@ -134,22 +140,26 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
 def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, int]:
     n = dist.shape[0]
     k = medoids.size
+    voters = np.arange(n)
     prev_obj = math.inf
     for _ in range(_KMEDOIDS_MAX_ITER):
         labels = np.argmin(dist[:, medoids], axis=1)
-        for c in range(k):
-            members = np.flatnonzero(labels == c)
-            if members.size:
-                costs = dist[np.ix_(members, members)].sum(axis=0)
-                medoids[c] = members[int(np.argmin(costs))]
-        obj = int(dist[np.arange(n), medoids[labels]].sum())
+        # costs[c, j]: total distance from ballot j to the members of cluster
+        # c, one BLAS product for every cluster; non-members are never chosen
+        onehot = np.zeros((k, n))
+        onehot[labels, voters] = 1.0
+        costs = onehot @ dist
+        costs[onehot == 0.0] = math.inf
+        live = np.bincount(labels, minlength=k) > 0  # empty clusters keep their medoid
+        medoids[live] = np.argmin(costs[live], axis=1)
+        obj = int(dist[voters, medoids[labels]].sum())
         if obj > prev_obj:
             raise RuntimeError("k-medoids objective increased")
         if obj >= prev_obj:
             break
         prev_obj = obj
     labels = np.argmin(dist[:, medoids], axis=1)
-    obj = int(dist[np.arange(n), medoids[labels]].sum())
+    obj = int(dist[voters, medoids[labels]].sum())
     return labels, obj
 
 
@@ -222,6 +232,10 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
 
 
 def _kmeans_single(points: np.ndarray, k: int, weights: np.ndarray, rng) -> tuple[np.ndarray, float]:
+    """One seeded weighted k-means run: (labels, inertia).
+
+    ``weights`` are ballot multiplicities; see :func:`_update_centers`.
+    """
     n = points.shape[0]
     k = min(k, n)
     centers = np.empty((k, points.shape[1]))
@@ -235,6 +249,7 @@ def _kmeans_single(points: np.ndarray, k: int, weights: np.ndarray, rng) -> tupl
         centers[c] = points[nxt]
         np.minimum(closest, np.linalg.norm(points - centers[c], axis=1), out=closest)
 
+    weighted = weights[:, None] * points
     labels = None
     for _ in range(_KMEANS_MAX_ITER):
         sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -242,13 +257,29 @@ def _kmeans_single(points: np.ndarray, k: int, weights: np.ndarray, rng) -> tupl
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centers[c] = np.average(points[members], axis=0, weights=weights[members])
+        _update_centers(centers, labels, weights, weighted)
     sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     inertia = float((weights * sq[np.arange(n), labels]).sum())
     return labels, inertia
+
+
+def _update_centers(
+    centers: np.ndarray, labels: np.ndarray, weights: np.ndarray, weighted: np.ndarray
+) -> None:
+    """Move each non-empty cluster's centre to its members' weighted mean.
+
+    ``weighted`` is ``weights[:, None] * points``.  One ``bincount`` per
+    coordinate adds the weighted points in row order, as ``np.average``
+    over each cluster's rows does; the masses are sums of integer weights,
+    exact in any order.  So the centres are bitwise those of a per-cluster
+    ``np.average``.  An empty cluster keeps its previous centre.
+    """
+    k = centers.shape[0]
+    mass = np.bincount(labels, weights=weights, minlength=k)
+    live = mass > 0
+    for j in range(centers.shape[1]):
+        sums = np.bincount(labels, weights=weighted[:, j], minlength=k)
+        centers[live, j] = sums[live] / mass[live]
 
 
 def weighted_cluster_agreement(

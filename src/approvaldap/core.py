@@ -149,7 +149,8 @@ class Election:
         return int(self.ballot_lengths().sum())
 
     def _cache(self, key, factory):
-        # memo for derived artifacts (pair-count matrices, spectral bases);
+        # memo for derived artifacts (pair-count matrices, spectral bases,
+        # clustered agreement terms);
         # lives and dies with the election, so no cross-election eviction
         try:
             return self._memo[key]
@@ -160,7 +161,7 @@ class Election:
 
     def clear_cache(self) -> None:
         """Drop the memoised derived artifacts (pair-count matrices, spectral
-        bases); later calls recompute them."""
+        bases, clustered agreement terms); later calls recompute them."""
         self._memo.clear()
 
     # -- identity ------------------------------------------------------

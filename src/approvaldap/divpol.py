@@ -71,13 +71,26 @@ class OuterDiversityConfig:
             raise ValueError("sample_multiplier must be at least 1")
 
 
+def _cluster_agreement(e: Election, agr, clusterer: Clusterer, k: int, seed: int) -> float:
+    """:func:`weighted_cluster_agreement` of ``clusterer(e, k, seed)``,
+    memoised on the election so that diversity and polarization share
+    their k = 2 term."""
+    return e._cache(
+        ("cluster_agreement", agr, clusterer, k, seed),
+        lambda: weighted_cluster_agreement(e, clusterer(e, k, seed), agr),
+    )
+
+
 def a_div(e: Election, agr, clusterer: Clusterer, seed: int) -> float:
     """Clustering-based diversity: one minus the mean best within-cluster
-    agreement over cluster counts 1..5 (the count-1 term is ``agr(e)``)."""
+    agreement over cluster counts 1..5 (the count-1 term is ``agr(e)``).
+
+    The k = 2 term is the one :func:`a_pol` scores; it is computed once
+    per election, agreement, clusterer and seed.
+    """
     values = [agr(e)]
     for k in range(2, _DIV_MAX_CLUSTERS + 1):
-        partition = clusterer(e, k, seed)
-        values.append(weighted_cluster_agreement(e, partition, agr))
+        values.append(_cluster_agreement(e, agr, clusterer, k, seed))
     return min(1.0, max(0.0, 1.0 - sum(values) / _DIV_MAX_CLUSTERS))
 
 
@@ -86,11 +99,11 @@ def a_pol(e: Election, agr, clusterer: Clusterer, seed: int) -> float:
     2-partition over the whole election.
 
     The trivial single-block partition is always a candidate, so the value
-    is nonnegative before clamping.
+    is nonnegative before clamping.  The 2-partition's agreement is the
+    k = 2 term of :func:`a_div`, shared through the election's memo.
     """
     base = agr(e)
-    partition = clusterer(e, 2, seed)
-    best = max(weighted_cluster_agreement(e, partition, agr), base)
+    best = max(_cluster_agreement(e, agr, clusterer, 2, seed), base)
     return min(1.0, best - base)
 
 

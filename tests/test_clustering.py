@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from approvaldap import clustering
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import (
     Partition,
@@ -8,8 +13,9 @@ from approvaldap.clustering import (
     spectral_pcc,
     weighted_cluster_agreement,
 )
-from approvaldap.core import Election
+from approvaldap.core import Election, seeded_rng
 from approvaldap.generators import gen_k_party, gen_p_id, gen_xy_two_party
+from approvaldap.metrics import hamming_matrix
 
 from conftest import make_random_election
 
@@ -135,3 +141,165 @@ def test_both_clusterers_saturate_block_elections():
 def test_spectral_deterministic(rng):
     e = make_random_election(rng, max_m=12, max_n=18)
     assert spectral_pcc(e, 4, seed=21) == spectral_pcc(e, 4, seed=21)
+
+
+# -- oracles: the per-cluster loops the vectorised updates replaced ---------
+
+
+def update_centers_oracle(centers, labels, points, weights):
+    for c in range(centers.shape[0]):
+        members = labels == c
+        if members.any():
+            centers[c] = np.average(points[members], axis=0, weights=weights[members])
+
+
+def kmeans_single_oracle(points, k, weights, rng):
+    n = points.shape[0]
+    k = min(k, n)
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.choice(n, p=weights / weights.sum()))
+    chosen = [first]
+    centers[0] = points[first]
+    closest = np.linalg.norm(points - centers[0], axis=1)
+    for c in range(1, k):
+        nxt = clustering._plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
+        chosen.append(nxt)
+        centers[c] = points[nxt]
+        np.minimum(closest, np.linalg.norm(points - centers[c], axis=1), out=closest)
+    labels = None
+    for _ in range(clustering._KMEANS_MAX_ITER):
+        sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(sq, axis=1)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        update_centers_oracle(centers, labels, points, weights)
+    sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    inertia = float((weights * sq[np.arange(n), labels]).sum())
+    return labels, inertia
+
+
+def kmedoids_descent_oracle(dist, medoids):
+    n = dist.shape[0]
+    k = medoids.size
+    prev_obj = math.inf
+    for _ in range(clustering._KMEDOIDS_MAX_ITER):
+        labels = np.argmin(dist[:, medoids], axis=1)
+        for c in range(k):
+            members = np.flatnonzero(labels == c)
+            if members.size:
+                costs = dist[np.ix_(members, members)].sum(axis=0)
+                medoids[c] = members[int(np.argmin(costs))]
+        obj = int(dist[np.arange(n), medoids[labels]].sum())
+        if obj >= prev_obj:
+            break
+        prev_obj = obj
+    labels = np.argmin(dist[:, medoids], axis=1)
+    return labels, int(dist[np.arange(n), medoids[labels]].sum())
+
+
+def kmedoids_oracle(e, k, seed):
+    n = e.num_voters
+    dist = hamming_matrix(e)  # int64
+    best_obj, best_labels = math.inf, None
+    for start in range(clustering._KMEDOIDS_RESTARTS):
+        rng = seeded_rng(seed, clustering._MEDOID_STREAM + start)
+        medoids = [int(rng.integers(n))]
+        closest = dist[medoids[0]].copy()
+        while len(medoids) < k:
+            nxt = clustering._plus_plus_pick(closest, medoids, rng)
+            medoids.append(nxt)
+            np.minimum(closest, dist[nxt], out=closest)
+        labels, obj = kmedoids_descent_oracle(dist, np.asarray(medoids))
+        if obj < best_obj:
+            best_obj, best_labels = obj, labels
+    return Partition.from_labels(best_labels, k)
+
+
+@st.composite
+def weighted_points(draw):
+    """Points drawn from a small pool, so duplicates empty out clusters and
+    k often reaches the number of distinct points; integer weights, like
+    the ballot multiplicities the spectral clusterer passes."""
+    d = draw(st.integers(2, 5))
+    k = draw(st.integers(2, 5))
+    pool_size = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(pool_size, d))
+    points = pool[rng.integers(pool_size, size=n)]
+    weights = rng.integers(1, 6, size=n).astype(np.float64)
+    return points, k, weights, seed
+
+
+@st.composite
+def repeated_elections(draw):
+    """Elections over a pool of ballots, often with repeats, and a cluster
+    count below n."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(3, 40))
+    distinct = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = (rng.random((distinct, m)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+    e = Election(pool[rng.integers(distinct, size=n)])
+    k = draw(st.integers(2, min(5, n - 1)))
+    return e, k, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_points())
+def test_center_update_matches_per_cluster_average(case):
+    points, k, weights, seed = case
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(k, size=points.shape[0])
+    start = rng.normal(size=(k, points.shape[1]))
+    fast, slow = start.copy(), start.copy()
+    clustering._update_centers(fast, labels, weights, weights[:, None] * points)
+    update_centers_oracle(slow, labels, points, weights)
+    assert fast.tobytes() == slow.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_points())
+def test_kmeans_single_matches_oracle(case):
+    points, k, weights, seed = case
+    labels, inertia = clustering._kmeans_single(points, k, weights, np.random.default_rng(seed))
+    want_labels, want_inertia = kmeans_single_oracle(points, k, weights, np.random.default_rng(seed))
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_elections())
+def test_kmedoids_descent_matches_oracle(case):
+    e, k, seed = case
+    dist = hamming_matrix(e)
+    medoids = np.random.default_rng(seed).choice(e.num_voters, size=k, replace=False)
+    fast_medoids, slow_medoids = medoids.copy(), medoids.copy()
+    labels, obj = clustering._kmedoids_descent(dist.astype(np.float64), fast_medoids)
+    want_labels, want_obj = kmedoids_descent_oracle(dist, slow_medoids)
+    assert np.array_equal(fast_medoids, slow_medoids)
+    assert np.array_equal(labels, want_labels)
+    assert obj == want_obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_elections())
+def test_kmedoids_matches_oracle(case):
+    e, k, seed = case
+    assert kmedoids_hamming(e, k, seed) == kmedoids_oracle(e, k, seed)
+
+
+def test_clusterers_match_oracles_on_party_and_random_elections(rng, monkeypatch):
+    elections = [gen_k_party(48, 48, 3), gen_xy_two_party(60, 60, 1 / 3, 1 / 3)]
+    elections += [make_random_election(rng, max_m=20, max_n=60) for _ in range(10)]
+    cases = [(e, k) for e in elections for k in (2, 3, 5) if k < e.num_voters]
+    spectral = [spectral_pcc(e, k, seed=4) for e, k in cases]
+    medoids = [kmedoids_hamming(e, k, seed=4) for e, k in cases]
+    for e in elections:
+        e.clear_cache()
+    monkeypatch.setattr(clustering, "_kmeans_single", kmeans_single_oracle)
+    assert spectral == [spectral_pcc(e, k, seed=4) for e, k in cases]
+    assert medoids == [kmedoids_oracle(e, k, seed=4) for e, k in cases]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from approvaldap import divpol
-from approvaldap.agreement import pcc_agr
-from approvaldap.clustering import spectral_pcc
+from approvaldap.agreement import cntr_agr, pcc_agr
+from approvaldap.clustering import spectral_pcc, weighted_cluster_agreement
 from approvaldap.core import Election, reverse, seeded_rng, stats
 from approvaldap.divpol import (
     OuterDiversityConfig,
@@ -274,3 +274,35 @@ def test_div_pol_stable_under_permutations(rng):
         shuffled = Election(mat[rng.permutation(n)][:, rng.permutation(m)])
         assert pcc_div(shuffled, seed=3) == pytest.approx(pcc_div(e, seed=3), abs=0.02)
         assert cntr_pol(shuffled, seed=3) == pytest.approx(cntr_pol(e, seed=3), abs=0.02)
+
+
+@pytest.mark.parametrize(
+    "div, pol, agr, name",
+    [
+        (cntr_div, cntr_pol, cntr_agr, "kmedoids_hamming"),
+        (pcc_div, pcc_pol, pcc_agr, "spectral_pcc"),
+    ],
+)
+def test_div_and_pol_share_the_two_cluster_term(monkeypatch, rng, div, pol, agr, name):
+    calls = []
+    clusterer = getattr(divpol, name)
+
+    def counted(e, k, seed):
+        calls.append((k, seed))
+        return clusterer(e, k, seed)
+
+    monkeypatch.setattr(divpol, name, counted)
+    mat = (rng.random((40, 12)) < 0.4).astype(np.uint8)
+    e = Election(mat)
+    values = (div(e, seed=3), pol(e, seed=3))
+    assert calls == [(2, 3), (3, 3), (4, 3), (5, 3)]  # k-clusterings 2..5, k = 2 once
+    assert pol(e, seed=4) >= 0.0
+    assert calls[4:] == [(2, 4)]  # another seed recomputes
+    e.clear_cache()
+    assert pol(e, seed=3) == values[1]
+    assert calls[5:] == [(2, 3)]  # the memo went with the cache
+    fresh = Election(mat)
+    assert (div(fresh, seed=3), pol(fresh, seed=3)) == values
+    base = agr(fresh)
+    two = weighted_cluster_agreement(fresh, clusterer(fresh, 2, 3), agr)
+    assert values[1] == min(1.0, max(two, base) - base)
