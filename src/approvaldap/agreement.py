@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Election
-from .metrics import hamming_matrix, jaccard_similarity_matrix, pcc_matrix
+from .metrics import hamming_matrix, jaccard_similarity_matrix, pcc_matrix, pcc_weights
 
 __all__ = [
     "CentralVote",
@@ -136,11 +136,30 @@ def jacc_agr(e: Election) -> float:
 
 
 def pcc_agr(e: Election) -> float:
-    """Mean PCC over all ordered ballot pairs; nonnegative up to float residue."""
-    value = float(pcc_matrix(e).mean())
+    """Mean PCC over all ordered ballot pairs, in O(nm) with no n x n matrix.
+
+    With the weights ``w_i = 1/sqrt(l_i (m - l_i))`` of the ballot lengths
+    ``l_i`` (0 for a constant ballot; see
+    :func:`~approvaldap.metrics.pcc_weights`), the PCC of two non-constant
+    ballots is ``w_i w_j (m |u_i & u_j| - l_i l_j)``, so their pair sum is
+    ``m ||X^T w||^2 - (sum_i l_i w_i)^2``; the ``n^2 - n_nc^2`` pairs that
+    involve a constant ballot score 1.  The mean is within float residue
+    of ``pcc_matrix(e).mean()``; it is exactly 1 on identity elections and
+    is clamped to [0, 1].
+    """
+    x = e.matrix
+    if (x == x[0]).all():
+        return 1.0
+    n, m = e.num_voters, e.num_candidates
+    lengths = e.ballot_lengths()
+    w = pcc_weights(lengths, m)
+    projected = w @ x
+    pair_sum = m * float(projected @ projected) - float(lengths @ w) ** 2
+    n_nc = int(np.count_nonzero(w))
+    value = (pair_sum + (n * n - n_nc * n_nc)) / (n * n)
     if -_PCC_RESIDUE < value < 0.0:
         return 0.0
-    return value
+    return min(1.0, value)
 
 
 def pccplus_agr(e: Election) -> float:

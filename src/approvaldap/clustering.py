@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Election, restrict_voters, seeded_rng
-from .metrics import intersection_matrix, pcc_matrix
+from .metrics import intersection_matrix, pcc_matrix, pcc_weights
 
 __all__ = [
     "Partition",
@@ -32,6 +32,11 @@ _KMEANS_MAX_ITER = 50
 _KMEANS_INITS = 10
 _MEDOID_STREAM = 0x4D00
 _KMEANS_STREAM = 0x5300
+# leading spectral dimensions the factored eigensystem must determine (the
+# diversity indices cluster at up to 5 groups); eigenvalues within
+# _NULL_EIGENVALUE of the largest count as zero
+_SPECTRAL_FACTOR_DIMS = 5
+_NULL_EIGENVALUE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,24 +177,81 @@ def _spectral_groups(e: Election):
     exactly the eigenvectors of the collapsed symmetric system below, and
     they occupy the bottom of the spectrum; working with them resolves
     the eigenvector ambiguity that repeated ballots would otherwise cause.
+    The basis columns run from the largest eigenvalue down; see
+    :func:`_compute_spectral_groups` for how they are found.
     """
     return e._cache("spectral_groups", lambda: _compute_spectral_groups(e))
 
 
 def _compute_spectral_groups(e: Election):
+    """Eigensystem of the collapsed PCC affinity, dense or from its factor.
+
+    Over N distinct ballots the affinity ``(1 + pcc) / 2`` has rank at most
+    m + 2: with the PCC weights ``w_i = 1/sqrt(l_i (m - l_i))`` (0 for a
+    constant ballot; see :func:`~approvaldap.metrics.pcc_weights`),
+    ``z_i = w_i (m x_i - l_i) / sqrt(m)`` and ``c`` the indicator of
+    constant ballots, it equals ``B J B^T`` for ``B = sqrt(1/2) [1 + c, c, Z]``
+    and ``J = diag(1, -2, 1, ..., 1)``.  When N > m + 2 the N x N matrix
+    is never formed: the scaled system ``S B J B^T S`` is ``Q (R J R^T) Q^T``
+    for the QR factors of ``S B``, so its eigenvectors are ``Q`` times
+    those of the (m + 2)-square ``R J R^T``.  Otherwise the factor is no
+    smaller than the matrix, and ``eigh`` runs on the dense system.  The
+    dense system also serves a factor with fewer than
+    ``_SPECTRAL_FACTOR_DIMS`` positive eigenvalues (few candidates, or
+    ballots that vary on few of them): the leading columns then include
+    null-space vectors, which each eigensolver picks its own way.
+    """
     ballots, inverse, counts = np.unique(
         e.matrix, axis=0, return_inverse=True, return_counts=True
     )
-    distinct = Election(ballots)
-    affinity = 0.5 * (1.0 + pcc_matrix(distinct))
     weights = counts.astype(np.float64)
-    degree = affinity @ weights
-    scale = np.sqrt(weights) / np.sqrt(degree)
-    system = affinity * np.outer(scale, scale)
-    system = 0.5 * (system + system.T)
-    _, vecs = scipy.linalg.eigh(system)
-    basis = vecs[:, ::-1].copy()
+    basis = None
+    if ballots.shape[0] > ballots.shape[1] + 2:
+        basis = _factor_basis(ballots, weights)
+    if basis is None:
+        affinity = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+        degree = affinity @ weights
+        scale = np.sqrt(weights) / np.sqrt(degree)
+        system = affinity * np.outer(scale, scale)
+        system = 0.5 * (system + system.T)
+        _, vecs = scipy.linalg.eigh(system)
+        basis = vecs[:, ::-1].copy()
     return inverse.ravel(), weights, basis
+
+
+def _factor_basis(ballots: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """Eigenvectors of the scaled system from the affinity factor, largest
+    eigenvalue first, or ``None`` when fewer than ``_SPECTRAL_FACTOR_DIMS``
+    eigenvalues are positive."""
+    factor, signs = _affinity_factor(ballots)
+    degree = factor @ (signs * (factor.T @ weights))
+    scale = np.sqrt(weights) / np.sqrt(degree)
+    q, r = np.linalg.qr(scale[:, None] * factor)
+    small = (r * signs) @ r.T
+    small = 0.5 * (small + small.T)
+    vals, vecs = scipy.linalg.eigh(small)
+    if (vals > _NULL_EIGENVALUE * vals[-1]).sum() < _SPECTRAL_FACTOR_DIMS:
+        return None
+    return q @ vecs[:, ::-1]
+
+
+def _affinity_factor(ballots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(B, diag(J))`` with ``0.5 * (1 + pcc_matrix) == B diag(J) B^T``.
+
+    ``B`` is ``N x (m + 2)``; see :func:`_compute_spectral_groups`.
+    """
+    num, m = ballots.shape
+    lengths = ballots.sum(axis=1, dtype=np.int64)
+    w = pcc_weights(lengths, m)
+    constant = w == 0.0
+    factor = np.empty((num, m + 2))
+    factor[:, 0] = 1.0 + constant
+    factor[:, 1] = constant
+    factor[:, 2:] = (m * ballots - lengths[:, None]) * (w / math.sqrt(m))[:, None]
+    factor *= math.sqrt(0.5)
+    signs = np.ones(m + 2)
+    signs[1] = -2.0
+    return factor, signs
 
 
 def spectral_pcc(e: Election, k: int, seed: int) -> Partition:
@@ -235,6 +297,8 @@ def _kmeans_single(points: np.ndarray, k: int, weights: np.ndarray, rng) -> tupl
     """One seeded weighted k-means run: (labels, inertia).
 
     ``weights`` are ballot multiplicities; see :func:`_update_centers`.
+    Point-to-centre distances come from :func:`_sq_distances` on the
+    coordinate-major points.
     """
     n = points.shape[0]
     k = min(k, n)
@@ -250,17 +314,35 @@ def _kmeans_single(points: np.ndarray, k: int, weights: np.ndarray, rng) -> tupl
         np.minimum(closest, np.linalg.norm(points - centers[c], axis=1), out=closest)
 
     weighted = weights[:, None] * points
+    coords = np.ascontiguousarray(points.T)
     labels = None
     for _ in range(_KMEANS_MAX_ITER):
-        sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        sq = _sq_distances(coords, centers)
         new_labels = np.argmin(sq, axis=1)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
         _update_centers(centers, labels, weights, weighted)
-    sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    sq = _sq_distances(coords, centers)
     inertia = float((weights * sq[np.arange(n), labels]).sum())
     return labels, inertia
+
+
+def _sq_distances(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(n, k)`` squared distances from the points to the centres.
+
+    ``coords`` holds the points coordinate-major: ``points.T``, C-contiguous,
+    shape ``(d, n)``.  The differences are squared in place and added over
+    the leading axis in coordinate order, as
+    ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` adds them below
+    8 coordinates (numpy sums fewer than 8 terms in order; the embeddings
+    of the clustering indices have at most 5).  So the result is bitwise
+    the same, without that form's second temporary and its strided
+    reduction over a short last axis.
+    """
+    diff = coords[:, :, None] - centers.T[:, None, :]
+    diff *= diff
+    return np.add.reduce(diff, axis=0)
 
 
 def _update_centers(

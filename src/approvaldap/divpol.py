@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from .agreement import cntr_agr, pcc_agr
 from .clustering import Partition, kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
 from .core import Election, seeded_rng
-from .metrics import cross_hamming, hamming_matrix
+from .metrics import cross_hamming
 
 __all__ = [
     "OuterDiversityConfig",
@@ -129,11 +129,25 @@ def pcc_pol(e: Election, seed: int = 0) -> float:
 
 def pair_pol(e: Election) -> float:
     """Pairwise polarization: ``2/m`` times the population standard
-    deviation of Hamming distances over all ordered ballot pairs."""
+    deviation of Hamming distances over all ordered ballot pairs.
+
+    Both moments come from candidate co-occurrence, with no n x n matrix:
+    with ``G = X^T X`` and approval counts ``s``, the distance sum is
+    ``2 sum_c s_c (n - s_c)``, and the squared-distance sum is
+    ``2 sum_{c,d} (n11 n00 + n10 n01)``, the ordered voter pairs that
+    differ on both ``c`` and ``d``, where ``n11 = G``, ``n10 = s_c - G``,
+    ``n01 = s_d - G`` and ``n00 = n - s_c - s_d + G``.  All of it is
+    integer arithmetic, so the value is that of the Hamming-matrix form.
+    """
     n, m = e.num_voters, e.num_candidates
-    ham = hamming_matrix(e)
-    s1 = int(ham.sum())
-    s2 = int((ham * ham).sum())
+    x = e.matrix.astype(np.float64)
+    n11 = (x.T @ x).astype(np.int64)  # exact: each entry is a count <= n
+    s = e.approval_counts()
+    n10 = s[:, None] - n11
+    n01 = s[None, :] - n11
+    n00 = n - s[:, None] - n01
+    s1 = 2 * int((s * (n - s)).sum())
+    s2 = 2 * int((n11 * n00 + n10 * n01).sum())
     var_numer = n * n * s2 - s1 * s1
     return 2.0 * math.sqrt(var_numer) / (n * n * m)
 

@@ -86,8 +86,10 @@ def derive_seed(seed: int, *parts) -> int:
 def worker_count() -> int:
     """Worker cap for internally parallel experiments.
 
-    Set ``APPROVAL_DAP_THREADS`` to pin the count; defaults to the CPU
-    count capped at 8.
+    Set ``APPROVAL_DAP_THREADS`` to run that many pool threads; unset, the
+    count is 1 and experiments run as a plain loop: the indices hold the
+    GIL for much of their time, so on two cores a second thread cost more
+    wall time and CPU than it saved.
     """
     env = os.environ.get("APPROVAL_DAP_THREADS")
     if env:
@@ -96,7 +98,7 @@ def worker_count() -> int:
         except ValueError:
             raise ValueError(f"APPROVAL_DAP_THREADS must be an integer, got {env!r}") from None
         return max(1, value)
-    return min(os.cpu_count() or 1, 8)
+    return 1
 
 
 def _parallel(fn, items: Sequence, threads: Optional[int]):

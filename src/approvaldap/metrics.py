@@ -29,6 +29,7 @@ __all__ = [
     "hamming_matrix",
     "jaccard_similarity_matrix",
     "pcc_matrix",
+    "pcc_weights",
     "cross_hamming",
 ]
 
@@ -181,6 +182,20 @@ def pcc_matrix(e: Election) -> np.ndarray:
     out[constant, :] = 1.0
     out[:, constant] = 1.0
     return out
+
+
+def pcc_weights(lengths: np.ndarray, m: int) -> np.ndarray:
+    """Per-ballot PCC scale ``1/sqrt(l (m - l))`` for ballot lengths ``l``.
+
+    The PCC of two non-constant ballots is ``w_u w_v (m |u & v| - l_u l_v)``,
+    so pair sums of PCC factor through these weights.  Constant ballots get
+    weight 0; they score 1 against every ballot.
+    """
+    spread = lengths * (m - lengths)
+    varying = spread > 0
+    w = np.zeros(len(lengths))
+    w[varying] = 1.0 / np.sqrt(spread[varying])
+    return w
 
 
 def cross_hamming(a: Election, b: Election) -> np.ndarray:

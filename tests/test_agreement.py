@@ -26,7 +26,7 @@ from approvaldap.generators import (
     gen_triangle,
     gen_xy_two_party,
 )
-from approvaldap.metrics import hamming
+from approvaldap.metrics import hamming, pcc_matrix
 
 from conftest import make_random_election
 
@@ -177,6 +177,41 @@ def test_pcc_agr_pair_agr_differ_for_varying_lengths():
     tri = gen_triangle(60)
     assert round(pcc_agr(tri), 2) == 0.50
     assert round(pair_agr(tri), 2) == 0.33
+
+
+@st.composite
+def pcc_elections(draw):
+    """Random elections, plus the edge shapes of the O(nm) PCC sum: all-0
+    and all-1 ballots, duplicates, and constant ballots beside copies of
+    one non-constant ballot."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["random", "pool", "one_varying"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        rows = rng.random((n, m)) < rng.uniform(0.05, 0.95)
+    else:
+        pool = np.vstack([np.zeros(m), np.ones(m), rng.random((3, m)) < 0.5])
+        if kind == "one_varying":
+            pool = pool[:3]
+        rows = pool[rng.integers(len(pool), size=n)]
+    return Election(rows.astype(np.uint8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pcc_elections())
+def test_pcc_agr_matches_pair_mean(e):
+    value = pcc_agr(e)
+    assert 0.0 <= value <= 1.0
+    assert abs(value - float(pcc_matrix(e).mean())) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_pcc_agr_is_exactly_one_on_identity_elections(m, n, seed):
+    rng = np.random.default_rng(seed)
+    ballot = rng.random(m) < rng.uniform(0.0, 1.0)
+    assert pcc_agr(Election(np.tile(ballot, (n, 1)).astype(np.uint8))) == 1.0
 
 
 def test_pccplus_agr_examples():

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from approvaldap import clustering
@@ -14,8 +15,15 @@ from approvaldap.clustering import (
     weighted_cluster_agreement,
 )
 from approvaldap.core import Election, seeded_rng
-from approvaldap.generators import gen_k_party, gen_p_id, gen_xy_two_party
-from approvaldap.metrics import hamming_matrix
+from approvaldap.generators import (
+    CultureSpec,
+    gen_k_party,
+    gen_noisy,
+    gen_p_id,
+    gen_xy_two_party,
+    sample,
+)
+from approvaldap.metrics import hamming_matrix, pcc_matrix
 
 from conftest import make_random_election
 
@@ -303,3 +311,88 @@ def test_clusterers_match_oracles_on_party_and_random_elections(rng, monkeypatch
     monkeypatch.setattr(clustering, "_kmeans_single", kmeans_single_oracle)
     assert spectral == [spectral_pcc(e, k, seed=4) for e, k in cases]
     assert medoids == [kmedoids_oracle(e, k, seed=4) for e, k in cases]
+
+
+# -- the spectral eigensystem: rank-(m + 2) factor against the dense eigh ---
+
+
+def dense_spectral_system(e):
+    """(eigenvalues, basis, group index per voter, weights) of the collapsed
+    system from the dense N x N affinity, largest eigenvalue first: the
+    eigensystem at every N before the factor."""
+    ballots, inverse, counts = np.unique(
+        e.matrix, axis=0, return_inverse=True, return_counts=True
+    )
+    affinity = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+    weights = counts.astype(np.float64)
+    scale = np.sqrt(weights) / np.sqrt(affinity @ weights)
+    system = affinity * np.outer(scale, scale)
+    vals, vecs = scipy.linalg.eigh(0.5 * (system + system.T))
+    return vals[::-1], vecs[:, ::-1].copy(), inverse.ravel(), weights
+
+
+def dense_spectral_groups(e):
+    _, basis, inverse, weights = dense_spectral_system(e)
+    return inverse, weights, basis
+
+
+def distinct_ballot_election(m, num, seed):
+    """``num`` distinct ballots over ``m`` candidates (constant ones allowed),
+    each cast once plus random repeats, in shuffled voter order."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(2**m, size=num, replace=False)
+    ballots = ((codes[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+    voters = np.concatenate([np.arange(num), rng.integers(num, size=rng.integers(0, 2 * num))])
+    return Election(ballots[rng.permutation(voters)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_affinity_factor_reproduces_pcc_affinity(m, num, seed):
+    num = min(num, 2**m)
+    e = distinct_ballot_election(m, num, seed)
+    ballots = np.unique(e.matrix, axis=0)
+    factor, signs = clustering._affinity_factor(ballots)
+    want = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+    assert np.abs((factor * signs) @ factor.T - want).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 10), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_factor_basis_matches_dense_eigh(m, extra, seed):
+    num = min(m + 2 + extra, 2**m)
+    assume(num > m + 2)
+    e = distinct_ballot_election(m, num, seed)
+    vals, dense_basis, _, _ = dense_spectral_system(e)
+    # non-degenerate: the leading eigenvectors are determined up to sign
+    assume(np.diff(vals[:6]).max() < -1e-3)
+    _, _, basis = clustering._compute_spectral_groups(e)
+    assert basis.shape == (num, m + 2)
+    for j in range(5):
+        a, b = basis[:, j], dense_basis[:, j]
+        assert min(np.abs(a - b).max(), np.abs(a + b).max()) <= 1e-12
+
+
+def test_spectral_partitions_match_dense_path(rng, monkeypatch):
+    elections = [gen_noisy(gen_k_party(10, 60, k), 0.1, seed=k) for k in (2, 3, 4)]
+    elections += [sample(CultureSpec("resampling", 12, 80, seed=3, params={"p": 0.3, "phi": 0.5}))]
+    elections += [make_random_election(rng, max_m=12, max_n=60) for _ in range(12)]
+    assert sum(len(np.unique(e.matrix, axis=0)) > e.num_candidates + 2 for e in elections) >= 10
+    cases = [(e, k) for e in elections for k in range(2, 6) if k < e.num_voters]
+    factored = [spectral_pcc(e, k, seed=9) for e, k in cases]
+    for e in elections:
+        e.clear_cache()
+    monkeypatch.setattr(clustering, "_compute_spectral_groups", dense_spectral_groups)
+    assert factored == [spectral_pcc(e, k, seed=9) for e, k in cases]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_sq_distances_match_summed_form(d, n, k, seed):
+    # bitwise below 8 coordinates, where numpy sums the squares in order
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+    centers = rng.normal(size=(k, d))
+    want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    got = clustering._sq_distances(np.ascontiguousarray(points.T), centers)
+    assert got.tobytes() == want.tobytes()

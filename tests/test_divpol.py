@@ -72,6 +72,22 @@ def test_pair_pol_brute_force(rng):
         assert pair_pol(reverse(e)) == pair_pol(e)
 
 
+def pair_pol_oracle(e: Election) -> float:
+    """The Hamming-matrix form of pair_pol, with integer moments."""
+    n, m = e.num_voters, e.num_candidates
+    ham = hamming_matrix(e)
+    s1 = int(ham.sum())
+    s2 = int((ham * ham).sum())
+    return 2.0 * math.sqrt(n * n * s2 - s1 * s1) / (n * n * m)
+
+
+def test_pair_pol_matches_hamming_matrix_form(rng):
+    elections = [make_random_election(rng, max_m=40, max_n=80) for _ in range(300)]
+    elections += [gen_k_party(60, 60, 2), gen_triangle(60), gen_p_id(10, 7, 0.0)]
+    for e in elections:
+        assert pair_pol(e) == pair_pol_oracle(e)
+
+
 def test_ham_single_to_unc_formula():
     for p in np.linspace(0, 1, 11):
         assert ham_single_to_unc(p, p) == pytest.approx(2 * p * (1 - p), abs=1e-15)

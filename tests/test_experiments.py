@@ -234,6 +234,11 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_worker_count_defaults_to_a_plain_loop(monkeypatch):
+    monkeypatch.delenv("APPROVAL_DAP_THREADS", raising=False)
+    assert worker_count() == 1
+
+
 def test_parallelism_does_not_change_results():
     entries = [
         CultureSpec("p_ic", 20, 30, params={"p": p}, label=f"ic{p}") for p in (0.2, 0.5, 0.8)
