@@ -108,9 +108,11 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     lowest cluster id, updates pick the lowest-index minimizer, and the
     loop stops once the total intra-cluster distance stops decreasing (or
     after 100 rounds).  The best of 10 seeded k-means++ style
-    initializations is returned.  One float64 distance matrix, built from
-    the memoised intersection matrix, serves all 10 restarts; distances
-    are small integers, so every sum of them is exact in float64.
+    initializations is returned, the first one on ties.  One float64
+    distance matrix, built from the memoised intersection matrix, serves
+    all 10 restarts, which descend together (see
+    :func:`_kmedoids_descent`); distances are small integers, so every sum
+    of them is exact in float64.
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
@@ -125,47 +127,80 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     dist = intersection_matrix(e) * -2.0
     dist += lengths[:, None]
     dist += lengths[None, :]
-    best_obj = math.inf
-    best_labels = None
+    medoids = np.empty((_KMEDOIDS_RESTARTS, k), dtype=np.int64)
     for start in range(_KMEDOIDS_RESTARTS):
         rng = seeded_rng(seed, _MEDOID_STREAM + start)
-        medoids = [int(rng.integers(n))]
-        closest = dist[medoids[0]].copy()
-        while len(medoids) < k:
-            nxt = _plus_plus_pick(closest, medoids, rng)
-            medoids.append(nxt)
+        chosen = [int(rng.integers(n))]
+        closest = dist[chosen[0]].copy()
+        while len(chosen) < k:
+            nxt = _plus_plus_pick(closest, chosen, rng)
+            chosen.append(nxt)
             np.minimum(closest, dist[nxt], out=closest)
-        labels, obj = _kmedoids_descent(dist, np.asarray(medoids))
-        if obj < best_obj:
-            best_obj = obj
-            best_labels = labels
-    return Partition.from_labels(best_labels, k)
+        medoids[start] = chosen
+    labels, objs = _kmedoids_descent(dist, medoids)
+    return Partition.from_labels(labels[int(np.argmin(objs))], k)
 
 
-def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray) -> tuple[np.ndarray, int]:
+def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray):
+    """Descend from the given medoids; update them in place.
+
+    ``medoids`` is one start, shape ``(k,)``, which gives ``(labels, obj)``
+    with ``labels`` of shape ``(n,)`` and ``obj`` an int; or ``r`` starts,
+    shape ``(r, k)``, which gives labels of shape ``(r, n)`` and an int64
+    array of ``r`` objectives.  Each start descends as it would alone:
+    the live starts share each round's column gather for the labels and
+    one ``(a k x n) @ dist`` product for the costs, and a start leaves once
+    its objective stops falling (its medoids already moved that round).
+    The costs are sums of integer distances, exact in float64 whatever the
+    product's shape, so the medoids are those of separate descents.
+    """
+    if medoids.ndim == 1:
+        labels, objs = _kmedoids_descent(dist, medoids[None, :])
+        return labels[0], int(objs[0])
     n = dist.shape[0]
-    k = medoids.size
+    r, k = medoids.shape
     voters = np.arange(n)
-    prev_obj = math.inf
+    live = np.arange(r)
+    prev_obj = np.full(r, math.inf)
     for _ in range(_KMEDOIDS_MAX_ITER):
-        labels = np.argmin(dist[:, medoids], axis=1)
-        # costs[c, j]: total distance from ballot j to the members of cluster
-        # c, one BLAS product for every cluster; non-members are never chosen
-        onehot = np.zeros((k, n))
-        onehot[labels, voters] = 1.0
+        a = live.size
+        current = medoids[live]
+        labels = _kmedoid_labels(dist, current)
+        # costs[i * k + c, j]: total distance from ballot j to the members of
+        # cluster c of live start i, one BLAS product for every cluster of
+        # every live start; non-members are never chosen
+        rows = labels + (k * np.arange(a))[:, None]
+        onehot = np.zeros((a * k, n))
+        onehot[rows, voters] = 1.0
         costs = onehot @ dist
         costs[onehot == 0.0] = math.inf
-        live = np.bincount(labels, minlength=k) > 0  # empty clusters keep their medoid
-        medoids[live] = np.argmin(costs[live], axis=1)
-        obj = int(dist[voters, medoids[labels]].sum())
-        if obj > prev_obj:
+        flat = current.reshape(-1)
+        filled = np.bincount(rows.ravel(), minlength=a * k) > 0  # empty clusters keep their medoid
+        flat[filled] = np.argmin(costs[filled], axis=1)
+        medoids[live] = current
+        obj = _kmedoid_objectives(dist, current, labels)
+        if np.any(obj > prev_obj[live]):
             raise RuntimeError("k-medoids objective increased")
-        if obj >= prev_obj:
+        falling = obj < prev_obj[live]
+        prev_obj[live] = obj
+        live = live[falling]
+        if live.size == 0:
             break
-        prev_obj = obj
-    labels = np.argmin(dist[:, medoids], axis=1)
-    obj = int(dist[voters, medoids[labels]].sum())
-    return labels, obj
+    labels = _kmedoid_labels(dist, medoids)
+    return labels, _kmedoid_objectives(dist, medoids, labels)
+
+
+def _kmedoid_labels(dist: np.ndarray, medoids: np.ndarray) -> np.ndarray:
+    """``(r, n)`` nearest-medoid labels of ``r`` starts, lowest id on ties."""
+    r, k = medoids.shape
+    gathered = dist[:, medoids.reshape(-1)].reshape(dist.shape[0], r, k)
+    return np.argmin(gathered, axis=2).T
+
+
+def _kmedoid_objectives(dist: np.ndarray, medoids: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Total distance of each voter to its labelled medoid, one int per start."""
+    chosen = np.take_along_axis(medoids, labels, axis=1)
+    return dist[np.arange(dist.shape[0]), chosen].sum(axis=1).astype(np.int64)
 
 
 def _spectral_groups(e: Election):

@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
 
 from .agreement import AGREEMENT_INDICES
 from .core import Election, seeded_rng, stats, subsample
@@ -407,6 +406,8 @@ def correlations(table) -> tuple[np.ndarray, np.ndarray]:
     Coefficients involving a constant column are undefined and recorded
     as NaN.
     """
+    import scipy.stats  # slow to import, and only this function uses it
+
     data = np.asarray(table, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError("need a 2-D table with at least two elections")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -48,6 +49,11 @@ def parse_pabulib(text: str) -> Election:
     are ignored, except that files declaring a non-approval ``vote_type``
     are rejected.  Sections may appear in any order; trailing whitespace
     is insignificant.
+
+    The rows are read and checked line by line; the vote tokens of all
+    rows are then split and mapped to project indices in one pass, and the
+    ballot matrix is filled by one assignment.  An undeclared project id
+    is reported with the line of the first row that names one.
     """
     if isinstance(text, bytes):
         try:
@@ -59,7 +65,8 @@ def parse_pabulib(text: str) -> Election:
     meta: dict[str, str] = {}
     project_order: list[str] = []
     project_seen: set[str] = set()
-    vote_rows: list[tuple[int, str]] = []
+    votes: list[str] = []
+    vote_lines: list[int] = []
     seen_sections: set[str] = set()
 
     section = None
@@ -119,7 +126,8 @@ def parse_pabulib(text: str) -> Election:
                 raise ParseError(
                     f"VOTES row has {len(fields)} fields, header has {len(header)}", lineno
                 )
-            vote_rows.append((lineno, fields[vote_col].strip()))
+            votes.append(fields[vote_col].strip())
+            vote_lines.append(lineno)
 
     vote_type = meta.get("vote_type", "approval").strip().lower()
     if vote_type != "approval":
@@ -128,24 +136,32 @@ def parse_pabulib(text: str) -> Election:
         raise ParseError("missing VOTES section")
     if not project_order:
         raise ParseError("no projects declared")
-    if not vote_rows:
+    if not votes:
         raise ParseError("VOTES section has no ballots")
 
-    index = {pid: j for j, pid in enumerate(project_order)}
-    ballots = []
-    for lineno, vote in vote_rows:
-        approved: set[int] = set()
-        if vote:
-            for token in vote.split(","):
-                pid = token.strip()
-                if not pid:
-                    continue
-                if pid not in index:
-                    raise ParseError(f"vote references undeclared project {pid!r}", lineno)
-                approved.add(index[pid])
-        ballots.append(sorted(approved))
+    # one pass over every token of every vote: "" (from "1,,2") maps to -1
+    # and is skipped, an undeclared id maps to -2
+    lookup = {pid: j for j, pid in enumerate(project_order)}
+    lookup[""] = -1
+    sizes = [vote.count(",") + 1 if vote else 0 for vote in votes]
+    joined = ",".join(vote for vote in votes if vote)
+    tokens = joined.split(",") if joined else []
+    cols = np.fromiter(
+        map(lookup.get, map(str.strip, tokens), repeat(-2)), dtype=np.int64, count=len(tokens)
+    )
+    rows = np.repeat(np.arange(len(votes)), sizes)
+    undeclared = np.flatnonzero(cols == -2)
+    if undeclared.size:
+        first = undeclared[0]
+        raise ParseError(
+            f"vote references undeclared project {tokens[first].strip()!r}",
+            vote_lines[rows[first]],
+        )
+    approved = cols >= 0
+    mat = np.zeros((len(votes), len(project_order)), dtype=np.uint8)
+    mat[rows[approved], cols[approved]] = 1  # repeated ids collapse
     label = meta.get("description") or meta.get("unit")
-    return Election.from_approval_sets(len(project_order), ballots, label=label)
+    return Election(mat, label=label)
 
 
 def threshold_scores(matrix, threshold: float) -> Election:

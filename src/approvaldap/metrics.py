@@ -164,9 +164,7 @@ def jaccard_similarity_matrix(e: Election) -> np.ndarray:
     lengths = e.ballot_lengths()
     union = lengths[:, None] + lengths[None, :] - n11
     sim = np.ones((e.num_voters, e.num_voters), dtype=np.float64)
-    nz = union > 0
-    sim[nz] = n11[nz] / union[nz]
-    return sim
+    return np.divide(n11, union, out=sim, where=union > 0)
 
 
 def pcc_matrix(e: Election) -> np.ndarray:

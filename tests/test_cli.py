@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -282,3 +285,13 @@ def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
     assert len(outputs["map"][0][1]) == 4
     for command, (single, double) in outputs.items():
         assert single == double, command
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 0.4 s and 20 MB to import, and no
+    # command uses it; only experiments.correlations imports it, when called
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, approvaldap.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from approvaldap import clustering
@@ -298,6 +298,96 @@ def test_kmedoids_descent_matches_oracle(case):
 def test_kmedoids_matches_oracle(case):
     e, k, seed = case
     assert kmedoids_hamming(e, k, seed) == kmedoids_oracle(e, k, seed)
+
+
+@st.composite
+def descent_starts(draw):
+    """A distance matrix, ``r`` starts of ``k`` distinct medoids each, and a
+    round cap.  The matrix is either the Hamming matrix of an election with
+    repeated ballots (empty clusters, k up to and past the distinct
+    ballots) or an asymmetric positive one with a zero diagonal, on which a
+    gather of rows instead of columns gives other labels.  Low caps stop
+    starts mid-descent; the starts also stop in different rounds of their
+    own."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        e, _, _ = draw(repeated_elections())
+        dist = hamming_matrix(e).astype(np.float64)
+    else:
+        n = draw(st.integers(3, 30))
+        dist = rng.integers(1, 10, size=(n, n)).astype(np.float64)
+        np.fill_diagonal(dist, 0.0)
+    n = dist.shape[0]
+    k = draw(st.integers(2, n - 1))
+    r = draw(st.integers(1, clustering._KMEDOIDS_RESTARTS))
+    starts = np.stack([rng.choice(n, size=k, replace=False) for _ in range(r)])
+    cap = draw(st.sampled_from([1, 2, 3, clustering._KMEDOIDS_MAX_ITER]))
+    return dist, starts, cap
+
+
+# a start that stops at an equal objective: had it descended one more
+# round, its medoids would still move
+PLATEAU = np.array(
+    [
+        [0, 1, 1, 2, 3, 1],
+        [1, 0, 3, 3, 1, 2],
+        [3, 2, 0, 3, 1, 1],
+        [3, 3, 2, 0, 1, 2],
+        [3, 2, 1, 3, 0, 3],
+        [1, 2, 1, 3, 2, 0],
+    ],
+    dtype=np.float64,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(descent_starts())
+@example((PLATEAU, np.array([[3, 1], [0, 5], [4, 2]]), clustering._KMEDOIDS_MAX_ITER))
+def test_stacked_kmedoids_descent_matches_one_start_at_a_time(case):
+    dist, starts, cap = case
+    saved = clustering._KMEDOIDS_MAX_ITER
+    clustering._KMEDOIDS_MAX_ITER = cap
+    try:
+        stacked = starts.copy()
+        labels, objs = clustering._kmedoids_descent(dist, stacked)
+        rows = [clustering._kmedoids_descent(dist, row) for row in starts.copy()]
+        oracle_medoids = starts.copy()
+        oracle = [kmedoids_descent_oracle(dist, row) for row in oracle_medoids]
+    finally:
+        clustering._KMEDOIDS_MAX_ITER = saved
+    assert labels.shape == (starts.shape[0], dist.shape[0])
+    assert objs.dtype == np.int64
+    for i, (row_labels, row_obj) in enumerate(rows):
+        assert isinstance(row_obj, int)
+        assert np.array_equal(labels[i], row_labels)
+        assert objs[i] == row_obj
+        assert np.array_equal(labels[i], oracle[i][0])
+        assert objs[i] == oracle[i][1]
+    assert np.array_equal(stacked, oracle_medoids)
+
+
+def test_kmedoids_takes_the_first_of_tied_restarts(monkeypatch):
+    # four pairs of identical ballots, each pair at distance 2 from the
+    # others: every 2-way split of the pairs has objective 8, so restarts tie
+    # with different partitions, and the first of them must win, as in a
+    # strict-< scan over the restarts
+    e = Election(np.repeat(np.eye(4, dtype=np.uint8), 2, axis=0))
+    seen = []
+    descend = clustering._kmedoids_descent
+
+    def spy(dist, medoids):
+        labels, objs = descend(dist, medoids)
+        seen.append((labels.copy(), objs.copy()))
+        return labels, objs
+
+    monkeypatch.setattr(clustering, "_kmedoids_descent", spy)
+    part = kmedoids_hamming(e, 2, seed=0)
+    (labels, objs), = seen
+    winners = np.flatnonzero(objs == objs.min())
+    assert len({Partition.from_labels(labels[i], 2) for i in winners}) > 1
+    assert part == Partition.from_labels(labels[winners[0]], 2)
+    assert part == kmedoids_oracle(e, 2, seed=0)
 
 
 def test_clusterers_match_oracles_on_party_and_random_elections(rng, monkeypatch):

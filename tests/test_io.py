@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approvaldap.core import Election
 from approvaldap.io import (
@@ -67,6 +69,17 @@ def test_parse_rejects_unknown_project_with_line_number():
         parse_pabulib(read("unknown_project.pb"))
     assert "p9" in str(err.value)
     assert err.value.line == 10
+
+
+def test_parse_reports_the_row_of_the_first_undeclared_project():
+    votes = ["p1", "p2, p1", "p1,p7", "p8", "p2"]
+    text = (
+        "PROJECTS\nproject_id;cost\np1;1\np2;2\nVOTES\nvoter_id;vote\n"
+        + "".join(f"{i};{v}\n" for i, v in enumerate(votes, start=1))
+    )
+    with pytest.raises(ParseError, match="'p7'") as err:
+        parse_pabulib(text)
+    assert err.value.line == 9
 
 
 def test_parse_rejects_missing_votes_section():
@@ -173,3 +186,101 @@ def test_read_native_rejects_non_integer_indices():
         read_native('{"num_candidates": 2, "ballots": [[true]]}')
     with pytest.raises(ParseError):
         read_native('{"num_candidates": 2, "ballots": [["a"]]}')
+
+
+# -- the one-pass token mapping against the per-token parser ------------------
+
+
+def parse_pabulib_oracle(text: str) -> Election:
+    """The per-token Pabulib parser on well-formed files: each vote's ids are
+    looked up one at a time into a set, and the first undeclared id raises
+    with its row's line number."""
+    meta, projects, votes = {}, [], []
+    section, header = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
+        if not line:
+            continue
+        if line in ("META", "PROJECTS", "VOTES"):
+            section, header = line, []
+            continue
+        fields = line.split(";")
+        if not header:
+            header = [f.strip() for f in fields]
+        elif section == "META":
+            meta[fields[0].strip()] = fields[1].strip()
+        elif section == "PROJECTS":
+            projects.append(fields[header.index("project_id")].strip())
+        else:
+            votes.append((lineno, fields[header.index("vote")].strip()))
+    index = {pid: j for j, pid in enumerate(projects)}
+    ballots = []
+    for lineno, vote in votes:
+        approved = set()
+        if vote:
+            for token in vote.split(","):
+                pid = token.strip()
+                if not pid:
+                    continue
+                if pid not in index:
+                    raise ParseError(f"vote references undeclared project {pid!r}", lineno)
+                approved.add(index[pid])
+        ballots.append(sorted(approved))
+    label = meta.get("description") or meta.get("unit")
+    return Election.from_approval_sets(len(projects), ballots, label=label)
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def pabulib_texts(draw):
+    """Approval files with numeric or non-numeric project ids, padded and
+    empty tokens, repeated ids, empty votes, the vote column anywhere, any
+    section order, LF or CRLF endings, and now and then an undeclared id."""
+    numeric = draw(st.booleans())
+    id_text = st.integers(0, 999).map(str) if numeric else st.text("abxyz019-_.é", min_size=1, max_size=4)
+    ids = draw(st.lists(id_text, min_size=1, max_size=6, unique=True))
+    columns = draw(st.permutations(["voter_id", "vote", "age"]))
+    votes = draw(st.lists(st.lists(st.sampled_from([*ids, ""]), max_size=6), min_size=1, max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        vote = votes[draw(st.integers(0, len(votes) - 1))]
+        vote.insert(draw(st.integers(0, len(vote))), "#" + draw(id_text))
+
+    def padded(tok):
+        return draw(_PAD) + tok + draw(_PAD)
+
+    rows = []
+    for i, vote in enumerate(votes):
+        cells = {"voter_id": str(i + 1), "age": "30", "vote": ",".join(padded(t) for t in vote)}
+        rows.append(";".join(cells[c] for c in columns))
+    sections = {
+        "META": ["key;value", f"description;{draw(st.sampled_from(['city', 'Ville é']))}", "vote_type;approval"],
+        "PROJECTS": ["project_id;cost;name", *(f"{pid};{10 * j + 5};project {j}" for j, pid in enumerate(ids))],
+        "VOTES": [";".join(columns), *rows],
+    }
+    lines = []
+    for name in draw(st.permutations(list(sections))):
+        lines += [name, *sections[name]]
+        if draw(st.booleans()):
+            lines.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pabulib_texts())
+def test_parse_matches_per_token_oracle(text):
+    try:
+        want = parse_pabulib_oracle(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_pabulib(text)
+        assert str(err.value) == str(exc)
+        assert err.value.line == exc.line
+        return
+    got = parse_pabulib(text)
+    assert got.matrix.dtype == want.matrix.dtype
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.matrix.shape == want.matrix.shape
+    assert got.label == want.label

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from approvaldap.core import Election
 from approvaldap.metrics import (
     PairCounts,
+    intersection_matrix,
     cross_hamming,
     hamming,
     hamming_matrix,
@@ -147,3 +148,26 @@ def test_metric_properties(data):
     assert hamming(u, w) <= hamming(u, v) + hamming(v, w)
     assert jaccard(u, w) <= jaccard(u, v) + jaccard(v, w) + 1e-12
     assert -1.0 - 1e-12 <= pcc(u, v) <= 1.0 + 1e-12
+
+
+def jaccard_similarity_oracle(e):
+    """The boolean-gather form of ``jaccard_similarity_matrix``."""
+    n11 = intersection_matrix(e)
+    lengths = e.ballot_lengths()
+    union = lengths[:, None] + lengths[None, :] - n11
+    sim = np.ones((e.num_voters, e.num_voters), dtype=np.float64)
+    nz = union > 0
+    sim[nz] = n11[nz] / union[nz]
+    return sim
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_jaccard_similarity_matches_gather_form(m, n, seed):
+    rng = np.random.default_rng(seed)
+    mat = (rng.random((n, m)) < rng.uniform(0.0, 1.0)).astype(np.uint8)
+    mat[rng.random(n) < 0.3] = 0  # empty ballots
+    for e in (Election(mat), Election(np.zeros_like(mat))):
+        got, want = jaccard_similarity_matrix(e), jaccard_similarity_oracle(e)
+        assert got.tobytes() == want.tobytes()
+        assert got.mean() == want.mean()
