@@ -317,67 +317,96 @@ def spectral_pcc(e: Election, k: int, seed: int) -> Partition:
 
 
 def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.ndarray:
-    best_inertia = math.inf
-    best_labels = None
-    for init in range(_KMEANS_INITS):
-        rng = seeded_rng(seed, _KMEANS_STREAM + init)
-        labels, inertia = _kmeans_single(points, k, weights, rng)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_labels = labels
-    return best_labels
-
-
-def _kmeans_single(points: np.ndarray, k: int, weights: np.ndarray, rng) -> tuple[np.ndarray, float]:
-    """One seeded weighted k-means run: (labels, inertia).
+    """Labels of the best of ``_KMEANS_INITS`` seeded weighted k-means runs.
 
     ``weights`` are ballot multiplicities; see :func:`_update_centers`.
-    Point-to-centre distances come from :func:`_sq_distances` on the
-    coordinate-major points.
+    Each init draws its k-means++ centres from its own seeded stream, and
+    the inits still moving share each Lloyd round: one ``(a, k, n)`` array
+    of squared distances (:func:`_centre_sq_distances`), labels by a
+    running minimum over the centres (lowest id on ties, as ``np.argmin``
+    gives on finite distances) and one group-by for the centres of every
+    live init.  An init leaves once its labels stop changing, or after
+    ``_KMEANS_MAX_ITER`` rounds; each one's labels, centres and inertia are
+    those of a run on its own.  The first init with the lowest inertia wins.
     """
-    n = points.shape[0]
+    n, d = points.shape
     k = min(k, n)
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.choice(n, p=weights / weights.sum()))
-    chosen = [first]
-    centers[0] = points[first]
-    closest = np.linalg.norm(points - centers[0], axis=1)
-    for c in range(1, k):
-        nxt = _plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
-        chosen.append(nxt)
-        centers[c] = points[nxt]
-        np.minimum(closest, np.linalg.norm(points - centers[c], axis=1), out=closest)
+    centers = np.empty((_KMEANS_INITS, k, d))
+    for init in range(_KMEANS_INITS):
+        rng = seeded_rng(seed, _KMEANS_STREAM + init)
+        first = int(rng.choice(n, p=weights / weights.sum()))
+        chosen = [first]
+        centers[init, 0] = points[first]
+        closest = np.linalg.norm(points - centers[init, 0], axis=1)
+        for c in range(1, k):
+            nxt = _plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
+            chosen.append(nxt)
+            centers[init, c] = points[nxt]
+            np.minimum(closest, np.linalg.norm(points - centers[init, c], axis=1), out=closest)
 
-    weighted = weights[:, None] * points
     coords = np.ascontiguousarray(points.T)
-    labels = None
+    # tiled once per call: the first a * n entries weight the stacked
+    # labels of any a live inits
+    tiled_weights = np.tile(weights, _KMEANS_INITS)
+    tiled_weighted = np.tile(weights * coords, _KMEANS_INITS)
+    labels = np.full((_KMEANS_INITS, n), -1, dtype=np.intp)  # no label yet: every init moves
+    live = np.arange(_KMEANS_INITS)
     for _ in range(_KMEANS_MAX_ITER):
-        sq = _sq_distances(coords, centers)
-        new_labels = np.argmin(sq, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
+        current = centers[live]
+        new_labels = _nearest_centre(_centre_sq_distances(coords, current))
+        moving = (new_labels != labels[live]).any(axis=1)
+        live, current, new_labels = live[moving], current[moving], new_labels[moving]
+        if live.size == 0:
             break
-        labels = new_labels
-        _update_centers(centers, labels, weights, weighted)
-    sq = _sq_distances(coords, centers)
-    inertia = float((weights * sq[np.arange(n), labels]).sum())
-    return labels, inertia
+        labels[live] = new_labels
+        a = live.size
+        rows = (new_labels + (k * np.arange(a))[:, None]).ravel()
+        _update_centers(
+            current.reshape(a * k, d), rows, tiled_weights[: a * n], tiled_weighted[:, : a * n]
+        )
+        centers[live] = current
+    sq = _centre_sq_distances(coords, centers)
+    voters = np.arange(n)
+    inertia = [float((weights * sq[i, labels[i], voters]).sum()) for i in range(_KMEANS_INITS)]
+    return labels[int(np.argmin(inertia))]
 
 
-def _sq_distances(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``(n, k)`` squared distances from the points to the centres.
+def _centre_sq_distances(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``(a, k, n)`` squared distances from the points to ``a`` sets of ``k`` centres.
 
     ``coords`` holds the points coordinate-major: ``points.T``, C-contiguous,
-    shape ``(d, n)``.  The differences are squared in place and added over
-    the leading axis in coordinate order, as
-    ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` adds them below
-    8 coordinates (numpy sums fewer than 8 terms in order; the embeddings
-    of the clustering indices have at most 5).  So the result is bitwise
-    the same, without that form's second temporary and its strided
-    reduction over a short last axis.
+    shape ``(d, n)``; ``centers`` has shape ``(a, k, d)``.  The squared
+    differences are added coordinate by coordinate, in coordinate order,
+    as ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` adds them
+    below 8 coordinates (numpy sums fewer than 8 terms in order; the
+    embeddings of the clustering indices have at most 5).  So each
+    ``(k, n)`` slice is bitwise the transpose of that form, without its
+    ``(n, k, d)`` temporary and its strided reduction over a short last axis.
     """
-    diff = coords[:, :, None] - centers.T[:, None, :]
-    diff *= diff
-    return np.add.reduce(diff, axis=0)
+    sq = coords[0] - centers[:, :, 0, None]
+    sq *= sq
+    term = np.empty_like(sq)
+    for j in range(1, coords.shape[0]):
+        np.subtract(coords[j], centers[:, :, j, None], out=term)
+        term *= term
+        sq += term
+    return sq
+
+
+def _nearest_centre(sq: np.ndarray) -> np.ndarray:
+    """``(a, n)`` index of each point's nearest centre in ``(a, k, n)`` distances.
+
+    A strict-< running minimum over the centres keeps the lowest id on
+    ties, so on finite distances this is ``np.argmin(sq, axis=1)`` without
+    an arg-reduction over a short axis.
+    """
+    best = sq[:, 0].copy()
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, sq.shape[1]):
+        closer = sq[:, c] < best
+        labels[closer] = c
+        np.minimum(best, sq[:, c], out=best)
+    return labels
 
 
 def _update_centers(
@@ -385,7 +414,10 @@ def _update_centers(
 ) -> None:
     """Move each non-empty cluster's centre to its members' weighted mean.
 
-    ``weighted`` is ``weights[:, None] * points``.  One ``bincount`` per
+    ``centers`` is ``(K, d)``, ``labels`` gives each of ``N`` rows a cluster
+    in ``[0, K)``, and ``weighted`` is the coordinate-major ``(d, N)``
+    product ``weights * points.T``.  Stacked runs pass their clusters as
+    one ``K`` with labels offset by ``k`` per run.  One ``bincount`` per
     coordinate adds the weighted points in row order, as ``np.average``
     over each cluster's rows does; the masses are sums of integer weights,
     exact in any order.  So the centres are bitwise those of a per-cluster
@@ -394,8 +426,8 @@ def _update_centers(
     k = centers.shape[0]
     mass = np.bincount(labels, weights=weights, minlength=k)
     live = mass > 0
-    for j in range(centers.shape[1]):
-        sums = np.bincount(labels, weights=weighted[:, j], minlength=k)
+    for j, coord in enumerate(weighted):
+        sums = np.bincount(labels, weights=coord, minlength=k)
         centers[live, j] = sums[live] / mass[live]
 
 

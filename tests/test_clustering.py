@@ -187,6 +187,17 @@ def kmeans_single_oracle(points, k, weights, rng):
     return labels, inertia
 
 
+def kmeans_oracle(points, k, weights, seed):
+    """Best of the seeded single runs, the first one on ties."""
+    best_inertia, best_labels = math.inf, None
+    for init in range(clustering._KMEANS_INITS):
+        rng = seeded_rng(seed, clustering._KMEANS_STREAM + init)
+        labels, inertia = kmeans_single_oracle(points, k, weights, rng)
+        if inertia < best_inertia:
+            best_inertia, best_labels = inertia, labels
+    return best_labels
+
+
 def kmedoids_descent_oracle(dist, medoids):
     n = dist.shape[0]
     k = medoids.size
@@ -264,7 +275,7 @@ def test_center_update_matches_per_cluster_average(case):
     labels = rng.integers(k, size=points.shape[0])
     start = rng.normal(size=(k, points.shape[1]))
     fast, slow = start.copy(), start.copy()
-    clustering._update_centers(fast, labels, weights, weights[:, None] * points)
+    clustering._update_centers(fast, labels, weights, weights * points.T)
     update_centers_oracle(slow, labels, points, weights)
     assert fast.tobytes() == slow.tobytes()
 
@@ -273,10 +284,55 @@ def test_center_update_matches_per_cluster_average(case):
 @given(weighted_points())
 def test_kmeans_single_matches_oracle(case):
     points, k, weights, seed = case
-    labels, inertia = clustering._kmeans_single(points, k, weights, np.random.default_rng(seed))
-    want_labels, want_inertia = kmeans_single_oracle(points, k, weights, np.random.default_rng(seed))
-    assert np.array_equal(labels, want_labels)
-    assert inertia == want_inertia
+    labels = clustering._kmeans(points, k, weights, seed)
+    assert np.array_equal(labels, kmeans_oracle(points, k, weights, seed))
+
+
+@st.composite
+def duplicated_points(draw):
+    """Weighted points in 1 to 5 dimensions with rows repeated, so seeding
+    can pick two equal rows and two centres then coincide, and k from 2 to 6,
+    often past the number of points."""
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d))
+    copies = rng.integers(n, size=rng.integers(0, n + 1))
+    points[rng.integers(n, size=copies.size)] = points[copies]
+    weights = rng.integers(1, 6, size=n).astype(np.float64)
+    return points, k, weights, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(duplicated_points())
+@example((np.zeros((4, 2)), 3, np.ones(4), 0))
+def test_kmeans_matches_best_of_oracle_runs(case):
+    # coinciding centres tie on every point: the lowest id takes it
+    points, k, weights, seed = case
+    labels = clustering._kmeans(points, k, weights, seed)
+    assert np.array_equal(labels, kmeans_oracle(points, k, weights, seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    duplicated_points(),
+    st.sampled_from([1, 2, 3]),
+    st.integers(1, clustering._KMEANS_INITS),
+)
+def test_kmeans_matches_oracle_at_round_caps(case, cap, inits):
+    # at a low cap some inits stop at it while others have already left the
+    # live set with settled labels; fewer inits let each of them win in turn,
+    # so a slip in any init's bookkeeping shows; the oracle runs under the
+    # same cap and init count
+    points, k, weights, seed = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_KMEANS_MAX_ITER", cap)
+        patch.setattr(clustering, "_KMEANS_INITS", inits)
+        labels = clustering._kmeans(points, k, weights, seed)
+        want = kmeans_oracle(points, k, weights, seed)
+    assert np.array_equal(labels, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,7 +454,7 @@ def test_clusterers_match_oracles_on_party_and_random_elections(rng, monkeypatch
     medoids = [kmedoids_hamming(e, k, seed=4) for e, k in cases]
     for e in elections:
         e.clear_cache()
-    monkeypatch.setattr(clustering, "_kmeans_single", kmeans_single_oracle)
+    monkeypatch.setattr(clustering, "_kmeans", kmeans_oracle)
     assert spectral == [spectral_pcc(e, k, seed=4) for e, k in cases]
     assert medoids == [kmedoids_oracle(e, k, seed=4) for e, k in cases]
 
@@ -477,12 +533,20 @@ def test_spectral_partitions_match_dense_path(rng, monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 40), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_sq_distances_match_summed_form(d, n, k, seed):
+@given(
+    st.integers(1, 7),
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(1, clustering._KMEANS_INITS),
+    st.integers(0, 2**32 - 1),
+)
+def test_sq_distances_match_summed_form(d, n, k, a, seed):
     # bitwise below 8 coordinates, where numpy sums the squares in order
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
-    centers = rng.normal(size=(k, d))
-    want = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    got = clustering._sq_distances(np.ascontiguousarray(points.T), centers)
-    assert got.tobytes() == want.tobytes()
+    centers = rng.normal(size=(a, k, d))
+    got = clustering._centre_sq_distances(np.ascontiguousarray(points.T), centers)
+    assert got.shape == (a, k, n)
+    for i in range(a):
+        want = ((points[:, None, :] - centers[i][None, :, :]) ** 2).sum(axis=2)
+        assert got[i].tobytes() == np.ascontiguousarray(want.T).tobytes()
