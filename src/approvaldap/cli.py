@@ -175,6 +175,8 @@ def _read_election(path: Path) -> Election:
 def _cmd_index(args) -> int:
     seed = _ad_hoc_seed(args.seed)
     names = [tok.strip() for tok in args.indices.split(",") if tok.strip()]
+    if not names:
+        raise ValueError(f"--indices {args.indices!r}: no index named")
     for name in names:
         if name not in experiments.INDEX_NAMES:
             raise ValueError(f"unknown index {name!r}")

@@ -142,21 +142,17 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
 
 
 def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray):
-    """Descend from the given medoids; update them in place.
+    """Descend from ``r`` starts of ``k`` medoids, shape ``(r, k)``; update
+    them in place and return ``(r, n)`` labels and an int64 array of the
+    ``r`` objectives.
 
-    ``medoids`` is one start, shape ``(k,)``, which gives ``(labels, obj)``
-    with ``labels`` of shape ``(n,)`` and ``obj`` an int; or ``r`` starts,
-    shape ``(r, k)``, which gives labels of shape ``(r, n)`` and an int64
-    array of ``r`` objectives.  Each start descends as it would alone:
-    the live starts share each round's column gather for the labels and
-    one ``(a k x n) @ dist`` product for the costs, and a start leaves once
-    its objective stops falling (its medoids already moved that round).
-    The costs are sums of integer distances, exact in float64 whatever the
-    product's shape, so the medoids are those of separate descents.
+    Each start descends as it would alone: the live starts share each
+    round's column gather for the labels and one ``(a k x n) @ dist``
+    product for the costs, and a start leaves once its objective stops
+    falling (its medoids already moved that round).  The costs are sums of
+    integer distances, exact in float64 whatever the product's shape, so
+    the medoids are those of separate descents.
     """
-    if medoids.ndim == 1:
-        labels, objs = _kmedoids_descent(dist, medoids[None, :])
-        return labels[0], int(objs[0])
     n = dist.shape[0]
     r, k = medoids.shape
     voters = np.arange(n)

@@ -3,16 +3,14 @@
 The map places each election at its (agreement, diversity, polarization)
 feature vector, measures pairwise Euclidean feature distances, and embeds
 the distance matrix in the plane with stress-majorization MDS.  All
-protocols derive per-item seeds from the experiment seed, so results are
-reproducible and independent of worker scheduling.
+protocols run their items as a plain loop, each item under a seed derived
+from the experiment seed, so results follow from the seed alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -34,7 +32,6 @@ __all__ = [
     "IndexTable",
     "MapEntry",
     "MapResult",
-    "worker_count",
     "resampling_experiment",
     "index_table",
     "feature_vector",
@@ -82,32 +79,6 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def worker_count() -> int:
-    """Worker cap for internally parallel experiments.
-
-    Set ``APPROVAL_DAP_THREADS`` to run that many pool threads; unset, the
-    count is 1 and experiments run as a plain loop: the indices hold the
-    GIL for much of their time, so on two cores a second thread cost more
-    wall time and CPU than it saved.
-    """
-    env = os.environ.get("APPROVAL_DAP_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"APPROVAL_DAP_THREADS must be an integer, got {env!r}") from None
-        return max(1, value)
-    return 1
-
-
-def _parallel(fn, items: Sequence, threads: Optional[int]):
-    threads = worker_count() if threads is None else max(1, threads)
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- resampling experiment ----------------------------------------------
 
 P_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -140,7 +111,6 @@ def resampling_experiment(
     n: int = 60,
     samples: int = 10,
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> ResamplingMatrix:
     """Mean of an index over seeded resampling elections for each grid cell.
 
@@ -153,27 +123,15 @@ def resampling_experiment(
     if index not in INDEX_NAMES:
         raise ValueError(f"unknown index {index!r}")
 
-    cells = [(i, j) for i in range(len(P_GRID)) for j in range(len(PHI_GRID))]
-
-    def cell_mean(cell):
-        i, j = cell
-        total = 0.0
-        for t in range(samples):
-            cell_seed = derive_seed(seed, "resampling", i, j, t)
-            e = sample(
-                CultureSpec(
-                    family="resampling",
-                    m=m,
-                    n=n,
-                    seed=cell_seed,
-                    params={"p": P_GRID[i], "phi": PHI_GRID[j]},
-                )
-            )
-            total += evaluate_index(index, e, cell_seed)
-        return total / samples
-
-    flat = _parallel(cell_mean, cells, threads)
-    values = np.array(flat).reshape(len(P_GRID), len(PHI_GRID))
+    values = np.empty((len(P_GRID), len(PHI_GRID)))
+    for i, p in enumerate(P_GRID):
+        for j, phi in enumerate(PHI_GRID):
+            total = 0.0
+            for t in range(samples):
+                cell_seed = derive_seed(seed, "resampling", i, j, t)
+                spec = CultureSpec("resampling", m, n, seed=cell_seed, params={"p": p, "phi": phi})
+                total += evaluate_index(index, sample(spec), cell_seed)
+            values[i, j] = total / samples
     values.setflags(write=False)
     return ResamplingMatrix(
         index=index,
@@ -225,7 +183,6 @@ def index_table(
     samples: int = 10,
     seed: int = 0,
     indices: Sequence[str] = INDEX_NAMES,
-    threads: Optional[int] = None,
 ) -> IndexTable:
     """Sample each culture and tabulate mean/std of the selected indices.
 
@@ -242,16 +199,12 @@ def index_table(
         if name not in INDEX_NAMES:
             raise ValueError(f"unknown index {name!r}")
 
-    tasks = [(r, t) for r in range(len(specs)) for t in range(samples)]
-
-    def run(task):
-        r, t = task
-        run_seed = derive_seed(seed, "table", r, t)
-        e = sample(specs[r].with_seed(run_seed))
-        return [evaluate_index(name, e, run_seed) for name in indices]
-
-    flat = np.array(_parallel(run, tasks, threads), dtype=np.float64)
-    cube = flat.reshape(len(specs), samples, len(indices))
+    cube = np.empty((len(specs), samples, len(indices)))
+    for r, spec in enumerate(specs):
+        for t in range(samples):
+            run_seed = derive_seed(seed, "table", r, t)
+            e = sample(spec.with_seed(run_seed))
+            cube[r, t] = [evaluate_index(name, e, run_seed) for name in indices]
     stds = cube.std(axis=1)
     stds[stds < 1e-12] = 0.0  # identical samples should report exactly zero spread
     return IndexTable(
@@ -575,7 +528,6 @@ def map_of_elections(
     items: Iterable[tuple[str, str, Election]],
     seed: int = 0,
     triple: Sequence[str] = DEFAULT_FEATURE_TRIPLE,
-    threads: Optional[int] = None,
 ) -> MapResult:
     """Compute feature vectors for ``(label, group, election)`` items and
     embed their pairwise feature distances."""
@@ -583,14 +535,10 @@ def map_of_elections(
     if len(items) < 2:
         raise ValueError("a map needs at least two elections")
 
-    def features_for(task):
-        idx, (label, group, e) = task
-        arr = feature_vector(e, derive_seed(seed, "map", idx), triple).as_array()
+    features = np.empty((len(items), 3))
+    for idx, (_, _, e) in enumerate(items):
+        features[idx] = feature_vector(e, derive_seed(seed, "map", idx), triple).as_array()
         e.clear_cache()  # large pair matrices are not needed past this point
-        return arr
-
-    rows = _parallel(features_for, list(enumerate(items)), threads)
-    features = np.array(rows)
     diff = features[:, None, :] - features[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=2))
     distances = 0.5 * (distances + distances.T)

@@ -236,27 +236,28 @@ _PALETTE = (
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
 )
 
+# side of the square scatter plot area, and of one heatmap cell, in pixels
+_SCATTER_SIZE = 640
+_HEATMAP_CELL = 36
+
 
 def write_svg_scatter(
     points: Sequence[Sequence[float]],
     labels: Sequence[str],
-    colors: Optional[Mapping[str, str]] = None,
     title: str = "",
-    size: int = 640,
 ) -> str:
     """Self-contained SVG scatter plot with one circle per point and a legend.
 
-    ``labels`` assigns each point to a legend group; ``colors`` optionally
-    maps group names to CSS colors (a default palette fills the gaps).
+    ``labels`` assigns each point to a legend group; groups take the
+    palette's colors in order of first appearance.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if pts.shape[0] != len(labels):
         raise ValueError("one label per point required")
     groups = list(dict.fromkeys(labels))
-    palette = dict(colors or {})
-    for i, g in enumerate(groups):
-        palette.setdefault(g, _PALETTE[i % len(_PALETTE)])
+    palette = {g: _PALETTE[i % len(_PALETTE)] for i, g in enumerate(groups)}
 
+    size = _SCATTER_SIZE
     pad = 40
     legend_w = 170
     span = max(pts.max(axis=0) - pts.min(axis=0)) if pts.size else 1.0
@@ -296,10 +297,10 @@ def write_svg_heatmap(
     row_labels: Sequence,
     col_labels: Sequence,
     title: str = "",
-    cell: int = 36,
 ) -> str:
     """SVG heatmap of values in [0, 1]; the legend documents the gray scale
     (black = 0, white = 1)."""
+    cell = _HEATMAP_CELL
     vals = np.asarray(values, dtype=np.float64)
     rows, cols = vals.shape
     if rows != len(row_labels) or cols != len(col_labels):

@@ -12,7 +12,7 @@ settings.load_profile("deterministic")
 ACCEPTANCE_LINES: list[str] = []
 
 
-# candidate counts on both sides of 64-bit word boundaries
+# wide candidate counts, past the random elections' max_m, as edge shapes
 BOUNDARY_WIDTHS = (63, 64, 65, 130)
 
 

@@ -161,7 +161,7 @@ EPS = 1e-9
 
 def test_criterion_01_index_table_reproduction():
     start = time.monotonic()
-    table = index_table(compass_specs(), samples=10, seed=42, threads=1)
+    table = index_table(compass_specs(), samples=10, seed=42)
     elapsed = time.monotonic() - start
 
     deviations = []
@@ -322,7 +322,7 @@ def test_criterion_08_resampling_saturation_independence():
     start = time.monotonic()
     spreads = {}
     for index in ("pair_agr", "pcc_agr", "pccplus_agr", "av_agr", "jacc_agr"):
-        matrix = resampling_experiment(index, m=60, n=60, samples=10, seed=8, threads=1)
+        matrix = resampling_experiment(index, m=60, n=60, samples=10, seed=8)
         spreads[index] = matrix.column_spread()
         if index == "pair_agr":
             assert (matrix.values[:, 0] == 1.0).all()

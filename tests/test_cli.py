@@ -86,6 +86,17 @@ def test_index_rejects_unknown_index(capsys):
     assert code == 2 and "bogus" in stderr
 
 
+def test_index_rejects_an_empty_index_list(tmp_path, capsys):
+    # a table manifest with "indices": [] is refused too
+    out = tmp_path / "ic.json"
+    run(capsys, "generate", "--family", "p_ic", "--p", "0.5", "--m", "8", "--n", "8",
+        "--seed", "0", "--out", str(out))
+    for indices in (",", " , ,"):
+        code, stdout, stderr = run(capsys, "index", str(out), "--indices", indices, "--seed", "0")
+        assert code == 2 and "no index named" in stderr
+        assert stdout == ""
+
+
 def test_resample_command(tmp_path, capsys):
     code, stdout, _ = run(
         capsys, "resample", "--index", "pair_agr", "--m", "10", "--n", "10",
@@ -248,8 +259,9 @@ def test_table_compass_manifest_loads():
 
 
 def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
-    # m >= 65 puts every ballot across a 64-bit word boundary, and two
-    # workers run their matrix products at the same time
+    # experiments run as a plain loop: a second run of each manifest command
+    # writes the same bytes, and APPROVAL_DAP_THREADS, even a junk value, is
+    # ignored
     spec = {"m": 70, "n": 24, "seed": 0}
     table = {
         "seed": 5,
@@ -271,10 +283,12 @@ def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
     ]
     manifests = {"table": table, "map": {"seed": 6, "entries": entries}}
     outputs = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("APPROVAL_DAP_THREADS", threads)
+    monkeypatch.delenv("APPROVAL_DAP_THREADS", raising=False)
+    for attempt in ("plain", "junk"):
+        if attempt == "junk":
+            monkeypatch.setenv("APPROVAL_DAP_THREADS", "junk")
         for command, manifest in manifests.items():
-            out_dir = tmp_path / f"{command}{threads}"
+            out_dir = tmp_path / f"{command}-{attempt}"
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(manifest))
             code, stdout, _ = run(capsys, command, "--manifest", str(path), "--out-dir", str(out_dir))
@@ -283,8 +297,8 @@ def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
             outputs.setdefault(command, []).append((stdout.replace(str(out_dir), "OUT"), files))
     assert set(outputs["table"][0][1]) == {"index_table.csv"}
     assert len(outputs["map"][0][1]) == 4
-    for command, (single, double) in outputs.items():
-        assert single == double, command
+    for command, (first, second) in outputs.items():
+        assert first == second, command
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

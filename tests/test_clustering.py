@@ -78,7 +78,7 @@ def test_kmedoids_descent_checks_its_objective():
 
     dist = np.array([[3, 2, 2, 1], [1, 0, 0, 0], [0, 3, 2, 3], [2, 2, 3, 2]])
     with pytest.raises(RuntimeError, match="objective increased"):
-        _kmedoids_descent(dist, np.array([0, 1]))
+        _kmedoids_descent(dist, np.array([[0, 1]]))
 
 
 def test_spectral_trivial_cases(rng):
@@ -342,11 +342,11 @@ def test_kmedoids_descent_matches_oracle(case):
     dist = hamming_matrix(e)
     medoids = np.random.default_rng(seed).choice(e.num_voters, size=k, replace=False)
     fast_medoids, slow_medoids = medoids.copy(), medoids.copy()
-    labels, obj = clustering._kmedoids_descent(dist.astype(np.float64), fast_medoids)
+    labels, objs = clustering._kmedoids_descent(dist.astype(np.float64), fast_medoids[None])
     want_labels, want_obj = kmedoids_descent_oracle(dist, slow_medoids)
     assert np.array_equal(fast_medoids, slow_medoids)
-    assert np.array_equal(labels, want_labels)
-    assert obj == want_obj
+    assert np.array_equal(labels[0], want_labels)
+    assert objs[0] == want_obj
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,17 +407,17 @@ def test_stacked_kmedoids_descent_matches_one_start_at_a_time(case):
     try:
         stacked = starts.copy()
         labels, objs = clustering._kmedoids_descent(dist, stacked)
-        rows = [clustering._kmedoids_descent(dist, row) for row in starts.copy()]
+        rows = [clustering._kmedoids_descent(dist, row[None]) for row in starts.copy()]
         oracle_medoids = starts.copy()
         oracle = [kmedoids_descent_oracle(dist, row) for row in oracle_medoids]
     finally:
         clustering._KMEDOIDS_MAX_ITER = saved
     assert labels.shape == (starts.shape[0], dist.shape[0])
     assert objs.dtype == np.int64
-    for i, (row_labels, row_obj) in enumerate(rows):
-        assert isinstance(row_obj, int)
-        assert np.array_equal(labels[i], row_labels)
-        assert objs[i] == row_obj
+    for i, (row_labels, row_objs) in enumerate(rows):
+        assert row_objs.shape == (1,) and row_objs.dtype == np.int64
+        assert np.array_equal(labels[i], row_labels[0])
+        assert objs[i] == row_objs[0]
         assert np.array_equal(labels[i], oracle[i][0])
         assert objs[i] == oracle[i][1]
     assert np.array_equal(stacked, oracle_medoids)

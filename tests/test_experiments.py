@@ -19,7 +19,6 @@ from approvaldap.experiments import (
     mds_embed,
     resampling_experiment,
     synthetic_map_entries,
-    worker_count,
 )
 from approvaldap.generators import CultureSpec, gen_k_party, gen_p_id, sample
 
@@ -222,45 +221,3 @@ def test_map_of_elections_small():
     assert "label,group,agr,div,pol" in result.feature_csv().splitlines()[0]
     with pytest.raises(ValueError):
         map_of_elections(items[:1], seed=4)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("APPROVAL_DAP_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("APPROVAL_DAP_THREADS", "junk")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("APPROVAL_DAP_THREADS")
-    assert worker_count() >= 1
-
-
-def test_worker_count_defaults_to_a_plain_loop(monkeypatch):
-    monkeypatch.delenv("APPROVAL_DAP_THREADS", raising=False)
-    assert worker_count() == 1
-
-
-def test_parallelism_does_not_change_results():
-    entries = [
-        CultureSpec("p_ic", 20, 30, params={"p": p}, label=f"ic{p}") for p in (0.2, 0.5, 0.8)
-    ] + [
-        CultureSpec("resampling", 20, 30, params={"p": 0.4, "phi": phi}) for phi in (0.1, 0.6)
-    ]
-    items = [(s.display_label(), s.family, sample(s.with_seed(i))) for i, s in enumerate(entries)]
-    serial = map_of_elections(items, seed=13, threads=1)
-    parallel = map_of_elections(items, seed=13, threads=6)
-    assert np.array_equal(serial.features, parallel.features)
-    assert np.array_equal(serial.distances, parallel.distances)
-
-    grid_serial = resampling_experiment("pccplus_agr", m=12, n=12, samples=2, seed=3, threads=1)
-    grid_parallel = resampling_experiment("pccplus_agr", m=12, n=12, samples=2, seed=3, threads=5)
-    assert np.array_equal(grid_serial.values, grid_parallel.values)
-
-    specs = [
-        CultureSpec("p_ic", 12, 10, params={"p": 0.4}),
-        CultureSpec("k_party", 12, 10, params={"k": 3}),
-        CultureSpec("resampling", 12, 10, params={"p": 0.3, "phi": 0.5}),
-    ]
-    table_serial = index_table(specs, samples=2, seed=8, threads=1)
-    table_parallel = index_table(specs, samples=2, seed=8, threads=4)
-    assert np.array_equal(table_serial.means, table_parallel.means)
-    assert np.array_equal(table_serial.stds, table_parallel.stds)
