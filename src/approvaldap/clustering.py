@@ -65,14 +65,10 @@ class Partition:
     @classmethod
     def from_labels(cls, labels: Sequence[int], k: int) -> "Partition":
         """Normalize arbitrary labels to first-appearance order."""
-        remap: dict[int, int] = {}
-        out = []
-        for lab in labels:
-            lab = int(lab)
-            if lab not in remap:
-                remap[lab] = len(remap)
-            out.append(remap[lab])
-        return cls(assignments=tuple(out), k=k)
+        _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return cls(assignments=tuple(rank[inverse].tolist()), k=k)
 
     @property
     def num_voters(self) -> int:
@@ -89,16 +85,49 @@ def _singletons(n: int) -> Partition:
     return Partition(assignments=tuple(range(n)), k=n)
 
 
-def _plus_plus_pick(dist_to_chosen: np.ndarray, chosen: list[int], rng) -> int:
-    """k-means++ style draw: probability proportional to squared distance."""
+def _plus_plus_pick(dist_to_chosen: np.ndarray, chosen, rng) -> int:
+    """k-means++ style draw: probability proportional to squared distance;
+    uniform over the points not yet chosen when every distance is 0."""
     weights = dist_to_chosen.astype(np.float64) ** 2
     s = weights.sum()
     if s <= 0.0:
-        remaining = np.setdiff1d(np.arange(weights.size), np.asarray(chosen, dtype=np.int64))
+        remaining = _unchosen(weights.size, chosen)
         if remaining.size == 0:
             return int(rng.integers(weights.size))
         return int(remaining[rng.integers(remaining.size)])
     return int(rng.choice(weights.size, p=weights / s))
+
+
+def _unchosen(n: int, chosen) -> np.ndarray:
+    """Sorted indices in ``[0, n)`` absent from ``chosen``."""
+    free = np.ones(n, dtype=bool)
+    free[np.asarray(chosen, dtype=np.intp)] = False
+    return np.flatnonzero(free)
+
+
+def _plus_plus_picks(dist_to_chosen: np.ndarray, chosen: np.ndarray, rngs) -> np.ndarray:
+    """One :func:`_plus_plus_pick` per start, from ``(r, n)`` distances, the
+    ``(r, c)`` points chosen so far and the ``r`` starts' streams.
+
+    Every start's cumulative weights come from one call each:
+    ``Generator.choice(n, p=p)`` draws ``cdf.searchsorted(random(),
+    side="right")`` for ``cdf = p.cumsum(); cdf /= cdf[-1]``, and the row
+    sums and row-wise cumulative sums here are bitwise those of each row
+    alone, so every stream makes the draw it would make alone.  A start
+    whose distances are all 0 takes :func:`_plus_plus_pick`'s fallback.
+    """
+    weights = dist_to_chosen**2
+    s = weights.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows with s == 0 are not read
+        cdf = (weights / s[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+    picks = np.empty(len(rngs), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        if s[i] > 0.0:
+            picks[i] = cdf[i].searchsorted(rng.random(), side="right")
+        else:
+            picks[i] = _plus_plus_pick(dist_to_chosen[i], chosen[i], rng)
+    return picks
 
 
 def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
@@ -108,7 +137,8 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     lowest cluster id, updates pick the lowest-index minimizer, and the
     loop stops once the total intra-cluster distance stops decreasing (or
     after 100 rounds).  The best of 10 seeded k-means++ style
-    initializations is returned, the first one on ties.  One float64
+    initializations, picked together (:func:`_plus_plus_picks`), is
+    returned, the first one on ties.  One float64
     distance matrix, built from the memoised intersection matrix, serves
     all 10 restarts, which descend together (see
     :func:`_kmedoids_descent`); distances are small integers, so every sum
@@ -127,16 +157,13 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     dist = intersection_matrix(e) * -2.0
     dist += lengths[:, None]
     dist += lengths[None, :]
+    rngs = [seeded_rng(seed, _MEDOID_STREAM + start) for start in range(_KMEDOIDS_RESTARTS)]
     medoids = np.empty((_KMEDOIDS_RESTARTS, k), dtype=np.int64)
-    for start in range(_KMEDOIDS_RESTARTS):
-        rng = seeded_rng(seed, _MEDOID_STREAM + start)
-        chosen = [int(rng.integers(n))]
-        closest = dist[chosen[0]].copy()
-        while len(chosen) < k:
-            nxt = _plus_plus_pick(closest, chosen, rng)
-            chosen.append(nxt)
-            np.minimum(closest, dist[nxt], out=closest)
-        medoids[start] = chosen
+    medoids[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = dist[medoids[:, 0]]
+    for c in range(1, k):
+        medoids[:, c] = _plus_plus_picks(closest, medoids[:, :c], rngs)
+        np.minimum(closest, dist[medoids[:, c]], out=closest)
     labels, objs = _kmedoids_descent(dist, medoids)
     return Partition.from_labels(labels[int(np.argmin(objs))], k)
 
@@ -232,9 +259,7 @@ def _compute_spectral_groups(e: Election):
     ballots that vary on few of them): the leading columns then include
     null-space vectors, which each eigensolver picks its own way.
     """
-    ballots, inverse, counts = np.unique(
-        e.matrix, axis=0, return_inverse=True, return_counts=True
-    )
+    ballots, inverse, counts = e.distinct_ballots()
     weights = counts.astype(np.float64)
     basis = None
     if ballots.shape[0] > ballots.shape[1] + 2:
@@ -247,7 +272,7 @@ def _compute_spectral_groups(e: Election):
         system = 0.5 * (system + system.T)
         _, vecs = scipy.linalg.eigh(system)
         basis = vecs[:, ::-1].copy()
-    return inverse.ravel(), weights, basis
+    return inverse, weights, basis
 
 
 def _factor_basis(ballots: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
@@ -278,7 +303,9 @@ def _affinity_factor(ballots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     factor = np.empty((num, m + 2))
     factor[:, 0] = 1.0 + constant
     factor[:, 1] = constant
-    factor[:, 2:] = (m * ballots - lengths[:, None]) * (w / math.sqrt(m))[:, None]
+    # int64 before the product: m * a uint8 ballot overflows from m = 256
+    centred = m * ballots.astype(np.int64) - lengths[:, None]
+    factor[:, 2:] = centred * (w / math.sqrt(m))[:, None]
     factor *= math.sqrt(0.5)
     signs = np.ones(m + 2)
     signs[1] = -2.0
@@ -316,8 +343,9 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     """Labels of the best of ``_KMEANS_INITS`` seeded weighted k-means runs.
 
     ``weights`` are ballot multiplicities; see :func:`_update_centers`.
-    Each init draws its k-means++ centres from its own seeded stream, and
-    the inits still moving share each Lloyd round: one ``(a, k, n)`` array
+    Each init draws its k-means++ centres from its own seeded stream, all
+    inits pick together (:func:`_plus_plus_picks`), and the inits still
+    moving share each Lloyd round: one ``(a, k, n)`` array
     of squared distances (:func:`_centre_sq_distances`), labels by a
     running minimum over the centres (lowest id on ties, as ``np.argmin``
     gives on finite distances) and one group-by for the centres of every
@@ -327,20 +355,24 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     """
     n, d = points.shape
     k = min(k, n)
-    centers = np.empty((_KMEANS_INITS, k, d))
-    for init in range(_KMEANS_INITS):
-        rng = seeded_rng(seed, _KMEANS_STREAM + init)
-        first = int(rng.choice(n, p=weights / weights.sum()))
-        chosen = [first]
-        centers[init, 0] = points[first]
-        closest = np.linalg.norm(points - centers[init, 0], axis=1)
-        for c in range(1, k):
-            nxt = _plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
-            chosen.append(nxt)
-            centers[init, c] = points[nxt]
-            np.minimum(closest, np.linalg.norm(points - centers[init, c], axis=1), out=closest)
-
     coords = np.ascontiguousarray(points.T)
+    rngs = [seeded_rng(seed, _KMEANS_STREAM + init) for init in range(_KMEANS_INITS)]
+    # the first draw of Generator.choice(n, p=weights / weights.sum()), with
+    # one cdf for every init; see _plus_plus_picks
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    chosen = np.empty((_KMEANS_INITS, k), dtype=np.int64)
+    chosen[:, 0] = [cdf.searchsorted(rng.random(), side="right") for rng in rngs]
+    # np.linalg.norm(points - centre, axis=1) for every init's centre, bitwise
+    # below 8 coordinates (see _centre_sq_distances)
+    closest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, :1]])[:, 0])
+    root_weights = np.sqrt(weights)
+    for c in range(1, k):
+        chosen[:, c] = _plus_plus_picks(root_weights * closest, chosen[:, :c], rngs)
+        latest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, c : c + 1]])[:, 0])
+        np.minimum(closest, latest, out=closest)
+    centers = points[chosen]
+
     # tiled once per call: the first a * n entries weight the stacked
     # labels of any a live inits
     tiled_weights = np.tile(weights, _KMEANS_INITS)

@@ -20,6 +20,7 @@ __all__ = [
     "Election",
     "ElectionStats",
     "approval_score",
+    "distinct_rows",
     "stats",
     "reverse",
     "subsample",
@@ -148,9 +149,20 @@ class Election:
     def total_approvals(self) -> int:
         return int(self.ballot_lengths().sum())
 
+    def distinct_ballots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`distinct_rows` of the ballots, memoised as read-only arrays."""
+
+        def compute():
+            out = distinct_rows(self._mat)
+            for arr in out:
+                arr.setflags(write=False)
+            return out
+
+        return self._cache("distinct_ballots", compute)
+
     def _cache(self, key, factory):
-        # memo for derived artifacts (pair-count matrices, spectral bases,
-        # clustered agreement terms);
+        # memo for derived artifacts (distinct ballots, pair-count matrices,
+        # spectral bases, clustered agreement terms);
         # lives and dies with the election, so no cross-election eviction
         try:
             return self._memo[key]
@@ -160,8 +172,9 @@ class Election:
             return value
 
     def clear_cache(self) -> None:
-        """Drop the memoised derived artifacts (pair-count matrices, spectral
-        bases, clustered agreement terms); later calls recompute them."""
+        """Drop the memoised derived artifacts (distinct ballots, pair-count
+        matrices, spectral bases, clustered agreement terms); later calls
+        recompute them."""
         self._memo.clear()
 
     # -- identity ------------------------------------------------------
@@ -189,6 +202,25 @@ class ElectionStats:
     avl: float
     rev_avl: float
     satr: float
+
+
+def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, inverse, counts)`` of a 0/1 matrix's distinct rows, as
+    ``np.unique(matrix, axis=0, return_inverse=True, return_counts=True)``
+    gives them.
+
+    Each row is packed into bytes, most significant bit first, and the
+    packed rows are compared as opaque byte strings.  Every row carries the
+    same zero padding, so byte order is the rows' lexicographic order, and
+    the rows, their order, the inverse and the counts are those of the
+    row-wise ``np.unique`` without its sort over ``m`` fields.
+    """
+    packed = np.packbits(matrix, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return matrix[first], inverse, counts
 
 
 def approval_score(e: Election, j: int) -> int:

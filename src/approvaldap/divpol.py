@@ -21,7 +21,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from .agreement import cntr_agr, pcc_agr
 from .clustering import Partition, kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
-from .core import Election, seeded_rng
+from .core import Election, distinct_rows, seeded_rng
 from .metrics import cross_hamming
 
 __all__ = [
@@ -160,10 +160,6 @@ def ham_single_to_unc(p: float, q: float) -> float:
     return p * (1.0 - q) + q * (1.0 - p)
 
 
-def _distinct_rows(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.unique(mat, axis=0, return_counts=True)
-
-
 def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
     """Optimal value of the transportation problem (min-cost coupling)."""
     r, c = cost.shape
@@ -207,7 +203,7 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
         return 0.0
     p = total / (n * m)
 
-    ballots, counts = _distinct_rows(e.matrix)
+    ballots, _, counts = e.distinct_ballots()
     if exact:
         if m > _EXACT_UNIVERSE_MAX_M:
             raise ValueError(f"exact universe infeasible for m={m} (limit {_EXACT_UNIVERSE_MAX_M})")
@@ -224,7 +220,7 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
     n_samples = cfg.sample_multiplier * n
     rng = seeded_rng(cfg.seed, _SAMPLE_STREAM)
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
-    sample_ballots, sample_counts = _distinct_rows(samples)
+    sample_ballots, _, sample_counts = distinct_rows(samples)
     # integer supplies and demands give the transportation problem an
     # integral optimum: a one-to-one matching of the repeated ballots
     cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
@@ -257,7 +253,7 @@ def check_out_div_size(e: Election, cfg: OuterDiversityConfig | None = None) -> 
     dense = 8 * n_samples * n_samples
     if dense <= _MATCHING_MAX_BYTES:
         return
-    n_distinct = len(_distinct_rows(e.matrix)[0])
+    n_distinct = len(e.distinct_ballots()[0])
     lp = _LP_BYTES_PER_VARIABLE * n_distinct * min(n_samples, 2**m)
     if lp > _MATCHING_MAX_BYTES:
         gib = 2**30

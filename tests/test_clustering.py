@@ -45,6 +45,32 @@ def test_partition_validation():
     assert norm.assignments == (0, 1, 0, 2)
 
 
+def from_labels_oracle(labels):
+    """First-appearance relabelling, one label at a time."""
+    remap: dict[int, int] = {}
+    out = []
+    for lab in labels:
+        lab = int(lab)
+        if lab not in remap:
+            remap[lab] = len(remap)
+        out.append(remap[lab])
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-3, 40), min_size=1, max_size=60))
+@example([7])
+@example([9, 9, 9])
+@example([40, -3, 12, 40, 5, -3])
+def test_from_labels_matches_first_appearance_loop(labels):
+    want = from_labels_oracle(labels)
+    k = max(want) + 1
+    for form in (labels, np.asarray(labels, dtype=np.intp)):
+        got = Partition.from_labels(form, k)
+        assert got.assignments == want
+        assert all(type(c) is int for c in got.assignments)
+
+
 def test_kmedoids_trivial_cases(rng):
     e = make_random_election(rng, max_m=8, max_n=10)
     single = kmedoids_hamming(e, 1, seed=0)
@@ -149,6 +175,76 @@ def test_both_clusterers_saturate_block_elections():
 def test_spectral_deterministic(rng):
     e = make_random_election(rng, max_m=12, max_n=18)
     assert spectral_pcc(e, 4, seed=21) == spectral_pcc(e, 4, seed=21)
+
+
+# -- k-means++ seeding: the batched draws against Generator.choice ---------
+
+
+def test_choice_is_one_draw_against_the_normalised_cdf():
+    # the batched seeding replays Generator.choice(n, p=p) as a searchsorted
+    # of one random() in p's normalised cumulative sum; a numpy release that
+    # draws choice another way fails here before any partition moves
+    source = np.random.default_rng(7)
+    for trial in range(3000):
+        n = int(source.integers(1, 60))
+        weights = source.random(n) ** 2 * 10.0 ** source.integers(-6, 7)
+        weights[source.random(n) < 0.2] = 0.0
+        if weights.sum() <= 0.0:
+            weights[0] = 1.0
+        p = weights / weights.sum()
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        a, b = seeded_rng(trial, 5), seeded_rng(trial, 5)
+        for _ in range(3):
+            assert a.choice(n, p=p) == cdf.searchsorted(b.random(), side="right")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 50),
+    st.lists(st.integers(0, 49), min_size=1, max_size=60),
+)
+def test_unchosen_matches_setdiff(n, chosen):
+    chosen = [c % n for c in chosen]
+    want = np.setdiff1d(np.arange(n), np.asarray(chosen, dtype=np.int64))
+    got = clustering._unchosen(n, chosen)
+    assert np.array_equal(got, want)
+    assert np.array_equal(clustering._unchosen(n, np.asarray(chosen)), want)
+
+
+def count_fallbacks(monkeypatch):
+    calls = []
+    pick = clustering._plus_plus_pick
+
+    def counted(dist_to_chosen, chosen, rng):
+        calls.append(dist_to_chosen.sum())
+        return pick(dist_to_chosen, chosen, rng)
+
+    monkeypatch.setattr(clustering, "_plus_plus_pick", counted)
+    return calls
+
+
+def test_kmedoids_fallback_draws_match_oracle(monkeypatch):
+    # an identity election: every distance is 0, so every start after its
+    # first medoid draws uniformly from the voters not yet chosen
+    e = Election(np.tile(np.array([1, 0, 1, 1, 0], dtype=np.uint8), (9, 1)))
+    want = kmedoids_oracle(e, 3, seed=11)
+    calls = count_fallbacks(monkeypatch)
+    assert kmedoids_hamming(e, 3, seed=11) == want
+    assert len(calls) == 2 * clustering._KMEDOIDS_RESTARTS and not any(calls)
+
+
+def test_kmeans_fallback_draws_match_oracle(monkeypatch):
+    # two distinct points and k = 4: once both are chosen, every weighted
+    # distance is 0 and the rest of each init's centres come from the fallback
+    points = np.array([[0.0, 1.0], [2.0, -1.0], [0.0, 1.0], [2.0, -1.0], [0.0, 1.0]])
+    weights = np.array([1.0, 2.0, 3.0, 1.0, 2.0])
+    for seed in (0, 1, 2):
+        want = kmeans_oracle(points, 4, weights, seed)
+        calls = count_fallbacks(monkeypatch)
+        assert np.array_equal(clustering._kmeans(points, 4, weights, seed), want)
+        assert calls and not any(calls)
+        monkeypatch.undo()
 
 
 # -- oracles: the per-cluster loops the vectorised updates replaced ---------
@@ -501,6 +597,17 @@ def test_affinity_factor_reproduces_pcc_affinity(m, num, seed):
     factor, signs = clustering._affinity_factor(ballots)
     want = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
     assert np.abs((factor * signs) @ factor.T - want).max() <= 1e-12
+
+
+def test_affinity_factor_past_uint8_candidate_counts():
+    # m * ballot would wrap, or raise, in the ballots' uint8 dtype
+    rng = np.random.default_rng(3)
+    ballots = np.unique((rng.random((12, 300)) < 0.4).astype(np.uint8), axis=0)
+    factor, signs = clustering._affinity_factor(ballots)
+    want = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+    assert np.abs((factor * signs) @ factor.T - want).max() <= 1e-12
+    e = Election((rng.random((400, 260)) < 0.3).astype(np.uint8))
+    assert len(spectral_pcc(e, 3, seed=0).groups()) == 3
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approvaldap.core import (
     Election,
     approval_score,
+    distinct_rows,
     restrict_voters,
     reverse,
     stats,
@@ -174,3 +175,46 @@ def test_score_sum_equals_total_approvals(data):
     assert n * stats(e).avl == pytest.approx(e.total_approvals(), abs=1e-9)
     assert stats(e).avl + stats(e).rev_avl == pytest.approx(m, abs=1e-9)
     assert 0.0 <= stats(e).satr <= 1.0
+
+
+@st.composite
+def pooled_matrices(draw):
+    """0/1 matrices whose rows come from a small pool, so rows repeat; m
+    runs past one packed byte, on and off byte boundaries."""
+    m = draw(st.integers(1, 20))
+    n = draw(st.integers(1, 40))
+    distinct = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pool = (rng.random((distinct, m)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+    return pool[rng.integers(distinct, size=n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooled_matrices())
+@example(np.zeros((1, 8), dtype=np.uint8))
+@example(np.ones((1, 13), dtype=np.uint8))
+@example(np.tile(np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8), (7, 1)))
+@example(np.tile(np.array([0, 1, 1], dtype=np.uint8), (5, 1)))
+@example(np.eye(16, dtype=np.uint8)[::-1])
+def test_distinct_rows_match_row_wise_unique(mat):
+    rows, inverse, counts = distinct_rows(mat)
+    want_rows, want_inverse, want_counts = np.unique(
+        mat, axis=0, return_inverse=True, return_counts=True
+    )
+    assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(inverse, want_inverse.ravel())
+    assert np.array_equal(counts, want_counts)
+
+
+def test_distinct_ballots_are_memoised_read_only():
+    e = Election([[1, 0, 1], [0, 1, 1], [1, 0, 1]])
+    out = e.distinct_ballots()
+    assert e.distinct_ballots() is out
+    rows, inverse, counts = out
+    assert rows.tolist() == [[0, 1, 1], [1, 0, 1]]
+    assert inverse.tolist() == [1, 0, 1] and counts.tolist() == [1, 2]
+    for arr in out:
+        with pytest.raises(ValueError):
+            arr[0] = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from approvaldap import divpol
+from approvaldap import core, divpol
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import spectral_pcc, weighted_cluster_agreement
 from approvaldap.core import Election, reverse, seeded_rng, stats
@@ -322,3 +322,23 @@ def test_div_and_pol_share_the_two_cluster_term(monkeypatch, rng, div, pol, agr,
     base = agr(fresh)
     two = weighted_cluster_agreement(fresh, clusterer(fresh, 2, 3), agr)
     assert values[1] == min(1.0, max(two, base) - base)
+
+
+def test_spectral_path_and_matching_share_the_distinct_ballots(monkeypatch, rng):
+    calls = []
+    compute = core.distinct_rows
+
+    def counted(matrix):
+        calls.append(matrix)
+        return compute(matrix)
+
+    monkeypatch.setattr(core, "distinct_rows", counted)
+    e = Election((rng.random((30, 9)) < 0.4).astype(np.uint8))
+    spectral_pcc(e, 3, seed=1)
+    shared = e.distinct_ballots()
+    ham_to_universe(e)
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 1)  # past the dense check
+    with pytest.raises(ValueError):
+        divpol.check_out_div_size(e)
+    assert e.distinct_ballots() is shared
+    assert len(calls) == 1 and calls[0] is e.matrix
