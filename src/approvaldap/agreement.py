@@ -12,7 +12,8 @@ vanish there return 1 by convention.
 
 Integer accumulators are used throughout so that the two formulations of
 Hamming-pairwise agreement (the quadratic sum and its per-candidate
-rearrangement) and of central agreement produce bit-identical floats.
+rearrangement) and of central agreement produce bit-identical floats; the
+test suite keeps the second formulation of each as an oracle.
 """
 
 from __future__ import annotations
@@ -22,16 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Election
-from .metrics import hamming_matrix, jaccard_similarity_matrix, pcc_matrix, pcc_weights
+from .metrics import jaccard_similarity_matrix, pcc_matrix, pcc_weights
 
 __all__ = [
     "CentralVote",
     "av_agr",
     "central_vote",
     "cntr_agr",
-    "cntr_agr_closed_form",
     "pair_agr",
-    "pair_agr_naive",
     "jacc_agr",
     "pcc_agr",
     "pccplus_agr",
@@ -72,33 +71,14 @@ def central_vote(e: Election) -> CentralVote:
     return CentralVote(ballot=ballot, chd=chd)
 
 
-def _min_side(e: Election) -> int:
-    # n * min(avl, rev_avl) as an exact integer
-    total = e.total_approvals()
-    return min(total, e.num_voters * e.num_candidates - total)
-
-
 def cntr_agr(e: Election) -> float:
     """Central agreement: 1 minus chd normalized by ``n * min(avl, rev_avl)``."""
-    denom = _min_side(e)
+    # n * min(avl, rev_avl) as an exact integer
+    total = e.total_approvals()
+    denom = min(total, e.num_voters * e.num_candidates - total)
     if denom == 0:
         return 1.0
     return 1.0 - central_vote(e).chd / denom
-
-
-def cntr_agr_closed_form(e: Election) -> float:
-    """Per-candidate form of :func:`cntr_agr`; equal to it exactly.
-
-    Serves as an O(nm) cross-check of the distance-based definition.
-    Raises on degenerate saturation, where the normalization vanishes.
-    """
-    denom = _min_side(e)
-    if denom == 0:
-        raise ValueError("central agreement closed form undefined at saturation 0 or 1")
-    scores = e.approval_counts()
-    n = e.num_voters
-    numer = int((n - np.abs(n - 2 * scores)).sum())
-    return 1.0 - numer / (2 * denom)
 
 
 def pair_agr(e: Election) -> float:
@@ -115,19 +95,6 @@ def pair_agr(e: Election) -> float:
     pair_sum = int((scores * (n - scores)).sum())
     # n^2 m satr(1-satr) == total * (nm - total) / m
     return 1.0 - (pair_sum * m) / (total * (n * m - total))
-
-
-def pair_agr_naive(e: Election) -> float:
-    """Hamming pairwise agreement summed over all ordered ballot pairs.
-
-    The O(n^2 m) reference form; kept as an oracle for :func:`pair_agr`.
-    """
-    n, m = e.num_voters, e.num_candidates
-    total = e.total_approvals()
-    if total in (0, n * m):
-        raise ValueError("pairwise agreement sum undefined at saturation 0 or 1")
-    ham_sum = int(hamming_matrix(e).sum())
-    return 1.0 - (ham_sum * m) / (2 * total * (n * m - total))
 
 
 def jacc_agr(e: Election) -> float:

@@ -4,14 +4,13 @@ Two clusterers are provided: k-medoids under Hamming distance (cluster
 centers restricted to observed ballots) and spectral clustering on a PCC
 affinity.  Optimal partitioning is out of reach, so both are seeded
 heuristics; given the same election, cluster count, and seed they return
-the same partition on every platform.
+the same cluster labels on every platform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -20,7 +19,6 @@ from .core import Election, restrict_voters, seeded_rng
 from .metrics import intersection_matrix, pcc_matrix, pcc_weights
 
 __all__ = [
-    "Partition",
     "kmedoids_hamming",
     "spectral_pcc",
     "weighted_cluster_agreement",
@@ -39,63 +37,12 @@ _SPECTRAL_FACTOR_DIMS = 5
 _NULL_EIGENVALUE = 1e-9
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of ``n`` voters to ``k`` disjoint clusters.
-
-    Cluster ids that appear form a prefix of ``[0, k)``; trailing clusters
-    may be empty (e.g. when ``k`` exceeds the number of distinct ballots).
-    """
-
-    assignments: tuple
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("partition needs at least one cluster")
-        seen = set(self.assignments)
-        if not seen:
-            raise ValueError("partition covers no voters")
-        top = max(seen)
-        if min(seen) < 0 or top >= self.k:
-            raise ValueError("cluster id out of range")
-        if seen != set(range(top + 1)):
-            raise ValueError("cluster ids must form a prefix of [0, k)")
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int], k: int) -> "Partition":
-        """Normalize arbitrary labels to first-appearance order."""
-        _, first, inverse = np.unique(np.asarray(labels), return_index=True, return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(first.size)
-        return cls(assignments=tuple(rank[inverse].tolist()), k=k)
-
-    @property
-    def num_voters(self) -> int:
-        return len(self.assignments)
-
-    def groups(self) -> list[np.ndarray]:
-        """Voter indices per cluster, ``k`` entries, trailing ones possibly empty."""
-        labels = np.asarray(self.assignments)
-        return [np.flatnonzero(labels == c) for c in range(self.k)]
-
-
-def _singletons(n: int) -> Partition:
-    # requests with k > n run with k = n
-    return Partition(assignments=tuple(range(n)), k=n)
-
-
-def _plus_plus_pick(dist_to_chosen: np.ndarray, chosen, rng) -> int:
-    """k-means++ style draw: probability proportional to squared distance;
-    uniform over the points not yet chosen when every distance is 0."""
-    weights = dist_to_chosen.astype(np.float64) ** 2
-    s = weights.sum()
-    if s <= 0.0:
-        remaining = _unchosen(weights.size, chosen)
-        if remaining.size == 0:
-            return int(rng.integers(weights.size))
-        return int(remaining[rng.integers(remaining.size)])
-    return int(rng.choice(weights.size, p=weights / s))
+def _first_appearance(labels: np.ndarray) -> np.ndarray:
+    """Labels renumbered ``0, 1, ...`` in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def _unchosen(n: int, chosen) -> np.ndarray:
@@ -106,32 +53,39 @@ def _unchosen(n: int, chosen) -> np.ndarray:
 
 
 def _plus_plus_picks(dist_to_chosen: np.ndarray, chosen: np.ndarray, rngs) -> np.ndarray:
-    """One :func:`_plus_plus_pick` per start, from ``(r, n)`` distances, the
-    ``(r, c)`` points chosen so far and the ``r`` starts' streams.
+    """One k-means++ style draw per start, from ``(r, n)`` distances, the
+    ``(r, c)`` points chosen so far and the ``r`` starts' streams: probability
+    proportional to squared distance, uniform over the points not yet chosen
+    when every distance is 0.
 
     Every start's cumulative weights come from one call each:
     ``Generator.choice(n, p=p)`` draws ``cdf.searchsorted(random(),
     side="right")`` for ``cdf = p.cumsum(); cdf /= cdf[-1]``, and the row
     sums and row-wise cumulative sums here are bitwise those of each row
-    alone, so every stream makes the draw it would make alone.  A start
-    whose distances are all 0 takes :func:`_plus_plus_pick`'s fallback.
+    alone, so every stream makes the draw it would make alone.
     """
     weights = dist_to_chosen**2
     s = weights.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):  # rows with s == 0 are not read
         cdf = (weights / s[:, None]).cumsum(axis=1)
         cdf /= cdf[:, -1:]
+    n = weights.shape[1]
     picks = np.empty(len(rngs), dtype=np.int64)
     for i, rng in enumerate(rngs):
         if s[i] > 0.0:
             picks[i] = cdf[i].searchsorted(rng.random(), side="right")
         else:
-            picks[i] = _plus_plus_pick(dist_to_chosen[i], chosen[i], rng)
+            remaining = _unchosen(n, chosen[i])
+            if remaining.size == 0:
+                picks[i] = rng.integers(n)
+            else:
+                picks[i] = remaining[rng.integers(remaining.size)]
     return picks
 
 
-def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
-    """Partition voters by k-medoids on Hamming distance.
+def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
+    """Cluster labels of the voters by k-medoids on Hamming distance, an
+    ``(n,)`` intp array numbered in order of first appearance.
 
     Medoids are observed ballots.  Assignment breaks ties toward the
     lowest cluster id, updates pick the lowest-index minimizer, and the
@@ -147,10 +101,10 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
     if k < 1:
         raise ValueError("cluster count must be positive")
     n = e.num_voters
-    if k >= n:
-        return _singletons(n)
+    if k >= n:  # requests with k > n run with k = n
+        return np.arange(n)
     if k == 1:
-        return Partition(assignments=(0,) * n, k=1)
+        return np.zeros(n, dtype=np.intp)
 
     # |u| + |v| - 2|u & v|, built in place so no int64 n x n copy is made
     lengths = e.ballot_lengths()
@@ -165,7 +119,7 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> Partition:
         medoids[:, c] = _plus_plus_picks(closest, medoids[:, :c], rngs)
         np.minimum(closest, dist[medoids[:, c]], out=closest)
     labels, objs = _kmedoids_descent(dist, medoids)
-    return Partition.from_labels(labels[int(np.argmin(objs))], k)
+    return _first_appearance(labels[int(np.argmin(objs))])
 
 
 def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray):
@@ -226,7 +180,7 @@ def _kmedoid_objectives(dist: np.ndarray, medoids: np.ndarray, labels: np.ndarra
     return dist[np.arange(dist.shape[0]), chosen].sum(axis=1).astype(np.int64)
 
 
-def _spectral_groups(e: Election):
+def _compute_spectral_groups(e: Election):
     """Distinct-ballot spectral system: (group index per voter, weights, basis).
 
     Duplicate ballots are interchangeable vertices of the affinity graph,
@@ -235,16 +189,10 @@ def _spectral_groups(e: Election):
     exactly the eigenvectors of the collapsed symmetric system below, and
     they occupy the bottom of the spectrum; working with them resolves
     the eigenvector ambiguity that repeated ballots would otherwise cause.
-    The basis columns run from the largest eigenvalue down; see
-    :func:`_compute_spectral_groups` for how they are found.
-    """
-    return e._cache("spectral_groups", lambda: _compute_spectral_groups(e))
+    The basis columns run from the largest eigenvalue down.
 
-
-def _compute_spectral_groups(e: Election):
-    """Eigensystem of the collapsed PCC affinity, dense or from its factor.
-
-    Over N distinct ballots the affinity ``(1 + pcc) / 2`` has rank at most
+    The system comes from the dense PCC affinity or from its factor.  Over
+    N distinct ballots the affinity ``(1 + pcc) / 2`` has rank at most
     m + 2: with the PCC weights ``w_i = 1/sqrt(l_i (m - l_i))`` (0 for a
     constant ballot; see :func:`~approvaldap.metrics.pcc_weights`),
     ``z_i = w_i (m x_i - l_i) / sqrt(m)`` and ``c`` the indicator of
@@ -312,8 +260,9 @@ def _affinity_factor(ballots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factor, signs
 
 
-def spectral_pcc(e: Election, k: int, seed: int) -> Partition:
-    """Partition voters by spectral clustering on the PCC affinity.
+def spectral_pcc(e: Election, k: int, seed: int) -> np.ndarray:
+    """Cluster labels of the voters by spectral clustering on the PCC
+    affinity, an ``(n,)`` intp array numbered in order of first appearance.
 
     The affinity of two ballots is ``(1 + pcc) / 2``, rescaled to [0, 1]
     so that 0 means total dissimilarity and 1 means equal votes.  Rows of
@@ -324,19 +273,19 @@ def spectral_pcc(e: Election, k: int, seed: int) -> Partition:
     if k < 1:
         raise ValueError("cluster count must be positive")
     n = e.num_voters
-    if k >= n:
-        return _singletons(n)
+    if k >= n:  # requests with k > n run with k = n
+        return np.arange(n)
     if k == 1:
-        return Partition(assignments=(0,) * n, k=1)
+        return np.zeros(n, dtype=np.intp)
 
-    inverse, weights, basis = _spectral_groups(e)
+    inverse, weights, basis = e._cache("spectral_groups", lambda: _compute_spectral_groups(e))
     dims = min(k, basis.shape[1])
     embed = basis[:, :dims].copy()
     norms = np.linalg.norm(embed, axis=1)
     nz = norms > 0
     embed[nz] /= norms[nz, None]
     group_labels = _kmeans(embed, k, weights, seed)
-    return Partition.from_labels(group_labels[inverse], k)
+    return _first_appearance(group_labels[inverse])
 
 
 def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.ndarray:
@@ -461,20 +410,21 @@ def _update_centers(
 
 def weighted_cluster_agreement(
     e: Election,
-    partition: Partition,
+    labels: np.ndarray,
     agr: Callable[[Election], float],
 ) -> float:
     """Cluster-size-weighted mean of an agreement index over sub-elections.
 
-    Empty clusters carry weight zero; singleton and degenerate-saturation
-    clusters are identity sub-elections and score 1 through ``agr`` itself.
+    ``labels`` gives each voter a cluster id; the clusters are scored in
+    ascending id order.  Singleton and degenerate-saturation clusters are
+    identity sub-elections and score 1 through ``agr`` itself.
     """
-    if partition.num_voters != e.num_voters:
-        raise ValueError("partition does not cover the election's voters")
+    labels = np.asarray(labels)
+    if labels.shape != (e.num_voters,):
+        raise ValueError("labels do not cover the election's voters")
     n = e.num_voters
     total = 0.0
-    for members in partition.groups():
-        if members.size == 0:
-            continue
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
         total += (members.size / n) * agr(restrict_voters(e, members))
     return total

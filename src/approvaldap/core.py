@@ -52,7 +52,7 @@ class Election:
         The label is metadata: it does not participate in equality.
     """
 
-    __slots__ = ("_mat", "label", "_hash", "_scores", "_lengths", "_memo")
+    __slots__ = ("_mat", "label", "_hash", "_memo")
 
     def __init__(self, ballots, label: Optional[str] = None):
         mat = np.asarray(ballots)
@@ -72,8 +72,6 @@ class Election:
         self._mat = mat
         self.label = label
         self._hash: Optional[int] = None
-        self._scores: Optional[np.ndarray] = None
-        self._lengths: Optional[np.ndarray] = None
         self._memo: dict = {}
 
     @classmethod
@@ -131,38 +129,30 @@ class Election:
         return self._mat[i].copy()
 
     def approval_counts(self) -> np.ndarray:
-        """Per-candidate approval scores ``|A(c_j)|`` as an int64 vector."""
-        if self._scores is None:
-            scores = self.matrix.sum(axis=0, dtype=np.int64)
-            scores.setflags(write=False)
-            self._scores = scores
-        return self._scores
+        """Per-candidate approval scores ``|A(c_j)|`` as a read-only int64 vector."""
+        return self._cache(
+            "approval_counts", lambda: _read_only(self._mat.sum(axis=0, dtype=np.int64))
+        )
 
     def ballot_lengths(self) -> np.ndarray:
-        """Per-voter approval counts ``|A(v_i)|`` as an int64 vector."""
-        if self._lengths is None:
-            lengths = self._mat.sum(axis=1, dtype=np.int64)
-            lengths.setflags(write=False)
-            self._lengths = lengths
-        return self._lengths
+        """Per-voter approval counts ``|A(v_i)|`` as a read-only int64 vector."""
+        return self._cache(
+            "ballot_lengths", lambda: _read_only(self._mat.sum(axis=1, dtype=np.int64))
+        )
 
     def total_approvals(self) -> int:
         return int(self.ballot_lengths().sum())
 
     def distinct_ballots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`distinct_rows` of the ballots, memoised as read-only arrays."""
-
-        def compute():
-            out = distinct_rows(self._mat)
-            for arr in out:
-                arr.setflags(write=False)
-            return out
-
-        return self._cache("distinct_ballots", compute)
+        return self._cache(
+            "distinct_ballots", lambda: tuple(map(_read_only, distinct_rows(self._mat)))
+        )
 
     def _cache(self, key, factory):
-        # memo for derived artifacts (distinct ballots, pair-count matrices,
-        # spectral bases, clustered agreement terms);
+        # memo for derived artifacts (approval counts, ballot lengths,
+        # distinct ballots, pair-count matrices, spectral bases, clustered
+        # agreement terms);
         # lives and dies with the election, so no cross-election eviction
         try:
             return self._memo[key]
@@ -172,9 +162,9 @@ class Election:
             return value
 
     def clear_cache(self) -> None:
-        """Drop the memoised derived artifacts (distinct ballots, pair-count
-        matrices, spectral bases, clustered agreement terms); later calls
-        recompute them."""
+        """Drop the memoised derived artifacts (approval counts, ballot
+        lengths, distinct ballots, pair-count matrices, spectral bases,
+        clustered agreement terms); later calls recompute them."""
         self._memo.clear()
 
     # -- identity ------------------------------------------------------
@@ -193,6 +183,11 @@ class Election:
         tag = f" {self.label!r}" if self.label else ""
         n, m = self._mat.shape
         return f"<Election{tag} m={m} n={n} satr={stats(self).satr:.3f}>"
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

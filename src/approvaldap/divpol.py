@@ -20,7 +20,7 @@ import scipy.sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .agreement import cntr_agr, pcc_agr
-from .clustering import Partition, kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
+from .clustering import kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
 from .core import Election, distinct_rows, seeded_rng
 from .metrics import cross_hamming
 
@@ -52,7 +52,7 @@ _LP_BYTES_PER_VARIABLE = 1200
 # 5000 draws the LP was faster at 2400x fewer and slower at 530x fewer
 _LP_CELL_RATIO = 1000
 
-Clusterer = Callable[[Election, int, int], Partition]
+Clusterer = Callable[[Election, int, int], np.ndarray]
 
 
 @dataclass(frozen=True)

@@ -195,10 +195,13 @@ def read_native(text: str) -> Election:
     if not isinstance(doc, Mapping):
         raise ParseError("top-level JSON value must be an object")
     try:
-        m = int(doc["num_candidates"])
+        m = doc["num_candidates"]
         ballots = doc["ballots"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from None
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from None
+    # a JSON integer: bool is an int subclass, and int() would truncate 2.7
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ParseError(f"num_candidates must be a positive integer, got {m!r}")
     if not isinstance(ballots, list) or not all(isinstance(b, list) for b in ballots):
         raise ParseError("ballots must be a list of index lists")
     label = doc.get("label")

@@ -19,9 +19,7 @@ import pytest
 
 from approvaldap.agreement import (
     cntr_agr,
-    cntr_agr_closed_form,
     pair_agr,
-    pair_agr_naive,
     pcc_agr,
     pccplus_agr,
 )
@@ -38,6 +36,7 @@ from approvaldap.generators import gen_k_party, gen_triangle
 from approvaldap.io import ParseError, parse_pabulib
 
 from conftest import ACCEPTANCE_LINES
+from oracles import cntr_agr_closed_form, pair_agr_naive
 from test_divpol import _oracle_out_div
 from test_experiments import kendall_tau_b_brute
 

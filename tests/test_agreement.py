@@ -10,10 +10,8 @@ from approvaldap.agreement import (
     av_agr,
     central_vote,
     cntr_agr,
-    cntr_agr_closed_form,
     jacc_agr,
     pair_agr,
-    pair_agr_naive,
     pcc_agr,
     pccplus_agr,
 )
@@ -29,6 +27,7 @@ from approvaldap.generators import (
 from approvaldap.metrics import hamming, pcc_matrix
 
 from conftest import make_random_election
+from oracles import cntr_agr_closed_form, pair_agr_naive
 
 
 def brute_chd(e: Election, ballot) -> int:

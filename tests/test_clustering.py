@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from approvaldap import clustering
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import (
-    Partition,
     kmedoids_hamming,
     spectral_pcc,
     weighted_cluster_agreement,
@@ -28,21 +27,13 @@ from approvaldap.metrics import hamming_matrix, pcc_matrix
 from conftest import make_random_election
 
 
-def as_blocks(partition: Partition) -> set[frozenset]:
-    return {frozenset(g.tolist()) for g in partition.groups() if g.size}
+def as_blocks(labels: np.ndarray) -> set[frozenset]:
+    return {frozenset(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)}
 
 
 def test_partition_validation():
-    Partition(assignments=(0, 1, 0), k=2)
-    Partition(assignments=(0, 0), k=3)  # trailing empty clusters are fine
-    with pytest.raises(ValueError):
-        Partition(assignments=(0, 2), k=3)  # id 1 skipped
-    with pytest.raises(ValueError):
-        Partition(assignments=(0, 3), k=3)  # id out of range
-    with pytest.raises(ValueError):
-        Partition(assignments=(), k=1)
-    norm = Partition.from_labels([5, 2, 5, 0], k=6)
-    assert norm.assignments == (0, 1, 0, 2)
+    norm = clustering._first_appearance(np.array([5, 2, 5, 0]))
+    assert norm.tolist() == [0, 1, 0, 2]
 
 
 def from_labels_oracle(labels):
@@ -64,19 +55,33 @@ def from_labels_oracle(labels):
 @example([40, -3, 12, 40, 5, -3])
 def test_from_labels_matches_first_appearance_loop(labels):
     want = from_labels_oracle(labels)
-    k = max(want) + 1
     for form in (labels, np.asarray(labels, dtype=np.intp)):
-        got = Partition.from_labels(form, k)
-        assert got.assignments == want
-        assert all(type(c) is int for c in got.assignments)
+        got = clustering._first_appearance(form)
+        assert got.dtype == np.intp
+        assert tuple(got.tolist()) == want
+
+
+@pytest.mark.parametrize("clusterer", [kmedoids_hamming, spectral_pcc])
+def test_clusterers_return_first_appearance_label_arrays(rng, clusterer):
+    elections = [make_random_election(rng, max_m=10, max_n=9) for _ in range(8)]
+    elections += [gen_k_party(12, 12, 3), Election([[1, 0], [0, 1], [1, 0]])]
+    for e in elections:
+        n = e.num_voters
+        for k in range(1, 7):
+            labels = clusterer(e, k, seed=1)
+            assert labels.shape == (n,) and labels.dtype == np.intp
+            assert tuple(labels.tolist()) == from_labels_oracle(labels)
+            assert labels.max() < min(k, n)
+            if k >= n:
+                assert labels.tolist() == list(range(n))
 
 
 def test_kmedoids_trivial_cases(rng):
     e = make_random_election(rng, max_m=8, max_n=10)
     single = kmedoids_hamming(e, 1, seed=0)
-    assert set(single.assignments) == {0}
+    assert single.tolist() == [0] * e.num_voters
     fine = kmedoids_hamming(e, e.num_voters + 3, seed=0)
-    assert fine.assignments == tuple(range(e.num_voters))
+    assert fine.tolist() == list(range(e.num_voters))
     with pytest.raises(ValueError):
         kmedoids_hamming(e, 0, seed=0)
 
@@ -94,7 +99,7 @@ def test_kmedoids_deterministic(rng):
     e = make_random_election(rng, max_m=15, max_n=25)
     a = kmedoids_hamming(e, 3, seed=11)
     b = kmedoids_hamming(e, 3, seed=11)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_kmedoids_descent_checks_its_objective():
@@ -109,9 +114,9 @@ def test_kmedoids_descent_checks_its_objective():
 
 def test_spectral_trivial_cases(rng):
     e = make_random_election(rng, max_m=8, max_n=10)
-    assert set(spectral_pcc(e, 1, seed=0).assignments) == {0}
+    assert spectral_pcc(e, 1, seed=0).tolist() == [0] * e.num_voters
     fine = spectral_pcc(e, e.num_voters + 1, seed=0)
-    assert fine.assignments == tuple(range(e.num_voters))
+    assert fine.tolist() == list(range(e.num_voters))
     with pytest.raises(ValueError):
         spectral_pcc(e, 0, seed=0)
 
@@ -128,8 +133,7 @@ def test_spectral_recovers_party_blocks():
 def test_spectral_identical_ballots_stay_together(rng):
     e = gen_k_party(40, 40, 4)
     for k in (2, 3, 4, 5):
-        part = spectral_pcc(e, k, seed=9)
-        labels = np.array(part.assignments)
+        labels = spectral_pcc(e, k, seed=9)
         for block in range(4):
             segment = labels[10 * block : 10 * (block + 1)]
             assert len(set(segment.tolist())) == 1
@@ -141,26 +145,27 @@ def test_spectral_permutation_equivariance(rng):
     permuted = Election(e.matrix[perm])
     base = spectral_pcc(e, 3, seed=7)
     moved = spectral_pcc(permuted, 3, seed=7)
-    base_blocks = {frozenset(int(perm[i]) for i in g) for g in base.groups() if g.size}
     # mapping voter i of e to position j with perm[j] = i
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    base_blocks = {frozenset(int(inv[i]) for i in g) for g in base.groups() if g.size}
+    base_blocks = {frozenset(int(inv[i]) for i in g) for g in as_blocks(base)}
     assert base_blocks == as_blocks(moved)
 
 
 def test_weighted_cluster_agreement():
     e = gen_k_party(60, 60, 2)
-    whole = Partition(assignments=(0,) * 60, k=1)
+    whole = np.zeros(60, dtype=np.intp)
     assert weighted_cluster_agreement(e, whole, pcc_agr) == pcc_agr(e)
-    party = Partition(assignments=(0,) * 30 + (1,) * 30, k=2)
+    party = np.repeat(np.arange(2), 30)
     assert weighted_cluster_agreement(e, party, pcc_agr) == 1.0
     assert weighted_cluster_agreement(e, party, cntr_agr) == 1.0
     ident = gen_p_id(12, 9, 0.5)
-    odd = Partition.from_labels([i % 3 for i in range(9)], k=3)
+    odd = np.arange(9) % 3
     assert weighted_cluster_agreement(ident, odd, pcc_agr) == 1.0
     with pytest.raises(ValueError):
-        weighted_cluster_agreement(e, Partition(assignments=(0,), k=1), pcc_agr)
+        weighted_cluster_agreement(e, np.zeros(1, dtype=np.intp), pcc_agr)
+    with pytest.raises(ValueError):
+        weighted_cluster_agreement(e, np.zeros((60, 1), dtype=np.intp), pcc_agr)
 
 
 def test_both_clusterers_saturate_block_elections():
@@ -174,7 +179,7 @@ def test_both_clusterers_saturate_block_elections():
 
 def test_spectral_deterministic(rng):
     e = make_random_election(rng, max_m=12, max_n=18)
-    assert spectral_pcc(e, 4, seed=21) == spectral_pcc(e, 4, seed=21)
+    assert np.array_equal(spectral_pcc(e, 4, seed=21), spectral_pcc(e, 4, seed=21))
 
 
 # -- k-means++ seeding: the batched draws against Generator.choice ---------
@@ -214,13 +219,13 @@ def test_unchosen_matches_setdiff(n, chosen):
 
 def count_fallbacks(monkeypatch):
     calls = []
-    pick = clustering._plus_plus_pick
+    unchosen = clustering._unchosen
 
-    def counted(dist_to_chosen, chosen, rng):
-        calls.append(dist_to_chosen.sum())
-        return pick(dist_to_chosen, chosen, rng)
+    def counted(n, chosen):
+        calls.append(n)
+        return unchosen(n, chosen)
 
-    monkeypatch.setattr(clustering, "_plus_plus_pick", counted)
+    monkeypatch.setattr(clustering, "_unchosen", counted)
     return calls
 
 
@@ -230,8 +235,8 @@ def test_kmedoids_fallback_draws_match_oracle(monkeypatch):
     e = Election(np.tile(np.array([1, 0, 1, 1, 0], dtype=np.uint8), (9, 1)))
     want = kmedoids_oracle(e, 3, seed=11)
     calls = count_fallbacks(monkeypatch)
-    assert kmedoids_hamming(e, 3, seed=11) == want
-    assert len(calls) == 2 * clustering._KMEDOIDS_RESTARTS and not any(calls)
+    assert np.array_equal(kmedoids_hamming(e, 3, seed=11), want)
+    assert calls == [e.num_voters] * (2 * clustering._KMEDOIDS_RESTARTS)
 
 
 def test_kmeans_fallback_draws_match_oracle(monkeypatch):
@@ -243,11 +248,24 @@ def test_kmeans_fallback_draws_match_oracle(monkeypatch):
         want = kmeans_oracle(points, 4, weights, seed)
         calls = count_fallbacks(monkeypatch)
         assert np.array_equal(clustering._kmeans(points, 4, weights, seed), want)
-        assert calls and not any(calls)
+        assert calls and set(calls) == {points.shape[0]}
         monkeypatch.undo()
 
 
 # -- oracles: the per-cluster loops the vectorised updates replaced ---------
+
+
+def _plus_plus_pick(dist_to_chosen: np.ndarray, chosen, rng) -> int:
+    """k-means++ style draw: probability proportional to squared distance;
+    uniform over the points not yet chosen when every distance is 0."""
+    weights = dist_to_chosen.astype(np.float64) ** 2
+    s = weights.sum()
+    if s <= 0.0:
+        remaining = clustering._unchosen(weights.size, chosen)
+        if remaining.size == 0:
+            return int(rng.integers(weights.size))
+        return int(remaining[rng.integers(remaining.size)])
+    return int(rng.choice(weights.size, p=weights / s))
 
 
 def update_centers_oracle(centers, labels, points, weights):
@@ -266,7 +284,7 @@ def kmeans_single_oracle(points, k, weights, rng):
     centers[0] = points[first]
     closest = np.linalg.norm(points - centers[0], axis=1)
     for c in range(1, k):
-        nxt = clustering._plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
+        nxt = _plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
         chosen.append(nxt)
         centers[c] = points[nxt]
         np.minimum(closest, np.linalg.norm(points - centers[c], axis=1), out=closest)
@@ -322,13 +340,13 @@ def kmedoids_oracle(e, k, seed):
         medoids = [int(rng.integers(n))]
         closest = dist[medoids[0]].copy()
         while len(medoids) < k:
-            nxt = clustering._plus_plus_pick(closest, medoids, rng)
+            nxt = _plus_plus_pick(closest, medoids, rng)
             medoids.append(nxt)
             np.minimum(closest, dist[nxt], out=closest)
         labels, obj = kmedoids_descent_oracle(dist, np.asarray(medoids))
         if obj < best_obj:
             best_obj, best_labels = obj, labels
-    return Partition.from_labels(best_labels, k)
+    return clustering._first_appearance(best_labels)
 
 
 @st.composite
@@ -449,7 +467,7 @@ def test_kmedoids_descent_matches_oracle(case):
 @given(repeated_elections())
 def test_kmedoids_matches_oracle(case):
     e, k, seed = case
-    assert kmedoids_hamming(e, k, seed) == kmedoids_oracle(e, k, seed)
+    assert np.array_equal(kmedoids_hamming(e, k, seed), kmedoids_oracle(e, k, seed))
 
 
 @st.composite
@@ -537,9 +555,9 @@ def test_kmedoids_takes_the_first_of_tied_restarts(monkeypatch):
     part = kmedoids_hamming(e, 2, seed=0)
     (labels, objs), = seen
     winners = np.flatnonzero(objs == objs.min())
-    assert len({Partition.from_labels(labels[i], 2) for i in winners}) > 1
-    assert part == Partition.from_labels(labels[winners[0]], 2)
-    assert part == kmedoids_oracle(e, 2, seed=0)
+    assert len({clustering._first_appearance(labels[i]).tobytes() for i in winners}) > 1
+    assert np.array_equal(part, clustering._first_appearance(labels[winners[0]]))
+    assert np.array_equal(part, kmedoids_oracle(e, 2, seed=0))
 
 
 def test_clusterers_match_oracles_on_party_and_random_elections(rng, monkeypatch):
@@ -551,8 +569,9 @@ def test_clusterers_match_oracles_on_party_and_random_elections(rng, monkeypatch
     for e in elections:
         e.clear_cache()
     monkeypatch.setattr(clustering, "_kmeans", kmeans_oracle)
-    assert spectral == [spectral_pcc(e, k, seed=4) for e, k in cases]
-    assert medoids == [kmedoids_oracle(e, k, seed=4) for e, k in cases]
+    for (e, k), spec, med in zip(cases, spectral, medoids):
+        assert np.array_equal(spec, spectral_pcc(e, k, seed=4))
+        assert np.array_equal(med, kmedoids_oracle(e, k, seed=4))
 
 
 # -- the spectral eigensystem: rank-(m + 2) factor against the dense eigh ---
@@ -607,7 +626,7 @@ def test_affinity_factor_past_uint8_candidate_counts():
     want = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
     assert np.abs((factor * signs) @ factor.T - want).max() <= 1e-12
     e = Election((rng.random((400, 260)) < 0.3).astype(np.uint8))
-    assert len(spectral_pcc(e, 3, seed=0).groups()) == 3
+    assert spectral_pcc(e, 3, seed=0).shape == (400,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,7 +655,8 @@ def test_spectral_partitions_match_dense_path(rng, monkeypatch):
     for e in elections:
         e.clear_cache()
     monkeypatch.setattr(clustering, "_compute_spectral_groups", dense_spectral_groups)
-    assert factored == [spectral_pcc(e, k, seed=9) for e, k in cases]
+    for (e, k), labels in zip(cases, factored):
+        assert np.array_equal(labels, spectral_pcc(e, k, seed=9))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,8 +1,12 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import approvaldap
 from approvaldap.core import (
     Election,
     approval_score,
@@ -16,6 +20,16 @@ from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_tria
 from approvaldap.metrics import intersection_matrix
 
 from conftest import BOUNDARY_WIDTHS, make_random_election
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["approvaldap"] + [f"approvaldap.{m.name}" for m in pkgutil.iter_modules(approvaldap.__path__)],
+)
+def test_public_names_resolve(module):
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{module}.__all__ names missing {name}"
 
 
 def test_construction_validates_entries():

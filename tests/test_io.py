@@ -188,6 +188,16 @@ def test_read_native_rejects_non_integer_indices():
         read_native('{"num_candidates": 2, "ballots": [["a"]]}')
 
 
+def test_read_native_rejects_non_integer_candidate_counts():
+    # int() would read these as 2, 1 and 3
+    for count in ("2.7", "true", '"3"'):
+        with pytest.raises(ParseError):
+            read_native(f'{{"num_candidates": {count}, "ballots": [[0]]}}')
+    with pytest.raises(ParseError):
+        read_native('{"num_candidates": 0, "ballots": [[]]}')
+    assert read_native('{"num_candidates": 3, "ballots": [[2]]}').num_candidates == 3
+
+
 # -- the one-pass token mapping against the per-token parser ------------------
 
 
