@@ -186,8 +186,8 @@ def _cmd_index(args) -> int:
         path = Path(raw)
         try:
             e = _read_election(path)
-        except FileNotFoundError:
-            print(f"error: {path}: no such file", file=sys.stderr)
+        except OSError as exc:  # missing, a directory, unreadable, ...
+            print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
             failures += 1
             continue
         except (ParseError, UnicodeDecodeError) as exc:
@@ -342,7 +342,12 @@ def _map_manifest(doc):
         path = Path(raw["path"])
         if not path.exists():
             raise ManifestError(f"{pointer}/path", f"no such file: {path}")
-        e = _read_election(path)
+        try:
+            e = _read_election(path)
+        except OSError as exc:
+            raise ManifestError(f"{pointer}/path", f"{path}: {exc.strerror or exc}") from None
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ManifestError(f"{pointer}/path", f"{path}: {exc}") from None
         items.append((e.label or path.name, raw.get("group", "file"), e))
     if len(items) < 2:
         raise ManifestError("/", "map needs at least two elections (entries plus files)")

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Election, restrict_voters, seeded_rng
-from .metrics import intersection_matrix, pcc_matrix, pcc_weights
+from .metrics import pcc_matrix, pcc_weights
 
 __all__ = [
     "kmedoids_hamming",
@@ -92,11 +92,11 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     loop stops once the total intra-cluster distance stops decreasing (or
     after 100 rounds).  The best of 10 seeded k-means++ style
     initializations, picked together (:func:`_plus_plus_picks`), is
-    returned, the first one on ties.  One float64
-    distance matrix, built from the memoised intersection matrix, serves
-    all 10 restarts, which descend together (see
-    :func:`_kmedoids_descent`); distances are small integers, so every sum
-    of them is exact in float64.
+    returned, the first one on ties.  Every distance comes from the two
+    ``n x (m + 2)`` Hamming factors of the election (see
+    :func:`_hamming_factors`), memoised so that every cluster count shares
+    them; no ``n x n`` matrix is formed.  The 10 restarts descend together
+    (see :func:`_kmedoids_descent`).
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
@@ -106,35 +106,67 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     if k == 1:
         return np.zeros(n, dtype=np.intp)
 
-    # |u| + |v| - 2|u & v|, built in place so no int64 n x n copy is made
-    lengths = e.ballot_lengths()
-    dist = intersection_matrix(e) * -2.0
-    dist += lengths[:, None]
-    dist += lengths[None, :]
+    left, right = _hamming_factors(e)
     rngs = [seeded_rng(seed, _MEDOID_STREAM + start) for start in range(_KMEDOIDS_RESTARTS)]
     medoids = np.empty((_KMEDOIDS_RESTARTS, k), dtype=np.int64)
     medoids[:, 0] = [rng.integers(n) for rng in rngs]
-    closest = dist[medoids[:, 0]]
+    closest = np.full((_KMEDOIDS_RESTARTS, n), math.inf)
     for c in range(1, k):
+        # each start's distances to its latest pick: one (r, n) product
+        np.minimum(closest, right[medoids[:, c - 1]] @ left.T, out=closest)
         medoids[:, c] = _plus_plus_picks(closest, medoids[:, :c], rngs)
-        np.minimum(closest, dist[medoids[:, c]], out=closest)
-    labels, objs = _kmedoids_descent(dist, medoids)
+    labels, objs = _kmedoids_descent(left, right, medoids)
     return _first_appearance(labels[int(np.argmin(objs))])
 
 
-def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray):
+def _hamming_factors(e: Election) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, right)``: two read-only ``n x (m + 2)`` float64 factors of the
+    Hamming matrix, memoised on the election.
+
+    With the ballot lengths ``l`` and the 0/1 ballots ``X``, ``left = [l, 1, X]``
+    and ``right = [1, l, -2X]``, so ``left[i] @ right[j] = l_i + l_j -
+    2 |x_i & x_j|``, the Hamming distance of ballots i and j.  Every entry
+    is a small integer, so every product and sum of them is exact in float64.
+    """
+
+    def compute():
+        n, m = e.num_voters, e.num_candidates
+        lengths = e.ballot_lengths()
+        left = np.empty((n, m + 2))
+        left[:, 0] = lengths
+        left[:, 1] = 1.0
+        left[:, 2:] = e.matrix
+        right = np.empty((n, m + 2))
+        right[:, 0] = 1.0
+        right[:, 1] = lengths
+        np.multiply(e.matrix, -2.0, out=right[:, 2:])
+        left.setflags(write=False)
+        right.setflags(write=False)
+        return left, right
+
+    return e._cache("hamming_factors", compute)
+
+
+def _kmedoids_descent(left: np.ndarray, right: np.ndarray, medoids: np.ndarray):
     """Descend from ``r`` starts of ``k`` medoids, shape ``(r, k)``; update
     them in place and return ``(r, n)`` labels and an int64 array of the
     ``r`` objectives.
 
-    Each start descends as it would alone: the live starts share each
-    round's column gather for the labels and one ``(a k x n) @ dist``
-    product for the costs, and a start leaves once its objective stops
+    The distance from point i to candidate medoid j is ``left[i] @
+    right[j]``: the Hamming factors of :func:`_hamming_factors`, or any
+    ``n x n`` matrix ``dist`` as ``left = dist`` with ``right = I``.  Each
+    start descends as it would alone.  The live starts share each round's
+    ``(a k, n)`` distance product for the labels, one product ``Z @ left``
+    of the one-hot cluster matrix for every cluster's sums (for Hamming: the
+    members' total length, their count and their approval counts), and one
+    product of those sums with ``right.T`` for every cluster's medoid costs.
+    A round's objective is the cost of the new medoids on the round's
+    labels, read off those costs.  A start leaves once its objective stops
     falling (its medoids already moved that round).  The costs are sums of
-    integer distances, exact in float64 whatever the product's shape, so
-    the medoids are those of separate descents.
+    integer distances, exact in float64 whatever the products' shapes, so
+    the medoids are those of separate descents on the distance matrix.
     """
-    n = dist.shape[0]
+    n = left.shape[0]
     r, k = medoids.shape
     voters = np.arange(n)
     live = np.arange(r)
@@ -142,20 +174,21 @@ def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray):
     for _ in range(_KMEDOIDS_MAX_ITER):
         a = live.size
         current = medoids[live]
-        labels = _kmedoid_labels(dist, current)
-        # costs[i * k + c, j]: total distance from ballot j to the members of
-        # cluster c of live start i, one BLAS product for every cluster of
-        # every live start; non-members are never chosen
+        labels = np.argmin(_medoid_distances(left, right, current), axis=1)
+        # costs[i * k + c, j]: total distance from the members of cluster c
+        # of live start i to ballot j; non-members are never chosen
         rows = labels + (k * np.arange(a))[:, None]
         onehot = np.zeros((a * k, n))
         onehot[rows, voters] = 1.0
-        costs = onehot @ dist
+        costs = (onehot @ left) @ right.T
         costs[onehot == 0.0] = math.inf
+        best = np.argmin(costs, axis=1)
+        cost = costs[np.arange(a * k), best]
+        filled = cost < math.inf  # empty clusters keep their medoid
         flat = current.reshape(-1)
-        filled = np.bincount(rows.ravel(), minlength=a * k) > 0  # empty clusters keep their medoid
-        flat[filled] = np.argmin(costs[filled], axis=1)
+        flat[filled] = best[filled]
         medoids[live] = current
-        obj = _kmedoid_objectives(dist, current, labels)
+        obj = np.where(filled, cost, 0.0).reshape(a, k).sum(axis=1).astype(np.int64)
         if np.any(obj > prev_obj[live]):
             raise RuntimeError("k-medoids objective increased")
         falling = obj < prev_obj[live]
@@ -163,21 +196,15 @@ def _kmedoids_descent(dist: np.ndarray, medoids: np.ndarray):
         live = live[falling]
         if live.size == 0:
             break
-    labels = _kmedoid_labels(dist, medoids)
-    return labels, _kmedoid_objectives(dist, medoids, labels)
+    dist = _medoid_distances(left, right, medoids)
+    return np.argmin(dist, axis=1), dist.min(axis=1).sum(axis=1).astype(np.int64)
 
 
-def _kmedoid_labels(dist: np.ndarray, medoids: np.ndarray) -> np.ndarray:
-    """``(r, n)`` nearest-medoid labels of ``r`` starts, lowest id on ties."""
+def _medoid_distances(left: np.ndarray, right: np.ndarray, medoids: np.ndarray) -> np.ndarray:
+    """``(r, k, n)`` distances from every point to the medoids of ``r`` starts;
+    labels are their argmin over axis 1, lowest id on ties."""
     r, k = medoids.shape
-    gathered = dist[:, medoids.reshape(-1)].reshape(dist.shape[0], r, k)
-    return np.argmin(gathered, axis=2).T
-
-
-def _kmedoid_objectives(dist: np.ndarray, medoids: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Total distance of each voter to its labelled medoid, one int per start."""
-    chosen = np.take_along_axis(medoids, labels, axis=1)
-    return dist[np.arange(dist.shape[0]), chosen].sum(axis=1).astype(np.int64)
+    return (right[medoids.reshape(-1)] @ left.T).reshape(r, k, -1)
 
 
 def _compute_spectral_groups(e: Election):

@@ -81,6 +81,20 @@ def test_index_pabulib_and_missing_file(capsys):
     assert float(lines[1].split(",")[2]) < 0.5  # sparse approvals
 
 
+def test_index_reports_a_directory_and_keeps_the_other_rows(tmp_path, capsys):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    good = str(DATA / "city_small.pb")
+    code, stdout, stderr = run(
+        capsys, "index", good, str(adir), good, "--indices", "satr,pair_agr", "--seed", "0",
+    )
+    assert code == 1
+    assert f"error: {adir}: " in stderr
+    lines = stdout.strip().splitlines()
+    assert len(lines) == 3  # header plus the two readable files
+    assert lines[1].split(",")[2:] == lines[2].split(",")[2:]
+
+
 def test_index_rejects_unknown_index(capsys):
     code, _, stderr = run(capsys, "index", "whatever.json", "--indices", "bogus", "--seed", "0")
     assert code == 2 and "bogus" in stderr
@@ -184,6 +198,21 @@ def test_map_manifest_missing_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and "/entries/1/spec" in stderr and "needs parameter(s) k" in stderr
+
+
+def test_map_manifest_names_a_bad_file_and_its_pointer(tmp_path, capsys):
+    party = {"family": "k_party", "m": 6, "n": 6, "seed": 0, "params": {"k": 2}}
+    bad = DATA / "unknown_project.pb"
+    doc = {"seed": 1, "entries": [{"spec": party}], "files": [str(DATA / "city_small.pb"), str(bad)]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"/files/1/path: {bad}: " in stderr and "undeclared project" in stderr
+    doc["files"] = [str(tmp_path)]  # a directory
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
+    assert code == 2 and f"/files/0/path: {tmp_path}: " in stderr
 
 
 def test_bundled_synthetic_manifest_loads():

@@ -107,9 +107,9 @@ def test_kmedoids_descent_checks_its_objective():
     # the objective; the check is a real exception, not an assert that -O strips
     from approvaldap.clustering import _kmedoids_descent
 
-    dist = np.array([[3, 2, 2, 1], [1, 0, 0, 0], [0, 3, 2, 3], [2, 2, 3, 2]])
+    dist = np.array([[3, 2, 2, 1], [1, 0, 0, 0], [0, 3, 2, 3], [2, 2, 3, 2]], dtype=np.float64)
     with pytest.raises(RuntimeError, match="objective increased"):
-        _kmedoids_descent(dist, np.array([[0, 1]]))
+        _kmedoids_descent(dist, np.eye(4), np.array([[0, 1]]))
 
 
 def test_spectral_trivial_cases(rng):
@@ -456,7 +456,8 @@ def test_kmedoids_descent_matches_oracle(case):
     dist = hamming_matrix(e)
     medoids = np.random.default_rng(seed).choice(e.num_voters, size=k, replace=False)
     fast_medoids, slow_medoids = medoids.copy(), medoids.copy()
-    labels, objs = clustering._kmedoids_descent(dist.astype(np.float64), fast_medoids[None])
+    left, right = clustering._hamming_factors(e)
+    labels, objs = clustering._kmedoids_descent(left, right, fast_medoids[None])
     want_labels, want_obj = kmedoids_descent_oracle(dist, slow_medoids)
     assert np.array_equal(fast_medoids, slow_medoids)
     assert np.array_equal(labels[0], want_labels)
@@ -471,29 +472,105 @@ def test_kmedoids_matches_oracle(case):
 
 
 @st.composite
+def kmedoids_elections(draw):
+    """Random elections with m on and off byte boundaries, all-equal ones
+    (every distance is 0, so seeding takes the uniform fallback), and
+    cluster counts from 1 to past n."""
+    m = draw(st.sampled_from([1, 3, 7, 8, 9, 15, 16, 17, 24, 31]))
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        matrix = (rng.random((n, m)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+    else:
+        matrix = np.tile((rng.random(m) < 0.5).astype(np.uint8), (n, 1))
+    k = draw(st.integers(1, n + 2))
+    return Election(matrix), k, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(kmedoids_elections())
+def test_kmedoids_matches_oracle_on_edge_elections(case):
+    # k >= n gives every voter its own cluster; the oracle covers k < n
+    e, k, seed = case
+    n = e.num_voters
+    want = np.arange(n) if k >= n else kmedoids_oracle(e, k, seed)
+    assert np.array_equal(kmedoids_hamming(e, k, seed), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 7, 8, 9, 255, 256, 300]), st.integers(1, 20), st.integers(0, 2**32 - 1))
+def test_hamming_factors_reproduce_hamming_matrix(m, n, seed):
+    rng = np.random.default_rng(seed)
+    e = Election((rng.random((n, m)) < rng.uniform(0.05, 0.95)).astype(np.uint8))
+    left, right = clustering._hamming_factors(e)
+    assert left.shape == right.shape == (n, m + 2)
+    assert not left.flags.writeable and not right.flags.writeable
+    assert np.array_equal(left @ right.T, hamming_matrix(e))
+
+
+def test_kmedoids_path_builds_no_square_matrix(monkeypatch):
+    # cntr_div and cntr_pol cluster by k-medoids and score the clusters by
+    # central agreement: neither needs a pairwise kernel
+    from approvaldap import metrics
+    from approvaldap.divpol import cntr_div, cntr_pol
+
+    spec = CultureSpec("resampling", 40, 300, seed=1, params={"p": 0.2, "phi": 0.5})
+    want = [cntr_div(sample(spec), seed=3), cntr_pol(sample(spec), seed=3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an n x n pairwise matrix was built")
+
+    monkeypatch.setattr(metrics, "intersection_matrix", refuse)
+    monkeypatch.setattr(metrics, "_products", refuse)
+    e = sample(spec)
+    assert e.num_voters == 300
+    assert [cntr_div(e, seed=3), cntr_pol(e, seed=3)] == want
+
+
+def test_kmedoids_peak_memory_is_far_below_a_square_matrix():
+    import tracemalloc
+
+    n = 4000
+    rng = np.random.default_rng(3)
+    e = Election((rng.random((n, 50)) < 0.3).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        kmedoids_hamming(e, 5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 n x n matrix is 8 n^2 bytes
+    assert peak < n * n
+
+
+@st.composite
 def descent_starts(draw):
-    """A distance matrix, ``r`` starts of ``k`` distinct medoids each, and a
-    round cap.  The matrix is either the Hamming matrix of an election with
-    repeated ballots (empty clusters, k up to and past the distinct
-    ballots) or an asymmetric positive one with a zero diagonal, on which a
-    gather of rows instead of columns gives other labels.  Low caps stop
-    starts mid-descent; the starts also stop in different rounds of their
-    own."""
+    """A distance matrix with the factors ``(left, right)`` of the descent,
+    ``r`` starts of ``k`` distinct medoids each, and a round cap.  The
+    matrix is either the Hamming matrix of an election with repeated
+    ballots (empty clusters, k up to and past the distinct ballots), as
+    the election's Hamming factors, or an asymmetric positive one with a
+    zero diagonal, as ``left = dist`` and ``right = I``, on which a gather
+    of rows instead of columns gives other labels.  Low caps stop starts
+    mid-descent; the starts also stop in different rounds of their own."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
         e, _, _ = draw(repeated_elections())
-        dist = hamming_matrix(e).astype(np.float64)
+        dist = hamming_matrix(e)
+        left, right = clustering._hamming_factors(e)
     else:
         n = draw(st.integers(3, 30))
         dist = rng.integers(1, 10, size=(n, n)).astype(np.float64)
         np.fill_diagonal(dist, 0.0)
+        left, right = dist, np.eye(n)
     n = dist.shape[0]
     k = draw(st.integers(2, n - 1))
     r = draw(st.integers(1, clustering._KMEDOIDS_RESTARTS))
     starts = np.stack([rng.choice(n, size=k, replace=False) for _ in range(r)])
     cap = draw(st.sampled_from([1, 2, 3, clustering._KMEDOIDS_MAX_ITER]))
-    return dist, starts, cap
+    return (dist, left, right), starts, cap
 
 
 # a start that stops at an equal objective: had it descended one more
@@ -513,15 +590,21 @@ PLATEAU = np.array(
 
 @settings(max_examples=300, deadline=None)
 @given(descent_starts())
-@example((PLATEAU, np.array([[3, 1], [0, 5], [4, 2]]), clustering._KMEDOIDS_MAX_ITER))
+@example(
+    (
+        (PLATEAU, PLATEAU, np.eye(6)),
+        np.array([[3, 1], [0, 5], [4, 2]]),
+        clustering._KMEDOIDS_MAX_ITER,
+    )
+)
 def test_stacked_kmedoids_descent_matches_one_start_at_a_time(case):
-    dist, starts, cap = case
+    (dist, left, right), starts, cap = case
     saved = clustering._KMEDOIDS_MAX_ITER
     clustering._KMEDOIDS_MAX_ITER = cap
     try:
         stacked = starts.copy()
-        labels, objs = clustering._kmedoids_descent(dist, stacked)
-        rows = [clustering._kmedoids_descent(dist, row[None]) for row in starts.copy()]
+        labels, objs = clustering._kmedoids_descent(left, right, stacked)
+        rows = [clustering._kmedoids_descent(left, right, row[None]) for row in starts.copy()]
         oracle_medoids = starts.copy()
         oracle = [kmedoids_descent_oracle(dist, row) for row in oracle_medoids]
     finally:
@@ -546,8 +629,8 @@ def test_kmedoids_takes_the_first_of_tied_restarts(monkeypatch):
     seen = []
     descend = clustering._kmedoids_descent
 
-    def spy(dist, medoids):
-        labels, objs = descend(dist, medoids)
+    def spy(left, right, medoids):
+        labels, objs = descend(left, right, medoids)
         seen.append((labels.copy(), objs.copy()))
         return labels, objs
 
