@@ -22,7 +22,7 @@ from . import experiments
 from . import io as eio
 from .core import Election, stats, subsample
 from .divpol import check_out_div_size
-from .generators import FAMILIES, CultureSpec, gen_noisy, sample
+from .generators import FAMILIES, CultureSpec, SpecError, gen_noisy, sample
 from .io import ParseError
 
 
@@ -249,6 +249,8 @@ def _parse_spec(entry, pointer: str) -> CultureSpec:
         raise ManifestError(f"{pointer}/seed", "manifests must pin an explicit seed")
     try:
         return CultureSpec.from_dict(entry)
+    except SpecError as exc:
+        raise ManifestError(f"{pointer}{exc.field}", exc.message) from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ManifestError(pointer, str(exc)) from None
 

@@ -28,6 +28,9 @@ __all__ = [
     "restrict_candidates",
 ]
 
+_KEY_MASK = 0xFFFFFFFFFFFFFFFF
+
+
 def seeded_rng(seed: int, substream: int = 0) -> Generator:
     """Counter-based RNG stream, reproducible across platforms and threads.
 
@@ -35,8 +38,30 @@ def seeded_rng(seed: int, substream: int = 0) -> Generator:
     so callers may draw from several substreams in any order (or in
     parallel) and still obtain identical results.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, substream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([seed & _KEY_MASK, substream & _KEY_MASK], dtype=np.uint64)
     return Generator(Philox(key=key))
+
+
+def stream_uniforms(seed: int, substreams: Iterable[int], count: int) -> np.ndarray:
+    """``(len(substreams), count)`` float64 array whose row ``i`` is bitwise
+    ``seeded_rng(seed, substreams[i]).random(count)``.
+
+    One ``Philox`` serves every row: before each row its state is reset to
+    the row's key with a zero counter and an empty buffer, which is the
+    state a new ``Philox(key=...)`` starts from, so no generator (and no
+    OS entropy for a discarded ``SeedSequence``) is built per row.
+    """
+    subs = [int(sub) & _KEY_MASK for sub in substreams]
+    out = np.empty((len(subs), count))
+    bitgen = Philox(key=np.array([int(seed) & _KEY_MASK, 0], dtype=np.uint64))
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    draw = Generator(bitgen).random
+    for row, sub in zip(out, subs):
+        key[1] = sub
+        bitgen.state = fresh
+        draw(count, out=row)
+    return out
 
 
 class Election:

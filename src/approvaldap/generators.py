@@ -1,24 +1,30 @@
 """Seeded samplers for special and synthetic election families.
 
 Randomized families draw every voter from its own counter-based
-substream, so elections are reproducible across platforms and identical
-whether votes are generated sequentially or in parallel.  Deterministic
-families (identity, party, diagonal, triangle, cyclic) ignore the seed.
+substream: voter ``i``'s draws are the first draws of Philox substream
+``(master, i)``, where ``master`` hashes the family and the seed.  The
+samplers read those streams in blocks of voters through one re-keyed bit
+generator (:func:`~approvaldap.core.stream_uniforms`), so a ballot depends
+neither on ``n`` nor on the block size, and elections are reproducible
+across platforms.  Deterministic families (identity, party, diagonal,
+triangle, cyclic) ignore the seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Election, seeded_rng
+from .core import Election, seeded_rng, stream_uniforms
 
 __all__ = [
     "CultureSpec",
+    "SpecError",
     "FAMILIES",
     "Family",
     "sample",
@@ -44,18 +50,33 @@ __all__ = [
 # (point clouds, group splits, per-group parameters) start here
 _ELECTION_STREAM = 1 << 32
 
+# float64 draws read per block of voters: 2 MB of scratch whatever n is
+_BLOCK_DRAWS = 1 << 18
+
 
 def _master(family: str, seed: int) -> int:
     digest = hashlib.blake2b(f"{family}:{seed}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
-def _voter_rng(master: int, voter: int):
-    return seeded_rng(master, voter)
-
-
 def _election_rng(master: int, slot: int = 0):
     return seeded_rng(master, _ELECTION_STREAM + slot)
+
+
+def _voter_rows(master: int, voters: range, m: int, draws: int, approve) -> np.ndarray:
+    """uint8 ballots of ``voters``, ``m`` wide, read in blocks of voters.
+
+    ``approve(rows, u)`` maps a slice of voter indices and the first
+    ``draws`` uniforms of each of those voters' substreams to their
+    ballots, so a ballot depends neither on ``n`` nor on the block size.
+    """
+    out = np.empty((len(voters), m), dtype=np.uint8)
+    step = max(1, _BLOCK_DRAWS // draws)
+    for start in range(0, len(voters), step):
+        block = voters[start : start + step]
+        rows = slice(block.start, block.stop)
+        out[start : start + len(block)] = approve(rows, stream_uniforms(master, block, draws))
+    return out
 
 
 def _check_sizes(m: int, n: int) -> None:
@@ -142,8 +163,9 @@ def gen_cyclic(m: int) -> Election:
     tail = max(m // 2 - 1, 0)
     if tail:
         first[m - tail :] = 1
-    mat = np.stack([np.roll(first, i) for i in range(m)])
-    return Election(mat)
+    # ballot i is ``first`` rolled right by i
+    idx = np.arange(m)
+    return Election(first[(idx - idx[:, None]) % m])
 
 
 # -- randomized cultures -----------------------------------------------
@@ -154,8 +176,7 @@ def gen_p_ic(m: int, n: int, p: float, seed: int) -> Election:
     _check_sizes(m, n)
     _check_prob(p, "p")
     master = _master("p_ic", seed)
-    rows = [(_voter_rng(master, i).random(m) < p) for i in range(n)]
-    return Election(np.array(rows, dtype=np.uint8))
+    return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < p))
 
 
 def gen_iam(m: int, n: int, probs: Sequence[float], seed: int) -> Election:
@@ -164,17 +185,17 @@ def gen_iam(m: int, n: int, probs: Sequence[float], seed: int) -> Election:
     pvec = np.asarray(probs, dtype=np.float64)
     if pvec.shape != (m,):
         raise ValueError(f"need {m} per-candidate probabilities, got shape {pvec.shape}")
-    if pvec.min() < 0.0 or pvec.max() > 1.0:
-        raise ValueError("per-candidate probabilities must lie in [0, 1]")
+    # NaN fails both comparisons
+    if not ((pvec >= 0.0) & (pvec <= 1.0)).all():
+        raise ValueError(f"per-candidate probabilities must lie in [0, 1], got {pvec.tolist()}")
     master = _master("iam", seed)
-    rows = [(_voter_rng(master, i).random(m) < pvec) for i in range(n)]
-    return Election(np.array(rows, dtype=np.uint8))
+    return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < pvec))
 
 
-def _resample_row(rng, central: np.ndarray, p: float, phi: float) -> np.ndarray:
-    resampled = rng.random(central.size) < phi
-    fresh = rng.random(central.size) < p
-    return np.where(resampled, fresh, central.astype(bool))
+def _resampled(u: np.ndarray, central: np.ndarray, p, phi: float) -> np.ndarray:
+    # a voter's first m draws pick the resampled entries, the next m redraw them
+    m = central.shape[-1]
+    return np.where(u[:, :m] < phi, u[:, m:] < p, central)
 
 
 def gen_resampling(m: int, n: int, p: float, phi: float, seed: int) -> Election:
@@ -183,10 +204,11 @@ def gen_resampling(m: int, n: int, p: float, phi: float, seed: int) -> Election:
     _check_sizes(m, n)
     _check_prob(p, "p")
     _check_prob(phi, "phi")
-    central = _id_prefix(m, p)
+    central = _id_prefix(m, p).astype(bool)
     master = _master("resampling", seed)
-    rows = [_resample_row(_voter_rng(master, i), central, p, phi) for i in range(n)]
-    return Election(np.array(rows, dtype=np.uint8))
+    return Election(
+        _voter_rows(master, range(n), m, 2 * m, lambda rows, u: _resampled(u, central, p, phi))
+    )
 
 
 def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
@@ -203,7 +225,14 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
     rng = _election_rng(_master("euclidean", seed))
     cand_pts = rng.random((m, 2))
     voter_pts = rng.random((n, 2))
-    dist = np.linalg.norm(voter_pts[:, None, :] - cand_pts[None, :, :], axis=2)
+    # bitwise np.linalg.norm(voter_pts[:, None] - cand_pts, axis=2), without
+    # its (n, m, 2) temporaries
+    dist = voter_pts[:, 0, None] - cand_pts[:, 0]
+    dist *= dist
+    dy = voter_pts[:, 1, None] - cand_pts[:, 1]
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
     if variant in (1, 2):
         radius = 0.117 if variant == 1 else 0.167
         mat = dist < radius
@@ -213,9 +242,10 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
     else:
         counts = np.full(n, min(10, m)) if variant == 4 else rng.integers(1, m + 1, size=n)
         order = np.argsort(dist, axis=1, kind="stable")
-        mat = np.zeros((n, m), dtype=np.uint8)
-        for i in range(n):
-            mat[i, order[i, : counts[i]]] = 1
+        # each candidate's place in its voter's stable distance order
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.broadcast_to(np.arange(m), order.shape), axis=1)
+        mat = ranks < counts[:, None]
     return Election(np.asarray(mat, dtype=np.uint8))
 
 
@@ -225,19 +255,20 @@ def gen_id_ic(m: int, n: int, p: float, seed: int) -> Election:
     _check_sizes(m, n)
     _check_prob(p, "p")
     n_id = n // 2
-    central = _id_prefix(m, p)
     master = _master("id_ic", seed)
-    rows = [central] * n_id
-    rows += [(_voter_rng(master, i).random(m) < p).astype(np.uint8) for i in range(n_id, n)]
-    return Election(np.array(rows, dtype=np.uint8))
+    ic = _voter_rows(master, range(n_id, n), m, m, lambda rows, u: u < p)
+    return Election(np.concatenate([np.tile(_id_prefix(m, p), (n_id, 1)), ic]))
 
 
 def gen_lin_ic(m: int, n: int, seed: int) -> Election:
     """Impartial culture with approval probability sliding from 1 down to ``1/n``."""
     _check_sizes(m, n)
     master = _master("lin_ic", seed)
-    rows = [(_voter_rng(master, i).random(m) < (1.0 - i / n)) for i in range(n)]
-    return Election(np.array(rows, dtype=np.uint8))
+
+    def approve(rows, u):
+        return u < (1.0 - np.arange(rows.start, rows.stop) / n)[:, None]
+
+    return Election(_voter_rows(master, range(n), m, m, approve))
 
 
 def gen_noisy(base: Election, phi: float, seed: int) -> Election:
@@ -247,13 +278,19 @@ def gen_noisy(base: Election, phi: float, seed: int) -> Election:
     _check_prob(phi, "phi")
     m = base.num_candidates
     master = _master("noisy", seed)
-    lengths = base.ballot_lengths()
-    mat = base.matrix
-    rows = [
-        _resample_row(_voter_rng(master, i), mat[i], lengths[i] / m, phi)
-        for i in range(base.num_voters)
-    ]
-    return Election(np.array(rows, dtype=np.uint8), label=base.label)
+    fractions = base.ballot_lengths() / m
+    central = base.matrix.astype(bool)
+
+    def approve(rows, u):
+        return _resampled(u, central[rows], fractions[rows, None], phi)
+
+    mat = _voter_rows(master, range(base.num_voters), m, 2 * m, approve)
+    return Election(mat, label=base.label)
+
+
+def _group_uniforms(master: int, k: int, m: int) -> np.ndarray:
+    # row g: the first m draws of election slot 1 + g
+    return stream_uniforms(master, range(_ELECTION_STREAM + 1, _ELECTION_STREAM + 1 + k), m)
 
 
 def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
@@ -265,8 +302,8 @@ def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
         raise ValueError("group count must be positive")
     master = _master("id_mixture", seed)
     groups = _election_rng(master).integers(0, k, size=n)
-    ballots = {g: (_election_rng(master, 1 + g).random(m) < p).astype(np.uint8) for g in range(k)}
-    return Election(np.array([ballots[g] for g in groups], dtype=np.uint8))
+    ballots = _group_uniforms(master, k, m) < p
+    return Election(ballots.astype(np.uint8)[groups])
 
 
 def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
@@ -277,9 +314,8 @@ def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
         raise ValueError("group count must be positive")
     master = _master("iam_mixture", seed)
     groups = _election_rng(master).integers(0, k, size=n)
-    probs = {g: _election_rng(master, 1 + g).random(m) for g in range(k)}
-    rows = [(_voter_rng(master, i).random(m) < probs[groups[i]]) for i in range(n)]
-    return Election(np.array(rows, dtype=np.uint8))
+    probs = _group_uniforms(master, k, m)
+    return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < probs[groups[rows]]))
 
 
 def _random_composition(total: int, k: int, rng) -> list[int]:
@@ -357,6 +393,53 @@ FAMILIES: dict[str, Family] = {
 # -- declarative specs --------------------------------------------------
 
 
+class SpecError(ValueError):
+    """A culture spec field of the wrong type or value; ``field`` is its
+    JSON pointer within the spec's dict form, such as ``/m`` or ``/params/p``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def _check_integer(value, field: str) -> None:
+    # a JSON integer or a numpy one: bool is an int subclass, and int()
+    # would truncate 5.9 and parse "5"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(field, f"must be an integer, got {value!r}")
+
+
+def _check_real(value, field: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(field, f"must be a number, got {value!r}")
+
+
+def _check_reals(value, field: str) -> None:
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise SpecError(field, f"must be a list of numbers, got {value!r}")
+    for i, item in enumerate(value):
+        _check_real(item, f"{field}/{i}")
+
+
+def _check_base(value, field: str) -> None:
+    if not isinstance(value, (CultureSpec, Mapping)):
+        raise SpecError(field, f"must be a culture spec, got {value!r}")
+
+
+# the type check of each family parameter, by name
+_PARAM_CHECKS = {
+    "p": _check_real,
+    "phi": _check_real,
+    "x": _check_real,
+    "y": _check_real,
+    "k": _check_integer,
+    "variant": _check_integer,
+    "probs": _check_reals,
+    "base": _check_base,
+}
+
+
 @dataclass(frozen=True)
 class CultureSpec:
     """Declarative description of one election draw.
@@ -378,9 +461,13 @@ class CultureSpec:
         family = FAMILIES.get(self.family)
         if family is None:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("m", "n", "seed"):
+            _check_integer(getattr(self, name), f"/{name}")
         missing = [name for name in family.params if name not in self.params]
         if missing:
             raise ValueError(f"family {self.family!r} needs parameter(s) {', '.join(missing)}")
+        for name in family.params:
+            _PARAM_CHECKS[name](self.params[name], f"/params/{name}")
         if family.square and self.m != self.n:
             raise ValueError(f"{self.family} elections require n = m, got m={self.m}, n={self.n}")
 
@@ -406,12 +493,15 @@ class CultureSpec:
     def from_dict(cls, data: Mapping) -> "CultureSpec":
         params = dict(data.get("params", {}))
         if "base" in params and isinstance(params["base"], Mapping):
-            params["base"] = cls.from_dict(params["base"])
+            try:
+                params["base"] = cls.from_dict(params["base"])
+            except SpecError as exc:
+                raise SpecError(f"/params/base{exc.field}", exc.message) from None
         return cls(
             family=data["family"],
-            m=int(data["m"]),
-            n=int(data["n"]),
-            seed=int(data.get("seed", 0)),
+            m=data["m"],
+            n=data["n"],
+            seed=data.get("seed", 0),
             params=params,
             label=data.get("label"),
         )

@@ -1,8 +1,17 @@
-"""Slow reference forms of library indices, kept as test oracles."""
+"""Slow reference forms of library indices and samplers, kept as test oracles."""
+
+from typing import Sequence
 
 import numpy as np
 
-from approvaldap.core import Election
+from approvaldap.core import Election, seeded_rng
+from approvaldap.generators import (
+    _check_prob,
+    _check_sizes,
+    _election_rng,
+    _id_prefix,
+    _master,
+)
 from approvaldap.metrics import hamming_matrix
 
 
@@ -38,3 +47,157 @@ def pair_agr_naive(e: Election) -> float:
         raise ValueError("pairwise agreement sum undefined at saturation 0 or 1")
     ham_sum = int(hamming_matrix(e).sum())
     return 1.0 - (ham_sum * m) / (2 * total * (n * m - total))
+
+
+# -- samplers drawn with one Generator per voter, before the library read
+# every voter's stream through one re-keyed bit generator --------------
+
+
+def _voter_rng(master: int, voter: int):
+    return seeded_rng(master, voter)
+
+
+def gen_cyclic(m: int) -> Election:
+    """First ballot approves candidate 1 and the last ``floor(m/2) - 1``
+    candidates; each next ballot is the previous shifted cyclically right."""
+    _check_sizes(m, m)
+    first = np.zeros(m, dtype=np.uint8)
+    first[0] = 1
+    tail = max(m // 2 - 1, 0)
+    if tail:
+        first[m - tail :] = 1
+    mat = np.stack([np.roll(first, i) for i in range(m)])
+    return Election(mat)
+
+
+def gen_p_ic(m: int, n: int, p: float, seed: int) -> Election:
+    """Impartial culture: every entry approved independently with probability ``p``."""
+    _check_sizes(m, n)
+    _check_prob(p, "p")
+    master = _master("p_ic", seed)
+    rows = [(_voter_rng(master, i).random(m) < p) for i in range(n)]
+    return Election(np.array(rows, dtype=np.uint8))
+
+
+def gen_iam(m: int, n: int, probs: Sequence[float], seed: int) -> Election:
+    """Independent approvals with a per-candidate probability vector."""
+    _check_sizes(m, n)
+    pvec = np.asarray(probs, dtype=np.float64)
+    if pvec.shape != (m,):
+        raise ValueError(f"need {m} per-candidate probabilities, got shape {pvec.shape}")
+    if pvec.min() < 0.0 or pvec.max() > 1.0:
+        raise ValueError("per-candidate probabilities must lie in [0, 1]")
+    master = _master("iam", seed)
+    rows = [(_voter_rng(master, i).random(m) < pvec) for i in range(n)]
+    return Election(np.array(rows, dtype=np.uint8))
+
+
+def _resample_row(rng, central: np.ndarray, p: float, phi: float) -> np.ndarray:
+    resampled = rng.random(central.size) < phi
+    fresh = rng.random(central.size) < p
+    return np.where(resampled, fresh, central.astype(bool))
+
+
+def gen_resampling(m: int, n: int, p: float, phi: float, seed: int) -> Election:
+    """Each entry copies the central identity ballot with probability
+    ``1 - phi`` and is otherwise redrawn with approval probability ``p``."""
+    _check_sizes(m, n)
+    _check_prob(p, "p")
+    _check_prob(phi, "phi")
+    central = _id_prefix(m, p)
+    master = _master("resampling", seed)
+    rows = [_resample_row(_voter_rng(master, i), central, p, phi) for i in range(n)]
+    return Election(np.array(rows, dtype=np.uint8))
+
+
+def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
+    """Planar spatial model: points uniform on the unit square.
+
+    Variants: (1) approve within radius 0.117, (2) within radius 0.167,
+    (3) within a per-voter radius uniform on [0, 0.5], (4) approve the
+    ``min(10, m)`` nearest candidates, (5) approve a per-voter uniform
+    number of nearest candidates from 1..m.
+    """
+    _check_sizes(m, n)
+    if variant not in (1, 2, 3, 4, 5):
+        raise ValueError(f"euclidean variant must be 1..5, got {variant}")
+    rng = _election_rng(_master("euclidean", seed))
+    cand_pts = rng.random((m, 2))
+    voter_pts = rng.random((n, 2))
+    dist = np.linalg.norm(voter_pts[:, None, :] - cand_pts[None, :, :], axis=2)
+    if variant in (1, 2):
+        radius = 0.117 if variant == 1 else 0.167
+        mat = dist < radius
+    elif variant == 3:
+        radii = rng.random(n) * 0.5
+        mat = dist < radii[:, None]
+    else:
+        counts = np.full(n, min(10, m)) if variant == 4 else rng.integers(1, m + 1, size=n)
+        order = np.argsort(dist, axis=1, kind="stable")
+        mat = np.zeros((n, m), dtype=np.uint8)
+        for i in range(n):
+            mat[i, order[i, : counts[i]]] = 1
+    return Election(np.asarray(mat, dtype=np.uint8))
+
+
+def gen_id_ic(m: int, n: int, p: float, seed: int) -> Election:
+    """First half of the voters share the ``p``-identity ballot, the rest
+    are impartial culture with the same ``p``."""
+    _check_sizes(m, n)
+    _check_prob(p, "p")
+    n_id = n // 2
+    central = _id_prefix(m, p)
+    master = _master("id_ic", seed)
+    rows = [central] * n_id
+    rows += [(_voter_rng(master, i).random(m) < p).astype(np.uint8) for i in range(n_id, n)]
+    return Election(np.array(rows, dtype=np.uint8))
+
+
+def gen_lin_ic(m: int, n: int, seed: int) -> Election:
+    """Impartial culture with approval probability sliding from 1 down to ``1/n``."""
+    _check_sizes(m, n)
+    master = _master("lin_ic", seed)
+    rows = [(_voter_rng(master, i).random(m) < (1.0 - i / n)) for i in range(n)]
+    return Election(np.array(rows, dtype=np.uint8))
+
+
+def gen_noisy(base: Election, phi: float, seed: int) -> Election:
+    """Resample each ballot of ``base`` around itself: entries are kept
+    with probability ``1 - phi`` and otherwise redrawn with that ballot's
+    own approval fraction."""
+    _check_prob(phi, "phi")
+    m = base.num_candidates
+    master = _master("noisy", seed)
+    lengths = base.ballot_lengths()
+    mat = base.matrix
+    rows = [
+        _resample_row(_voter_rng(master, i), mat[i], lengths[i] / m, phi)
+        for i in range(base.num_voters)
+    ]
+    return Election(np.array(rows, dtype=np.uint8), label=base.label)
+
+
+def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
+    """Voters split uniformly into ``k`` groups; each group shares one
+    ballot drawn from ``p``-impartial culture."""
+    _check_sizes(m, n)
+    _check_prob(p, "p")
+    if k < 1:
+        raise ValueError("group count must be positive")
+    master = _master("id_mixture", seed)
+    groups = _election_rng(master).integers(0, k, size=n)
+    ballots = {g: (_election_rng(master, 1 + g).random(m) < p).astype(np.uint8) for g in range(k)}
+    return Election(np.array([ballots[g] for g in groups], dtype=np.uint8))
+
+
+def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
+    """Voters split uniformly into ``k`` groups; each group draws its own
+    per-candidate probabilities uniformly and votes independently."""
+    _check_sizes(m, n)
+    if k < 1:
+        raise ValueError("group count must be positive")
+    master = _master("iam_mixture", seed)
+    groups = _election_rng(master).integers(0, k, size=n)
+    probs = {g: _election_rng(master, 1 + g).random(m) for g in range(k)}
+    rows = [(_voter_rng(master, i).random(m) < probs[groups[i]]) for i in range(n)]
+    return Election(np.array(rows, dtype=np.uint8))

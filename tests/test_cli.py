@@ -166,6 +166,33 @@ def test_table_manifest_spec_pointer(tmp_path, capsys):
         assert code == 2 and "/specs/0" in stderr and message in stderr
 
 
+@pytest.mark.parametrize(
+    "field, value, pointer",
+    [
+        ("m", 5.9, "/specs/0/m"),
+        ("n", "5", "/specs/0/n"),
+        ("seed", True, "/specs/0/seed"),
+        ("params", {"p": "0.5"}, "/specs/0/params/p"),
+    ],
+)
+def test_table_manifest_checks_spec_types(tmp_path, capsys, field, value, pointer):
+    spec = {"family": "p_ic", "m": 5, "n": 5, "seed": 0, "params": {"p": 0.5}, field: value}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"seed": 1, "samples": 1, "specs": [spec]}))
+    code, _, stderr = run(capsys, "table", "--manifest", str(path), "--out-dir", str(tmp_path))
+    assert code == 2 and f"error: {pointer}: must be" in stderr
+    assert not (tmp_path / "index_table.csv").exists()
+
+
+def test_generate_iam_refuses_nan_probability(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    code, _, stderr = run(
+        capsys, "generate", "--family", "iam", "--m", "3", "--probs", "0.5,nan,0.5",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 2 and "[0, 1]" in stderr and not out.exists()
+
+
 def test_map_command(tmp_path, capsys):
     manifest = {
         "seed": 6,

@@ -1,13 +1,20 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from approvaldap import core, generators
 from approvaldap.agreement import AGREEMENT_INDICES
-from approvaldap.core import stats
+from approvaldap.core import seeded_rng, stats, stream_uniforms
+from approvaldap.experiments import compass_specs
 from approvaldap.generators import (
     FAMILIES,
     CultureSpec,
+    SpecError,
     gen_cyclic,
     gen_diagonal,
     gen_euclidean,
@@ -229,3 +236,166 @@ def test_all_families_produce_valid_elections():
         e = sample(CultureSpec(family, 12, 12, seed=1, params=par))
         assert e.num_candidates == 12 and e.num_voters == 12
         assert e.matrix.max() <= 1
+
+
+def test_iam_rejects_non_finite_probabilities():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            gen_iam(3, 4, [0.5, bad, 0.5], seed=0)
+
+
+@pytest.mark.parametrize("key", ["m", "n", "seed"])
+@pytest.mark.parametrize("value", [5.9, 5.0, "5", True, None])
+def test_spec_sizes_and_seed_must_be_integers(key, value):
+    doc = {"family": "p_ic", "m": 5, "n": 5, "seed": 1, "params": {"p": 0.5}, key: value}
+    with pytest.raises(SpecError, match="must be an integer") as info:
+        CultureSpec.from_dict(doc)
+    assert info.value.field == f"/{key}"
+
+
+def test_spec_accepts_numpy_integers():
+    spec = CultureSpec("p_ic", np.int64(6), np.uint16(4), seed=np.uint64(2**64 - 1), params={"p": 0.5})
+    assert sample(spec) == sample(CultureSpec("p_ic", 6, 4, seed=2**64 - 1, params={"p": 0.5}))
+
+
+@pytest.mark.parametrize(
+    "family, params, field",
+    [
+        ("p_ic", {"p": "0.5"}, "/params/p"),
+        ("resampling", {"p": 0.5, "phi": None}, "/params/phi"),
+        ("k_party", {"k": 2.5}, "/params/k"),
+        ("euclidean", {"variant": "4"}, "/params/variant"),
+        ("iam", {"probs": "0.5"}, "/params/probs"),
+        ("iam", {"probs": [0.5, "0.5"]}, "/params/probs/1"),
+        ("noisy", {"phi": 0.5, "base": 3}, "/params/base"),
+        ("noisy", {"phi": 0.5, "base": {"family": "p_ic", "m": 5, "n": 5.5, "params": {"p": 0.5}}},
+         "/params/base/n"),
+    ],
+)
+def test_spec_parameters_are_type_checked_when_built(family, params, field):
+    with pytest.raises(SpecError) as info:
+        CultureSpec.from_dict({"family": family, "m": 5, "n": 5, "params": params})
+    assert info.value.field == field
+
+
+# -- per-voter streams read through one re-keyed bit generator -------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    substreams=st.lists(
+        st.one_of(st.integers(0, 2**32 + 2), st.integers(2**32, 2**64 - 1)), max_size=12
+    ),
+    count=st.integers(0, 13),
+)
+@example(seed=2**64 - 1, substreams=[0, 2**32, 2**64 - 1, 0], count=5)
+def test_stream_uniforms_rows_are_fresh_generators(seed, substreams, count):
+    got = stream_uniforms(seed, substreams, count)
+    assert got.shape == (len(substreams), count) and got.dtype == np.float64
+    for row, sub in zip(got, substreams):
+        assert row.tobytes() == seeded_rng(seed, sub).random(count).tobytes()
+
+
+# the ends, where every draw or none is approved, and values between them
+_prob = st.one_of(
+    st.sampled_from([0.0, 1.0]), st.integers(1, 99).map(lambda i: i / 100), st.floats(0.0, 1.0)
+)
+
+
+@st.composite
+def random_draws(draw):
+    """A randomized family with its parameters, sizes and seed."""
+    family = draw(st.sampled_from(
+        ["p_ic", "iam", "resampling", "euclidean", "id_ic", "lin_ic", "noisy",
+         "id_mixture", "iam_mixture", "cyclic"]
+    ))
+    m = draw(st.integers(1, 13))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**64 - 1))
+    params = {
+        "p_ic": lambda: {"p": draw(_prob)},
+        "iam": lambda: {"probs": draw(st.lists(_prob, min_size=m, max_size=m))},
+        "resampling": lambda: {"p": draw(_prob), "phi": draw(_prob)},
+        "euclidean": lambda: {"variant": draw(st.integers(1, 5))},
+        "id_ic": lambda: {"p": draw(_prob)},
+        "lin_ic": dict,
+        "noisy": lambda: {"phi": draw(_prob), "base_p": draw(_prob)},
+        "id_mixture": lambda: {"k": draw(st.integers(1, 5)), "p": draw(_prob)},
+        "iam_mixture": lambda: {"k": draw(st.integers(1, 5))},
+        "cyclic": dict,
+    }[family]()
+    return family, m, n, seed, params
+
+
+def _both_samplers(family, m, n, seed, par):
+    if family == "noisy":
+        base = oracles.gen_p_ic(m, n, par["base_p"], seed ^ 1)
+        return gen_noisy(base, par["phi"], seed), oracles.gen_noisy(base, par["phi"], seed)
+    if family == "cyclic":
+        return gen_cyclic(m), oracles.gen_cyclic(m)
+    draw_with = {
+        "p_ic": lambda g: g.gen_p_ic(m, n, par["p"], seed),
+        "iam": lambda g: g.gen_iam(m, n, par["probs"], seed),
+        "resampling": lambda g: g.gen_resampling(m, n, par["p"], par["phi"], seed),
+        "euclidean": lambda g: g.gen_euclidean(m, n, par["variant"], seed),
+        "id_ic": lambda g: g.gen_id_ic(m, n, par["p"], seed),
+        "lin_ic": lambda g: g.gen_lin_ic(m, n, seed),
+        "id_mixture": lambda g: g.gen_id_mixture(m, n, par["k"], par["p"], seed),
+        "iam_mixture": lambda g: g.gen_iam_mixture(m, n, par["k"], seed),
+    }[family]
+    return draw_with(generators), draw_with(oracles)
+
+
+@settings(max_examples=300, deadline=None)
+@given(draw=random_draws(), block=st.sampled_from([1, 7, 40, generators._BLOCK_DRAWS]))
+@example(draw=("resampling", 4, 1, 2**64 - 1, {"p": 0.0, "phi": 1.0}), block=1)
+@example(draw=("euclidean", 12, 40, 0, {"variant": 5}), block=7)
+def test_samplers_match_the_per_voter_generators(draw, block):
+    """Every randomized family is byte-identical to the per-voter loops,
+    whatever block of voters its draws are read in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_BLOCK_DRAWS", block)
+        new, old = _both_samplers(*draw)
+    assert new.matrix.dtype == old.matrix.dtype == np.uint8
+    assert new.matrix.tobytes() == old.matrix.tobytes() and new.matrix.shape == old.matrix.shape
+
+
+def test_compass_cultures_match_the_per_voter_generators(monkeypatch):
+    specs = [spec.with_seed(seed) for spec in compass_specs() for seed in (0, 2**64 - 1)]
+    new = [sample(spec).matrix for spec in specs]
+    for name in ("gen_p_ic", "gen_noisy", "gen_id_ic", "gen_lin_ic", "gen_cyclic"):
+        monkeypatch.setattr(generators, name, getattr(oracles, name))
+    for spec, got in zip(specs, new):
+        assert got.tobytes() == sample(spec).matrix.tobytes(), spec
+
+
+def test_samplers_build_no_bit_generator_per_voter(monkeypatch):
+    built = []
+    real = core.Philox
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "Philox", counting)
+    for spec in (
+        CultureSpec("p_ic", 30, 1000, seed=3, params={"p": 0.4}),
+        CultureSpec("resampling", 30, 1000, seed=3, params={"p": 0.4, "phi": 0.5}),
+    ):
+        built.clear()
+        assert sample(spec).num_voters == 1000
+        assert len(built) <= 2
+
+
+def test_resampling_peak_memory_is_the_matrix_plus_one_block():
+    m, n = 200, 20_000
+    tracemalloc.start()
+    try:
+        e = gen_resampling(m, n, 0.3, 0.5, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.matrix.shape == (n, m)
+    # an unblocked (n, 2m) float64 draw would be 64 MB here
+    assert peak <= n * m + 16 * 2**20
