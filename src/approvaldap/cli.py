@@ -342,8 +342,6 @@ def _map_manifest(doc):
         if not isinstance(raw, dict) or "path" not in raw:
             raise ManifestError(pointer, "must be a path or an object with a 'path' field")
         path = Path(raw["path"])
-        if not path.exists():
-            raise ManifestError(f"{pointer}/path", f"no such file: {path}")
         try:
             e = _read_election(path)
         except OSError as exc:

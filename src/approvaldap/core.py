@@ -176,8 +176,8 @@ class Election:
 
     def _cache(self, key, factory):
         # memo for derived artifacts (approval counts, ballot lengths,
-        # distinct ballots, pair-count matrices, spectral bases, clustered
-        # agreement terms);
+        # distinct ballots, pair-count matrices, Hamming factors, spectral
+        # bases, clustered agreement terms);
         # lives and dies with the election, so no cross-election eviction
         try:
             return self._memo[key]
@@ -188,8 +188,9 @@ class Election:
 
     def clear_cache(self) -> None:
         """Drop the memoised derived artifacts (approval counts, ballot
-        lengths, distinct ballots, pair-count matrices, spectral bases,
-        clustered agreement terms); later calls recompute them."""
+        lengths, distinct ballots, pair-count matrices, Hamming factors,
+        spectral bases, clustered agreement terms); later calls recompute
+        them."""
         self._memo.clear()
 
     # -- identity ------------------------------------------------------

@@ -12,7 +12,6 @@ pairwise Hamming distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,7 +24,6 @@ from .core import Election, distinct_rows, seeded_rng
 from .metrics import cross_hamming
 
 __all__ = [
-    "OuterDiversityConfig",
     "a_div",
     "a_pol",
     "cntr_div",
@@ -41,6 +39,8 @@ __all__ = [
 
 _DIV_MAX_CLUSTERS = 5
 _SAMPLE_STREAM = 0x0D1F
+# reference ballots drawn per voter for the sampled universe
+_SAMPLES_PER_VOTER = 5
 _EXACT_UNIVERSE_MAX_M = 20
 # memory cap on the sampled matching, whichever solver runs it
 _MATCHING_MAX_BYTES = 1 << 30
@@ -53,22 +53,6 @@ _LP_BYTES_PER_VARIABLE = 1200
 _LP_CELL_RATIO = 1000
 
 Clusterer = Callable[[Election, int, int], np.ndarray]
-
-
-@dataclass(frozen=True)
-class OuterDiversityConfig:
-    """Sampling controls for the outer-diversity estimate.
-
-    ``sample_multiplier`` reference ballots are drawn per voter; the seed
-    fixes the sample stream.
-    """
-
-    sample_multiplier: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sample_multiplier < 1:
-            raise ValueError("sample_multiplier must be at least 1")
 
 
 def _cluster_agreement(e: Election, agr, clusterer: Clusterer, k: int, seed: int) -> float:
@@ -182,13 +166,13 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> floa
     return float(res.fun)
 
 
-def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact: bool = False) -> float:
+def ham_to_universe(e: Election, seed: int = 0, exact: bool = False) -> float:
     """Per-candidate optimal-matching distance of the election's ballots to
     the saturation-weighted ballot universe.
 
     The universe weights each ballot by its probability under independent
     approvals with the election's saturation.  By default the universe is
-    approximated with ``sample_multiplier`` seeded draws per voter and the
+    approximated with ``_SAMPLES_PER_VOTER`` seeded draws per voter and the
     matching is solved as an assignment problem over the repeated ballots,
     or as a transportation LP over the distinct ones when ballots repeat so
     much that the LP is far smaller (both reach the same integral optimum);
@@ -196,7 +180,6 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
     used (only viable for small ``m``) and the fractional matching is
     solved as a transportation LP.
     """
-    cfg = cfg if cfg is not None else OuterDiversityConfig()
     n, m = e.num_voters, e.num_candidates
     total = e.total_approvals()
     if total in (0, n * m):
@@ -216,9 +199,9 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
         cost = cross_hamming(Election(ballots), Election(universe)).astype(np.float64)
         return _transport(cost, supply, demand) / m
 
-    check_out_div_size(e, cfg)
-    n_samples = cfg.sample_multiplier * n
-    rng = seeded_rng(cfg.seed, _SAMPLE_STREAM)
+    check_out_div_size(e)
+    n_samples = _SAMPLES_PER_VOTER * n
+    rng = seeded_rng(seed, _SAMPLE_STREAM)
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
     sample_ballots, _, sample_counts = distinct_rows(samples)
     # integer supplies and demands give the transportation problem an
@@ -226,10 +209,10 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
     cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
     n_cells = n_samples * n_samples
     if 8 * n_cells > _MATCHING_MAX_BYTES or _LP_CELL_RATIO * cost.size <= n_cells:
-        supply = (counts * cfg.sample_multiplier).astype(np.float64)
+        supply = (counts * _SAMPLES_PER_VOTER).astype(np.float64)
         value = round(_transport(cost, supply, sample_counts.astype(np.float64)))
     else:
-        rows = np.repeat(np.arange(len(ballots)), counts * cfg.sample_multiplier)
+        rows = np.repeat(np.arange(len(ballots)), counts * _SAMPLES_PER_VOTER)
         cols = np.repeat(np.arange(len(sample_ballots)), sample_counts)
         cost = cost[rows[:, None], cols[None, :]]
         r, c = linear_sum_assignment(cost)
@@ -237,19 +220,19 @@ def ham_to_universe(e: Election, cfg: OuterDiversityConfig | None = None, exact:
     return value / (n_samples * m)
 
 
-def check_out_div_size(e: Election, cfg: OuterDiversityConfig | None = None) -> None:
+def check_out_div_size(e: Election) -> None:
     """Raise ``ValueError`` if the sampled matching of :func:`out_div` would
     need more than ``_MATCHING_MAX_BYTES`` with either solver.
 
-    The assignment holds ``(k*n)^2`` float64 costs for ``k*n`` draws; the
-    transportation LP has one variable per pair of a distinct ballot and a
-    distinct draw, of which there are at most ``min(k*n, 2^m)``.
+    With ``k = _SAMPLES_PER_VOTER`` the assignment holds ``(k*n)^2``
+    float64 costs for ``k*n`` draws; the transportation LP has one variable
+    per pair of a distinct ballot and a distinct draw, of which there are
+    at most ``min(k*n, 2^m)``.
     """
-    cfg = cfg if cfg is not None else OuterDiversityConfig()
     n, m = e.num_voters, e.num_candidates
     if e.total_approvals() in (0, n * m):
         return
-    n_samples = cfg.sample_multiplier * n
+    n_samples = _SAMPLES_PER_VOTER * n
     dense = 8 * n_samples * n_samples
     if dense <= _MATCHING_MAX_BYTES:
         return
@@ -264,7 +247,7 @@ def check_out_div_size(e: Election, cfg: OuterDiversityConfig | None = None) -> 
         )
 
 
-def out_div(e: Election, cfg: OuterDiversityConfig | None = None, exact: bool = False) -> float:
+def out_div(e: Election, seed: int = 0, exact: bool = False) -> float:
     """Outer diversity: how close the ballots come to covering the
     saturation-matched ballot universe.
 
@@ -278,5 +261,5 @@ def out_div(e: Election, cfg: OuterDiversityConfig | None = None, exact: bool = 
     if total in (0, n * m):
         return 0.0
     p = total / (n * m)
-    distance = ham_to_universe(e, cfg, exact=exact)
+    distance = ham_to_universe(e, seed, exact=exact)
     return min(1.0, max(0.0, 1.0 - distance / (2.0 * p * (1.0 - p))))

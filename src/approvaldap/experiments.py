@@ -12,14 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .agreement import AGREEMENT_INDICES
 from .core import Election, seeded_rng, stats, subsample
-from .divpol import OuterDiversityConfig, cntr_div, cntr_pol, out_div, pair_pol, pcc_div, pcc_pol
+from .divpol import cntr_div, cntr_pol, out_div, pair_pol, pcc_div, pcc_pol
 from .generators import CultureSpec, sample
 from .io import write_csv_matrix
 
@@ -46,12 +46,15 @@ __all__ = [
 SUBSAMPLE_CANDIDATES = 200
 SUBSAMPLE_VOTERS = 1000
 
+_SMACOF_MAX_ITER = 300
+_SMACOF_TOL = 1e-9
+
 _INDEX_FUNCS: dict[str, Callable[[Election, int], float]] = {
     "satr": lambda e, seed: stats(e).satr,
     **{name: (lambda fn: lambda e, seed: fn(e))(fn) for name, fn in AGREEMENT_INDICES.items()},
     "cntr_div": cntr_div,
     "pcc_div": pcc_div,
-    "out_div": lambda e, seed: out_div(e, OuterDiversityConfig(seed=seed)),
+    "out_div": out_div,
     "cntr_pol": cntr_pol,
     "pcc_pol": pcc_pol,
     "pair_pol": lambda e, seed: pair_pol(e),
@@ -60,7 +63,8 @@ _INDEX_FUNCS: dict[str, Callable[[Election, int], float]] = {
 # index names in table and CSV column order
 INDEX_NAMES = tuple(_INDEX_FUNCS)
 
-DEFAULT_FEATURE_TRIPLE = ("pcc_agr", "pcc_div", "pcc_pol")
+# the (agreement, diversity, polarization) indices that place an election on the map
+FEATURE_TRIPLE = ("pcc_agr", "pcc_div", "pcc_pol")
 
 
 def evaluate_index(name: str, e: Election, seed: int = 0) -> float:
@@ -161,8 +165,7 @@ class IndexTable:
             for j, name in enumerate(self.indices)
         }
 
-    def to_csv(self, decimals: Optional[int] = None) -> str:
-        """CSV rendering; pass ``decimals=2`` for presentation-style rounding."""
+    def to_csv(self) -> str:
         headers = ["label"]
         for name in self.indices:
             headers += [f"{name}_mean", f"{name}_std"]
@@ -170,10 +173,7 @@ class IndexTable:
         for i, label in enumerate(self.labels):
             row = [label]
             for j in range(len(self.indices)):
-                mean, std = self.means[i, j], self.stds[i, j]
-                if decimals is not None:
-                    mean, std = round(mean, decimals), round(std, decimals)
-                row += [mean, std]
+                row += [self.means[i, j], self.stds[i, j]]
             rows.append(row)
         return write_csv_matrix(rows, headers)
 
@@ -230,16 +230,10 @@ class FeatureVector:
         return np.array([self.agr, self.div, self.pol])
 
 
-def feature_vector(
-    e: Election,
-    seed: int = 0,
-    triple: Sequence[str] = DEFAULT_FEATURE_TRIPLE,
-) -> FeatureVector:
-    """Subsample oversized elections, then evaluate the feature triple."""
-    if len(triple) != 3:
-        raise ValueError("feature triple must name exactly three indices")
+def feature_vector(e: Election, seed: int = 0) -> FeatureVector:
+    """Subsample oversized elections, then evaluate :data:`FEATURE_TRIPLE`."""
     sub = subsample(e, SUBSAMPLE_CANDIDATES, SUBSAMPLE_VOTERS, seed)
-    values = [evaluate_index(name, sub, seed) for name in triple]
+    values = [evaluate_index(name, sub, seed) for name in FEATURE_TRIPLE]
     return FeatureVector(*values)
 
 
@@ -262,17 +256,20 @@ class Embedding:
     stress_path: tuple = field(repr=False, default=())
 
 
-def mds_embed(distances: np.ndarray, seed: int = 0, max_iter: int = 300, tol: float = 1e-9) -> Embedding:
+def mds_embed(distances: np.ndarray) -> Embedding:
     """Embed a distance matrix in 2-D by SMACOF stress majorization.
 
     Starts from the classical-MDS configuration (double-centered
     eigendecomposition) and iterates Guttman transforms until the metric
-    stress decreases by less than ``tol`` (at most ``max_iter`` rounds).
+    stress decreases by less than ``_SMACOF_TOL`` (at most
+    ``_SMACOF_MAX_ITER`` rounds).
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
     n = d.shape[0]
+    if not np.isfinite(d).all():
+        raise ValueError("distances must be finite")
     if not np.allclose(d, d.T, atol=1e-9):
         raise ValueError("distance matrix must be symmetric")
     if (d < 0).any():
@@ -283,17 +280,13 @@ def mds_embed(distances: np.ndarray, seed: int = 0, max_iter: int = 300, tol: fl
         return Embedding(points=np.zeros((1, 2)), distortion=1.0, stress=0.0)
 
     x = _classical_init(d)
-    if not x.any() and d.max() > 0:
-        rng = seeded_rng(seed, 0x3D5)
-        x = rng.normal(scale=0.1 * d.max(), size=(n, 2))
-
     path = []
     prev = math.inf
-    for _ in range(max_iter):
+    for _ in range(_SMACOF_MAX_ITER):
         edist = _pairwise(x)
         stress = float((np.triu(edist - d, 1) ** 2).sum())
         path.append(stress)
-        if prev - stress < tol:
+        if prev - stress < _SMACOF_TOL:
             break
         prev = stress
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -524,11 +517,7 @@ class MapResult:
         return write_csv_matrix(rows, ["label", "group", "x", "y"])
 
 
-def map_of_elections(
-    items: Iterable[tuple[str, str, Election]],
-    seed: int = 0,
-    triple: Sequence[str] = DEFAULT_FEATURE_TRIPLE,
-) -> MapResult:
+def map_of_elections(items: Iterable[tuple[str, str, Election]], seed: int = 0) -> MapResult:
     """Compute feature vectors for ``(label, group, election)`` items and
     embed their pairwise feature distances."""
     items = list(items)
@@ -537,13 +526,13 @@ def map_of_elections(
 
     features = np.empty((len(items), 3))
     for idx, (_, _, e) in enumerate(items):
-        features[idx] = feature_vector(e, derive_seed(seed, "map", idx), triple).as_array()
+        features[idx] = feature_vector(e, derive_seed(seed, "map", idx)).as_array()
         e.clear_cache()  # large pair matrices are not needed past this point
     diff = features[:, None, :] - features[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=2))
     distances = 0.5 * (distances + distances.T)
     np.fill_diagonal(distances, 0.0)
-    embedding = mds_embed(distances, seed=seed)
+    embedding = mds_embed(distances)
     return MapResult(
         labels=tuple(label for label, _, _ in items),
         groups=tuple(group for _, group, _ in items),

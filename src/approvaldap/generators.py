@@ -506,9 +506,6 @@ class CultureSpec:
             label=data.get("label"),
         )
 
-    def sample(self) -> Election:
-        return sample(self)
-
 
 def sample(spec: CultureSpec) -> Election:
     """Draw the election described by a spec; deterministic per (spec, seed)."""

@@ -169,6 +169,8 @@ def threshold_scores(matrix, threshold: float) -> Election:
     rows = list(matrix)
     if not rows:
         raise ValueError("score matrix has no rows")
+    if any(np.ndim(row) != 1 for row in rows):
+        raise ValueError("score matrix must be two-dimensional")
     widths = {len(row) for row in rows}
     if len(widths) != 1:
         raise ValueError(f"score matrix is ragged: row lengths {sorted(widths)}")

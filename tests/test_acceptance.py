@@ -25,7 +25,7 @@ from approvaldap.agreement import (
 )
 from approvaldap.cli import main as cli_main
 from approvaldap.core import Election
-from approvaldap.divpol import OuterDiversityConfig, out_div
+from approvaldap.divpol import out_div
 from approvaldap.experiments import (
     complementarity,
     compass_specs,
@@ -261,7 +261,6 @@ def test_criterion_05_equal_length_equivalence_and_triangle():
 
 def test_criterion_06_range_properties():
     rng = np.random.default_rng(6)
-    cfg = OuterDiversityConfig(sample_multiplier=5, seed=66)
     for trial in range(2000):
         if trial % 100 == 0:
             m, n = int(rng.integers(1, 11)), int(rng.integers(1, 11))
@@ -270,7 +269,7 @@ def test_criterion_06_range_properties():
         else:
             e = random_election(rng, 10, 10)
         a = pcc_agr(e)
-        d = out_div(e, cfg)
+        d = out_div(e, seed=66)
         assert 0.0 <= a <= 1.0
         assert 0.0 <= d <= 1.0
     report(6, True, "2000 fuzzed elections inside [0,1] for pcc agreement and outer diversity")

@@ -220,6 +220,8 @@ def test_map_manifest_missing_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and "/files/0" in stderr
+    # the wording of ``index`` for a missing file, under the manifest pointer
+    assert stderr == "error: /files/0/path: /definitely/not/here.pb: No such file or directory\n"
     party = {"family": "k_party", "m": 6, "n": 6, "seed": 0, "params": {"k": 2}}
     doc = {"seed": 1, "entries": [{"spec": party}, {"spec": {**party, "params": {}}}]}
     path.write_text(json.dumps(doc))

@@ -9,7 +9,6 @@ from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import spectral_pcc, weighted_cluster_agreement
 from approvaldap.core import Election, reverse, seeded_rng, stats
 from approvaldap.divpol import (
-    OuterDiversityConfig,
     a_div,
     a_pol,
     cntr_div,
@@ -117,21 +116,21 @@ def test_out_div_identity_and_degenerate():
     assert out_div(Election([[1, 1], [1, 1]])) == 0.0
     assert out_div(Election([[0, 0, 0]])) == 0.0
     single = gen_p_id(30, 30, 0.5)
-    assert out_div(single, OuterDiversityConfig(seed=8)) <= 0.05
+    assert out_div(single, seed=8) <= 0.05
 
 
 def test_out_div_two_party_value():
-    value = out_div(gen_k_party(60, 60, 2), OuterDiversityConfig(seed=3))
+    value = out_div(gen_k_party(60, 60, 2), seed=3)
     assert value == pytest.approx(0.10, abs=0.03)
 
 
-def test_out_div_range_and_determinism(rng):
-    cfg = OuterDiversityConfig(sample_multiplier=3, seed=11)
+def test_out_div_range_and_determinism(rng, monkeypatch):
+    monkeypatch.setattr(divpol, "_SAMPLES_PER_VOTER", 3)
     for _ in range(30):
         e = make_random_election(rng, max_m=8, max_n=8)
-        a = out_div(e, cfg)
+        a = out_div(e, seed=11)
         assert 0.0 <= a <= 1.0
-        assert out_div(e, cfg) == a
+        assert out_div(e, seed=11) == a
 
 
 def test_out_div_exact_universe_against_transport_oracle(rng):
@@ -175,17 +174,17 @@ def _oracle_out_div(e: Election, networkx):
     return min(1.0, max(0.0, 1.0 - distance / (2 * p * (1 - p))))
 
 
-def _transport_ham_to_universe(e: Election, cfg: OuterDiversityConfig) -> float:
+def _transport_ham_to_universe(e: Election, seed: int) -> float:
     """Sampled distance solved as the transportation LP over distinct ballots."""
     n, m = e.num_voters, e.num_candidates
     p = e.total_approvals() / (n * m)
-    n_samples = cfg.sample_multiplier * n
-    rng = seeded_rng(cfg.seed, divpol._SAMPLE_STREAM)
+    n_samples = divpol._SAMPLES_PER_VOTER * n
+    rng = seeded_rng(seed, divpol._SAMPLE_STREAM)
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
     ballots, counts = np.unique(e.matrix, axis=0, return_counts=True)
     sample_ballots, sample_counts = np.unique(samples, axis=0, return_counts=True)
     cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
-    supply = (counts * cfg.sample_multiplier).astype(np.float64)
+    supply = (counts * divpol._SAMPLES_PER_VOTER).astype(np.float64)
     value = divpol._transport(cost, supply, sample_counts.astype(np.float64))
     return value / (n_samples * m)
 
@@ -198,8 +197,8 @@ def test_sampled_assignment_matches_transport_oracle(rng, monkeypatch):
     for i, e in enumerate(elections):
         if e.total_approvals() in (0, e.num_voters * e.num_candidates):
             continue
-        cfg = OuterDiversityConfig(sample_multiplier=(1, 3, 5)[i % 3], seed=i)
-        assert abs(ham_to_universe(e, cfg) - _transport_ham_to_universe(e, cfg)) <= 1e-12
+        monkeypatch.setattr(divpol, "_SAMPLES_PER_VOTER", (1, 3, 5)[i % 3])
+        assert abs(ham_to_universe(e, i) - _transport_ham_to_universe(e, i)) <= 1e-12
         checked += 1
     assert checked >= 200 + len(compass_specs())
 
@@ -219,43 +218,40 @@ def _fail(*args):
 
 def test_sampled_matching_uses_lp_for_repeated_ballots(monkeypatch):
     e = _few_distinct_ballots(300, 6, seed=4)  # 1500 draws, at most 21 x 64 LP variables
-    cfg = OuterDiversityConfig(seed=2)
     monkeypatch.setattr(divpol, "linear_sum_assignment", _fail)
-    assert ham_to_universe(e, cfg) == _transport_ham_to_universe(e, cfg)
+    assert ham_to_universe(e, 2) == _transport_ham_to_universe(e, 2)
 
 
 def test_sampled_matching_beyond_dense_cap_falls_back_to_lp(monkeypatch):
     # 15000 draws: a 1.8 GiB dense cost, over the default cap, but the LP
     # over at most 36 x 256 distinct ballot pairs is small
     e = _few_distinct_ballots(3000, 8, seed=5)
-    cfg = OuterDiversityConfig(seed=3)
     assert 8 * (5 * e.num_voters) ** 2 > divpol._MATCHING_MAX_BYTES
     monkeypatch.setattr(divpol, "linear_sum_assignment", _fail)
-    divpol.check_out_div_size(e, cfg)
-    assert ham_to_universe(e, cfg) == _transport_ham_to_universe(e, cfg)
+    divpol.check_out_div_size(e)
+    assert ham_to_universe(e, 3) == _transport_ham_to_universe(e, 3)
 
 
 def test_sampled_matching_over_dense_cap_runs_lp(monkeypatch):
     e = _few_distinct_ballots(60, 5, seed=6)  # 300 draws; LP of at most 15 x 32 variables
-    cfg = OuterDiversityConfig(seed=1)
-    expected = _transport_ham_to_universe(e, cfg)
+    expected = _transport_ham_to_universe(e, 1)
     with monkeypatch.context() as patch:
         patch.setattr(divpol, "_transport", _fail)
-        assert ham_to_universe(e, cfg) == expected  # under the default cap: assignment
+        assert ham_to_universe(e, 1) == expected  # under the default cap: assignment
     monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 300 * 300 - 1)
     monkeypatch.setattr(divpol, "linear_sum_assignment", _fail)
-    assert ham_to_universe(e, cfg) == expected
+    assert ham_to_universe(e, 1) == expected
 
 
 def test_sampled_matching_refuses_when_neither_solver_fits(monkeypatch):
     e = gen_k_party(10, 40, 2)
-    cfg = OuterDiversityConfig(sample_multiplier=2, seed=0)
+    monkeypatch.setattr(divpol, "_SAMPLES_PER_VOTER", 2)
     # dense: 8 * 80^2 = 51200 bytes; LP: 1200 * 2 distinct ballots * 80 draws = 192000
     monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80 - 1)
     with pytest.raises(ValueError, match=r"out_div of 40 voters needs a 80x80 cost matrix"):
-        ham_to_universe(e, cfg)
+        ham_to_universe(e, 0)
     monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80)
-    assert ham_to_universe(e, cfg) > 0.0
+    assert ham_to_universe(e, 0) > 0.0
 
 
 def test_ham_to_universe_single_ballot_closed_form():
@@ -268,14 +264,15 @@ def test_ham_to_universe_single_ballot_closed_form():
     )
 
 
-def test_sampled_estimator_tracks_exact_value(rng):
+def test_sampled_estimator_tracks_exact_value(rng, monkeypatch):
+    monkeypatch.setattr(divpol, "_SAMPLES_PER_VOTER", 200)
     for _ in range(5):
         e = make_random_election(rng, max_m=6, max_n=4)
         total = e.total_approvals()
         if total in (0, e.num_voters * e.num_candidates):
             continue
         exact = out_div(e, exact=True)
-        sampled = out_div(e, OuterDiversityConfig(sample_multiplier=200, seed=5))
+        sampled = out_div(e, seed=5)
         assert sampled == pytest.approx(exact, abs=0.08)
 
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from approvaldap.core import Election
+from approvaldap.agreement import av_agr, cntr_agr, jacc_agr, pair_agr, pcc_agr, pccplus_agr
+from approvaldap.core import Election, stats
+from approvaldap.divpol import cntr_div, cntr_pol, out_div, pair_pol, pcc_div, pcc_pol
 from approvaldap.experiments import (
     INDEX_NAMES,
     FeatureVector,
@@ -56,6 +58,30 @@ def test_evaluate_index_rejects_unknown():
     assert evaluate_index("satr", e) == 0.5
 
 
+def test_evaluate_index_matches_direct_calls():
+    direct = {
+        "satr": lambda e, seed: stats(e).satr,
+        "av_agr": lambda e, seed: av_agr(e),
+        "cntr_agr": lambda e, seed: cntr_agr(e),
+        "pair_agr": lambda e, seed: pair_agr(e),
+        "pcc_agr": lambda e, seed: pcc_agr(e),
+        "jacc_agr": lambda e, seed: jacc_agr(e),
+        "pccplus_agr": lambda e, seed: pccplus_agr(e),
+        "cntr_div": cntr_div,
+        "pcc_div": pcc_div,
+        "out_div": out_div,
+        "cntr_pol": cntr_pol,
+        "pcc_pol": pcc_pol,
+        "pair_pol": lambda e, seed: pair_pol(e),
+    }
+    assert tuple(direct) == INDEX_NAMES
+    spec = CultureSpec("resampling", 30, 30, seed=8, params={"p": 0.4, "phi": 0.5})
+    for seed in (0, 13):
+        e, fresh = sample(spec), sample(spec)
+        for name, fn in direct.items():
+            assert evaluate_index(name, e, seed) == fn(fresh, seed), (name, seed)
+
+
 def test_resampling_experiment_shape_and_identity_column():
     mat = resampling_experiment("pair_agr", m=10, n=10, samples=1, seed=2)
     assert mat.values.shape == (9, 11)
@@ -83,8 +109,6 @@ def test_index_table_reproducible():
     row = a.row("id")
     assert row["pair_agr"] == (1.0, 0.0)
     assert "pair_agr_mean" in a.to_csv().splitlines()[0]
-    rounded = a.to_csv(decimals=2).splitlines()[1]
-    assert rounded.startswith("id,0.5,0,1,0,")
 
 
 def test_feature_vector_examples():
@@ -95,8 +119,6 @@ def test_feature_vector_examples():
     assert feature_distance(FeatureVector(1, 0, 0), FeatureVector(0, 0, 1)) == pytest.approx(
         math.sqrt(2)
     )
-    with pytest.raises(ValueError):
-        feature_vector(ident, seed=1, triple=("pcc_agr", "pcc_div"))
 
 
 def test_feature_distance_metric_axioms(rng):
@@ -114,21 +136,21 @@ def test_feature_vector_subsamples_big_elections(rng):
 
 def test_mds_equilateral_triangle_embeds_exactly():
     d = np.ones((3, 3)) - np.eye(3)
-    emb = mds_embed(d, seed=1)
+    emb = mds_embed(d)
     assert emb.distortion == pytest.approx(1.0, abs=1e-6)
     assert emb.stress == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mds_tetrahedron_cannot_be_planar():
     d = np.ones((4, 4)) - np.eye(4)
-    emb = mds_embed(d, seed=1)
+    emb = mds_embed(d)
     assert 1.0 + 1e-4 < emb.distortion < 1.5
 
 
 def test_mds_stress_is_nonincreasing(rng):
     pts = rng.random((12, 3))
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
-    emb = mds_embed(d, seed=0)
+    emb = mds_embed(d)
     path = np.array(emb.stress_path)
     assert (np.diff(path) <= 1e-12).all()
 
@@ -142,6 +164,9 @@ def test_mds_validates_input():
         mds_embed(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(ValueError):
         mds_embed(np.zeros((2, 3)))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="distances must be finite"):
+            mds_embed(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_complementarity_identical_and_constant_sum(rng):
