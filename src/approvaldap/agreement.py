@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Election
-from .metrics import jaccard_similarity_matrix, pcc_matrix, pcc_weights
+from .metrics import _jaccard_similarity, _pcc_from_counts, _product_blocks, pcc_weights
 
 __all__ = [
     "CentralVote",
@@ -99,7 +99,7 @@ def pair_agr(e: Election) -> float:
 
 def jacc_agr(e: Election) -> float:
     """Mean Jaccard similarity over all ordered ballot pairs (self-pairs included)."""
-    return float(jaccard_similarity_matrix(e).mean())
+    return _local_pair_means(e)[0]
 
 
 def pcc_agr(e: Election) -> float:
@@ -131,7 +131,29 @@ def pcc_agr(e: Election) -> float:
 
 def pccplus_agr(e: Election) -> float:
     """Mean of ``max(0, pcc)`` over all ordered ballot pairs."""
-    return float(np.maximum(pcc_matrix(e), 0.0).mean())
+    return _local_pair_means(e)[1]
+
+
+def _local_pair_means(e: Election) -> tuple[float, float]:
+    """``(jacc_agr, pccplus_agr)`` from one memoised pass with no n x n matrix:
+    over the distinct ballots ``b`` with counts ``c``, each is ``sum_ab c_a c_b
+    sim(b_a, b_b) / n^2``, the similarities sharing each row block of ``b @ b.T``.
+    Memory grows with the block times the N distinct ballots, time with N^2;
+    the sums match the n x n mean within float residue, not bit for bit."""
+
+    def compute():
+        ballots, _, c = e.distinct_ballots()
+        lengths = ballots.sum(axis=1, dtype=np.float64)
+        jacc = plus = 0.0
+        for rows, block in _product_blocks(ballots, ballots):
+            la = lengths[rows, None]
+            jacc += float(c[rows] @ _jaccard_similarity(block, la, lengths) @ c)
+            # PCC overwrites the intersection sizes: two blocks live at a time
+            block = _pcc_from_counts(block, la, lengths, e.num_candidates)
+            plus += float(c[rows] @ np.maximum(block, 0.0, out=block) @ c)
+        return jacc / e.num_voters**2, plus / e.num_voters**2
+
+    return e._cache("local_pair_means", compute)
 
 
 AGREEMENT_INDICES = {

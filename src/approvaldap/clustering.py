@@ -174,7 +174,7 @@ def _kmedoids_descent(left: np.ndarray, right: np.ndarray, medoids: np.ndarray):
     for _ in range(_KMEDOIDS_MAX_ITER):
         a = live.size
         current = medoids[live]
-        labels = np.argmin(_medoid_distances(left, right, current), axis=1)
+        labels = _nearest_centre(_medoid_distances(left, right, current))
         # costs[i * k + c, j]: total distance from the members of cluster c
         # of live start i to ballot j; non-members are never chosen
         rows = labels + (k * np.arange(a))[:, None]
@@ -197,12 +197,12 @@ def _kmedoids_descent(left: np.ndarray, right: np.ndarray, medoids: np.ndarray):
         if live.size == 0:
             break
     dist = _medoid_distances(left, right, medoids)
-    return np.argmin(dist, axis=1), dist.min(axis=1).sum(axis=1).astype(np.int64)
+    return _nearest_centre(dist), dist.min(axis=1).sum(axis=1).astype(np.int64)
 
 
 def _medoid_distances(left: np.ndarray, right: np.ndarray, medoids: np.ndarray) -> np.ndarray:
     """``(r, k, n)`` distances from every point to the medoids of ``r`` starts;
-    labels are their argmin over axis 1, lowest id on ties."""
+    labels are their :func:`_nearest_centre`, lowest id on ties."""
     r, k = medoids.shape
     return (right[medoids.reshape(-1)] @ left.T).reshape(r, k, -1)
 

@@ -176,8 +176,8 @@ class Election:
 
     def _cache(self, key, factory):
         # memo for derived artifacts (approval counts, ballot lengths,
-        # distinct ballots, pair-count matrices, Hamming factors, spectral
-        # bases, clustered agreement terms);
+        # distinct ballots, Hamming factors, spectral bases, the local
+        # agreement means, clustered agreement terms);
         # lives and dies with the election, so no cross-election eviction
         try:
             return self._memo[key]
@@ -187,10 +187,8 @@ class Election:
             return value
 
     def clear_cache(self) -> None:
-        """Drop the memoised derived artifacts (approval counts, ballot
-        lengths, distinct ballots, pair-count matrices, Hamming factors,
-        spectral bases, clustered agreement terms); later calls recompute
-        them."""
+        """Drop the memoised derived artifacts (those listed at :meth:`_cache`);
+        later calls recompute them."""
         self._memo.clear()
 
     # -- identity ------------------------------------------------------

@@ -527,7 +527,7 @@ def map_of_elections(items: Iterable[tuple[str, str, Election]], seed: int = 0) 
     features = np.empty((len(items), 3))
     for idx, (_, _, e) in enumerate(items):
         features[idx] = feature_vector(e, derive_seed(seed, "map", idx)).as_array()
-        e.clear_cache()  # large pair matrices are not needed past this point
+        e.clear_cache()  # its spectral system is not needed past this point
     diff = features[:, None, :] - features[None, :, :]
     distances = np.sqrt((diff**2).sum(axis=2))
     distances = 0.5 * (distances + distances.T)

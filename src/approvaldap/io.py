@@ -166,6 +166,8 @@ def parse_pabulib(text: str) -> Election:
 
 def threshold_scores(matrix, threshold: float) -> Election:
     """Convert an ``n x m`` score matrix into approvals at ``score >= threshold``."""
+    if not np.iterable(matrix):
+        raise ValueError("score matrix must be two-dimensional")
     rows = list(matrix)
     if not rows:
         raise ValueError("score matrix has no rows")

@@ -2,11 +2,11 @@
 
 Three measures are exposed: Hamming distance, Jaccard distance, and the
 Pearson correlation coefficient of two binary vectors (the phi
-coefficient).  Each comes in a per-pair form and, for the quadratic
-election indices, as an all-pairs kernel over an election.  The kernels
-get every pair count from one product ``A @ B.T`` of the 0/1 ballot
-matrices, taken in float64 so that it runs on BLAS; it is exact because
-each entry is a sum of at most ``m`` ones.
+coefficient).  Each comes in a per-pair form; Jaccard similarity and PCC
+also come over arrays of intersection sizes and ballot lengths, which
+the local agreement indices and :func:`pcc_matrix` share.  The sizes
+come from products ``A @ B.T`` of 0/1 ballot matrices, taken in float64
+for BLAS and exact, as each entry is a sum of at most ``m`` ones.
 """
 
 from __future__ import annotations
@@ -25,17 +25,14 @@ __all__ = [
     "pcc",
     "pcc_from_hamming",
     "pair_counts",
-    "intersection_matrix",
-    "hamming_matrix",
-    "jaccard_similarity_matrix",
     "pcc_matrix",
     "pcc_weights",
     "cross_hamming",
 ]
 
-# rows of the product per BLAS call: the float64 temporary stays
-# O(block * n) instead of a second n x n matrix
-_PRODUCT_BLOCK_ROWS = 256
+# rows of the product per BLAS call: every float64 temporary is O(block * n);
+# at 4000 distinct ballots two 128-row blocks take 8.2 MB, two of 256 16.4 MB
+_PRODUCT_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -94,18 +91,11 @@ def pcc(u, v) -> float:
     value is fixed to 1.
     """
     c = pair_counts(u, v)
-    return _pcc_from_counts(c.n11, c.n10, c.n01, c.n00)
-
-
-def _pcc_from_counts(n11: int, n10: int, n01: int, n00: int) -> float:
-    la, lb = n11 + n10, n11 + n01
-    m = n11 + n10 + n01 + n00
+    la, lb, m = c.n11 + c.n10, c.n11 + c.n01, c.length
     if la in (0, m) or lb in (0, m):
         return 1.0
-    num = n00 * n11 - n01 * n10
     # single sqrt of the integer product is exact for identical ballots
-    den = math.sqrt(la * (m - la) * lb * (m - lb))
-    return num / den
+    return (c.n00 * c.n11 - c.n01 * c.n10) / math.sqrt(la * (m - la) * lb * (m - lb))
 
 
 def pcc_from_hamming(p: float, m: int, ham: int) -> float:
@@ -119,67 +109,52 @@ def pcc_from_hamming(p: float, m: int, ham: int) -> float:
     return 1.0 - ham / (2.0 * m * p * (1.0 - p))
 
 
-# -- all-pairs kernels ------------------------------------------------
+# -- array forms over intersection sizes ------------------------------
 
 
-def intersection_matrix(e: Election) -> np.ndarray:
-    """``(n, n)`` int64 matrix of pairwise approval-set intersection sizes.
-
-    The workhorse of every quadratic index: all pair statistics follow
-    from this matrix plus the per-ballot lengths.  It is the product
-    ``X @ X.T`` of the 0/1 ballot matrix, read-only and memoized on the
-    election.
-    """
-
-    def compute():
-        out = _products(e.matrix, e.matrix)
-        out.setflags(write=False)
-        return out
-
-    return e._cache("intersection_matrix", compute)
-
-
-def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b.T`` of two 0/1 matrices as int64, computed in float64 row blocks."""
+def _product_blocks(a: np.ndarray, b: np.ndarray):
+    """``(rows, a[rows] @ b.T)`` over row blocks of two 0/1 matrices, each block
+    a fresh float64 array of exact integers that the caller may overwrite."""
     af = a.astype(np.float64)
-    bt = b.astype(np.float64).T
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
+    bt = af.T if b is a else b.astype(np.float64).T
     for lo in range(0, a.shape[0], _PRODUCT_BLOCK_ROWS):
-        out[lo : lo + _PRODUCT_BLOCK_ROWS] = af[lo : lo + _PRODUCT_BLOCK_ROWS] @ bt
+        rows = slice(lo, lo + _PRODUCT_BLOCK_ROWS)
+        yield rows, af[rows] @ bt
+
+
+def _jaccard_similarity(n11: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """New array of ``1 - jaccard`` from float64 intersection sizes ``n11`` and the
+    lengths ``la`` (a column) and ``lb`` of its rows and columns; empty pairs score 1."""
+    sim = la + lb
+    sim -= n11
+    empty = sim == 0
+    np.divide(n11, sim, out=sim, where=~empty)
+    sim[empty] = 1.0
+    return sim
+
+
+def _pcc_from_counts(n11: np.ndarray, la: np.ndarray, lb: np.ndarray, m: int) -> np.ndarray:
+    """PCC ``(m n11 - la lb) / sqrt(la (m - la) lb (m - lb))`` written into ``n11``
+    (see :func:`_jaccard_similarity`), a constant ballot scoring 1 against all;
+    one sqrt of the product keeps identical ballots at exactly 1."""
+    spread_a, spread_b = la * (m - la), lb * (m - lb)
+    out = n11
+    out *= m
+    den = la * lb  # the one temporary the size of n11
+    out -= den
+    # a constant ballot's spread is 0; any other is at least m - 1 >= 1
+    np.multiply(np.maximum(spread_a, 1.0), np.maximum(spread_b, 1.0), out=den)
+    out /= np.sqrt(den, out=den)
+    out[(spread_a == 0) | (spread_b == 0)] = 1.0
     return out
-
-
-def hamming_matrix(e: Election) -> np.ndarray:
-    """``(n, n)`` matrix of pairwise Hamming distances."""
-    n11 = intersection_matrix(e)
-    lengths = e.ballot_lengths()
-    out = lengths[:, None] + lengths[None, :] - 2 * n11
-    out.setflags(write=False)
-    return out
-
-
-def jaccard_similarity_matrix(e: Election) -> np.ndarray:
-    """``(n, n)`` matrix of ``1 - jaccard(u, v)`` (empty-vs-empty pairs score 1)."""
-    n11 = intersection_matrix(e)
-    lengths = e.ballot_lengths()
-    union = lengths[:, None] + lengths[None, :] - n11
-    sim = np.ones((e.num_voters, e.num_voters), dtype=np.float64)
-    return np.divide(n11, union, out=sim, where=union > 0)
 
 
 def pcc_matrix(e: Election) -> np.ndarray:
-    """``(n, n)`` matrix of pairwise PCC values, degenerate ballots scoring 1."""
-    m = e.num_candidates
-    n11 = intersection_matrix(e)
-    lengths = e.ballot_lengths()
-    num = m * n11.astype(np.float64) - np.outer(lengths, lengths)
-    spread = lengths * (m - lengths)
-    constant = spread == 0
-    safe = np.where(constant, 1, spread).astype(np.float64)
-    out = num / np.sqrt(np.outer(safe, safe))
-    out[constant, :] = 1.0
-    out[:, constant] = 1.0
-    return out
+    """``(n, n)`` matrix of pairwise PCC values, degenerate ballots scoring 1;
+    its library caller, the dense spectral path, passes distinct ballots."""
+    x = e.matrix.astype(np.float64)
+    lengths = e.ballot_lengths().astype(np.float64)
+    return _pcc_from_counts(x @ x.T, lengths[:, None], lengths, e.num_candidates)
 
 
 def pcc_weights(lengths: np.ndarray, m: int) -> np.ndarray:
@@ -205,7 +180,9 @@ def cross_hamming(a: Election, b: Election) -> np.ndarray:
     if a.num_candidates != b.num_candidates:
         raise ValueError("elections have different candidate counts")
     # |u| + |v| - 2|u & v|, in place so no second (n_a, n_b) matrix is made
-    out = _products(a.matrix, b.matrix)
+    out = np.empty((a.num_voters, b.num_voters), dtype=np.int64)
+    for rows, block in _product_blocks(a.matrix, b.matrix):
+        out[rows] = block
     out *= -2
     out += a.ballot_lengths()[:, None]
     out += b.ballot_lengths()[None, :]

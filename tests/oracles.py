@@ -12,7 +12,31 @@ from approvaldap.generators import (
     _id_prefix,
     _master,
 )
-from approvaldap.metrics import hamming_matrix
+
+
+# -- n x n kernels over the voters, before the local agreement indices
+# summed over weighted distinct ballots in row blocks -------------------
+
+
+def intersection_matrix(e: Election) -> np.ndarray:
+    """``(n, n)`` int64 matrix of pairwise approval-set intersection sizes."""
+    x = e.matrix.astype(np.int64)
+    return x @ x.T
+
+
+def hamming_matrix(e: Election) -> np.ndarray:
+    """``(n, n)`` matrix of pairwise Hamming distances."""
+    lengths = e.ballot_lengths()
+    return lengths[:, None] + lengths[None, :] - 2 * intersection_matrix(e)
+
+
+def jaccard_similarity_matrix(e: Election) -> np.ndarray:
+    """``(n, n)`` matrix of ``1 - jaccard(u, v)`` (empty-vs-empty pairs score 1)."""
+    n11 = intersection_matrix(e)
+    lengths = e.ballot_lengths()
+    union = lengths[:, None] + lengths[None, :] - n11
+    sim = np.ones((e.num_voters, e.num_voters), dtype=np.float64)
+    return np.divide(n11, union, out=sim, where=union > 0)
 
 
 def _min_side(e: Election) -> int:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approvaldap.agreement import (
@@ -24,10 +24,10 @@ from approvaldap.generators import (
     gen_triangle,
     gen_xy_two_party,
 )
-from approvaldap.metrics import hamming, pcc_matrix
+from approvaldap.metrics import _PRODUCT_BLOCK_ROWS, hamming, pcc_matrix
 
 from conftest import make_random_election
-from oracles import cntr_agr_closed_form, pair_agr_naive
+from oracles import cntr_agr_closed_form, jaccard_similarity_matrix, pair_agr_naive
 
 
 def brute_chd(e: Election, ballot) -> int:
@@ -219,6 +219,59 @@ def test_pccplus_agr_examples():
     e = gen_xy_two_party(60, 60, 1 / 3, 1 / 3)
     assert pccplus_agr(e) == pytest.approx(5 / 9)
     assert round(pccplus_agr(gen_cyclic(60)), 2) == 0.25
+
+
+@st.composite
+def local_elections(draw):
+    """Elections for the distinct-ballot sums of the local indices: random
+    ones, repeats of a small pool, constant ballots only (all empty, all
+    full or both), and more distinct ballots than two product blocks."""
+    kind = draw(st.sampled_from(["random", "pool", "constant", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 30))
+    if kind == "random":
+        rows = rng.random((n, m)) < rng.uniform(0.05, 0.95)
+    elif kind == "pool":
+        pool = np.vstack([np.zeros(m), np.ones(m), rng.random((3, m)) < 0.5])
+        rows = pool[rng.integers(len(pool), size=n)]
+    elif kind == "constant":
+        pool = np.vstack([np.zeros(m), np.ones(m)])[draw(st.sampled_from([[0], [1], [0, 1]]))]
+        rows = pool[rng.integers(len(pool), size=n)]
+    else:  # nearly all distinct, past two product blocks
+        n = 2 * _PRODUCT_BLOCK_ROWS + draw(st.integers(1, 60))
+        rows = rng.random((n, 20)) < rng.uniform(0.2, 0.8)
+    return Election(rows.astype(np.uint8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_elections())
+@example(Election([[0]]))
+@example(Election([[1]]))
+@example(Election([[0], [1], [1]]))
+@example(Election([[1, 0, 1]]))
+@example(Election([[0, 0, 0], [1, 1, 1], [0, 0, 0]]))
+@example(Election(np.random.default_rng(11).random((3 * _PRODUCT_BLOCK_ROWS, 20)) < 0.5))
+def test_local_indices_match_square_oracles(e):
+    assert abs(jacc_agr(e) - float(jaccard_similarity_matrix(e).mean())) <= 1e-12
+    assert abs(pccplus_agr(e) - float(np.maximum(pcc_matrix(e), 0.0).mean())) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["jacc_agr", "pccplus_agr"])
+def test_local_indices_peak_memory_is_below_a_square_matrix(name):
+    import tracemalloc
+
+    n = 4000
+    rng = np.random.default_rng(3)
+    e = Election((rng.random((n, 50)) < 0.3).astype(np.uint8))
+    tracemalloc.start()
+    try:
+        AGREEMENT_INDICES[name](e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 n x n matrix is 8 n^2 bytes
+    assert peak < n * n
 
 
 def test_all_indices_are_one_on_identity_elections():

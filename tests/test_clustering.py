@@ -22,9 +22,10 @@ from approvaldap.generators import (
     gen_xy_two_party,
     sample,
 )
-from approvaldap.metrics import hamming_matrix, pcc_matrix
+from approvaldap.metrics import pcc_matrix
 
 from conftest import make_random_election
+from oracles import hamming_matrix
 
 
 def as_blocks(labels: np.ndarray) -> set[frozenset]:
@@ -512,7 +513,7 @@ def test_hamming_factors_reproduce_hamming_matrix(m, n, seed):
 def test_kmedoids_path_builds_no_square_matrix(monkeypatch):
     # cntr_div and cntr_pol cluster by k-medoids and score the clusters by
     # central agreement: neither needs a pairwise kernel
-    from approvaldap import metrics
+    from approvaldap import agreement, metrics
     from approvaldap.divpol import cntr_div, cntr_pol
 
     spec = CultureSpec("resampling", 40, 300, seed=1, params={"p": 0.2, "phi": 0.5})
@@ -521,8 +522,15 @@ def test_kmedoids_path_builds_no_square_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an n x n pairwise matrix was built")
 
-    monkeypatch.setattr(metrics, "intersection_matrix", refuse)
-    monkeypatch.setattr(metrics, "_products", refuse)
+    for module, name in [
+        (agreement, "_product_blocks"),
+        (metrics, "_product_blocks"),
+        (metrics, "_jaccard_similarity"),
+        (metrics, "_pcc_from_counts"),
+        (metrics, "pcc_matrix"),
+        (clustering, "pcc_matrix"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
     e = sample(spec)
     assert e.num_voters == 300
     assert [cntr_div(e, seed=3), cntr_pol(e, seed=3)] == want

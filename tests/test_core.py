@@ -17,7 +17,6 @@ from approvaldap.core import (
     subsample,
 )
 from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle
-from approvaldap.metrics import intersection_matrix
 
 from conftest import BOUNDARY_WIDTHS, make_random_election
 
@@ -161,11 +160,12 @@ def test_subsample_rows_are_restrictions():
 
 def test_clear_cache_recomputes_memoised_matrix():
     e = gen_k_party(6, 6, 2)
-    first = intersection_matrix(e)
-    assert intersection_matrix(e) is first
+    first = e.distinct_ballots()
+    assert e.distinct_ballots() is first
     e.clear_cache()
-    again = intersection_matrix(e)
-    assert again is not first and np.array_equal(again, first)
+    again = e.distinct_ballots()
+    assert again is not first and again[0] is not first[0]
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
 
 def test_restrict_voters_keeps_order():

@@ -22,9 +22,10 @@ from approvaldap.divpol import (
 )
 from approvaldap.experiments import compass_specs
 from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle, sample
-from approvaldap.metrics import cross_hamming, hamming_matrix
+from approvaldap.metrics import cross_hamming
 
 from conftest import make_random_election
+from oracles import hamming_matrix
 
 
 def test_a_div_is_zero_on_identity():

@@ -117,7 +117,7 @@ def test_threshold_scores():
     assert threshold_scores(scores, 1.0).matrix.all()
     with pytest.raises(ValueError):
         threshold_scores([[1, 2], [1]], 1.5)
-    for flat in ([1, 2, 3], np.array([1.0, 2.0])):
+    for flat in ([1, 2, 3], np.array([1.0, 2.0]), 5, np.array(5.0)):
         with pytest.raises(ValueError, match="must be two-dimensional"):
             threshold_scores(flat, 1.5)
 

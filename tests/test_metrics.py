@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from approvaldap.core import Election
 from approvaldap.metrics import (
     PairCounts,
-    intersection_matrix,
+    _jaccard_similarity,
     cross_hamming,
     hamming,
-    hamming_matrix,
     jaccard,
-    jaccard_similarity_matrix,
     pair_counts,
     pcc,
     pcc_from_hamming,
@@ -21,6 +19,7 @@ from approvaldap.metrics import (
 )
 
 from conftest import BOUNDARY_WIDTHS, make_random_election
+from oracles import hamming_matrix, intersection_matrix, jaccard_similarity_matrix
 
 
 def pcc_mean_centered(u, v):
@@ -113,11 +112,16 @@ def test_matrices_match_per_pair_calls(rng):
         mat = e.matrix
         ham = hamming_matrix(e)
         jac = jaccard_similarity_matrix(e)
+        lengths = e.ballot_lengths().astype(np.float64)
+        n11 = intersection_matrix(e).astype(np.float64)
+        sim = _jaccard_similarity(n11, lengths[:, None], lengths)
         pcm = pcc_matrix(e)
         for i in range(e.num_voters):
             for j in range(e.num_voters):
                 assert ham[i, j] == hamming(mat[i], mat[j])
-                assert jac[i, j] == pytest.approx(1 - jaccard(mat[i], mat[j]), abs=1e-14)
+                want = 1 - jaccard(mat[i], mat[j])
+                assert jac[i, j] == pytest.approx(want, abs=1e-14)
+                assert sim[i, j] == pytest.approx(want, abs=1e-14)
                 assert pcm[i, j] == pytest.approx(pcc(mat[i], mat[j]), abs=1e-14)
 
 
@@ -168,6 +172,10 @@ def test_jaccard_similarity_matches_gather_form(m, n, seed):
     mat = (rng.random((n, m)) < rng.uniform(0.0, 1.0)).astype(np.uint8)
     mat[rng.random(n) < 0.3] = 0  # empty ballots
     for e in (Election(mat), Election(np.zeros_like(mat))):
-        got, want = jaccard_similarity_matrix(e), jaccard_similarity_oracle(e)
-        assert got.tobytes() == want.tobytes()
-        assert got.mean() == want.mean()
+        want = jaccard_similarity_oracle(e)
+        lengths = e.ballot_lengths().astype(np.float64)
+        n11 = intersection_matrix(e).astype(np.float64)
+        library = _jaccard_similarity(n11, lengths[:, None], lengths)
+        for got in (jaccard_similarity_matrix(e), library):
+            assert got.tobytes() == want.tobytes()
+            assert got.mean() == want.mean()
