@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Election
-from .metrics import _jaccard_similarity, _pcc_from_counts, _product_blocks, pcc_weights
+from .metrics import _PRODUCT_BLOCK_ROWS, _jaccard_similarity, _pcc_from_counts, pcc_weights
 
 __all__ = [
     "CentralVote",
@@ -138,19 +138,26 @@ def _local_pair_means(e: Election) -> tuple[float, float]:
     """``(jacc_agr, pccplus_agr)`` from one memoised pass with no n x n matrix:
     over the distinct ballots ``b`` with counts ``c``, each is ``sum_ab c_a c_b
     sim(b_a, b_b) / n^2``, the similarities sharing each row block of ``b @ b.T``.
-    Memory grows with the block times the N distinct ballots, time with N^2;
-    the sums match the n x n mean within float residue, not bit for bit."""
+    ``sim`` is symmetric, so a block covers only its own and the later columns
+    and weighs the later ones twice.  Memory grows with the block times the N
+    distinct ballots, time with N^2; the sums match the n x n mean within
+    float residue, not bit for bit."""
 
     def compute():
         ballots, _, c = e.distinct_ballots()
-        lengths = ballots.sum(axis=1, dtype=np.float64)
+        ballots = ballots.astype(np.float64)
+        lengths = ballots.sum(axis=1)
         jacc = plus = 0.0
-        for rows, block in _product_blocks(ballots, ballots):
-            la = lengths[rows, None]
-            jacc += float(c[rows] @ _jaccard_similarity(block, la, lengths) @ c)
+        for lo in range(0, len(c), _PRODUCT_BLOCK_ROWS):
+            rows = slice(lo, lo + _PRODUCT_BLOCK_ROWS)
+            block = ballots[rows] @ ballots[lo:].T  # exact integers
+            la, lb = lengths[rows, None], lengths[lo:]
+            weights = 2.0 * c[lo:]
+            weights[: la.size] = c[rows]  # the diagonal block holds both orders
+            jacc += float(c[rows] @ _jaccard_similarity(block, la, lb) @ weights)
             # PCC overwrites the intersection sizes: two blocks live at a time
-            block = _pcc_from_counts(block, la, lengths, e.num_candidates)
-            plus += float(c[rows] @ np.maximum(block, 0.0, out=block) @ c)
+            block = _pcc_from_counts(block, la, lb, e.num_candidates)
+            plus += float(c[rows] @ np.maximum(block, 0.0, out=block) @ weights)
         return jacc / e.num_voters**2, plus / e.num_voters**2
 
     return e._cache("local_pair_means", compute)

@@ -1,9 +1,10 @@
 """Reading real-world ballot data and writing election artifacts.
 
 Covers the Pabulib participatory-budgeting text format (approval files
-only), a JSON native format that round-trips :class:`Election` exactly, a
-generic score-threshold converter, and byte-deterministic CSV/SVG
-emitters used by the experiment commands.
+only, read by :mod:`approvaldap.pabulib`), a JSON native format that
+round-trips :class:`Election` exactly, a generic score-threshold
+converter, and byte-deterministic CSV/SVG emitters used by the experiment
+commands.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-from itertools import repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import Election
+from .pabulib import ParseError, parse_pabulib
 
 __all__ = [
     "ParseError",
@@ -28,140 +29,6 @@ __all__ = [
     "write_svg_scatter",
     "write_svg_heatmap",
 ]
-
-_PABULIB_SECTIONS = ("META", "PROJECTS", "VOTES")
-
-
-class ParseError(ValueError):
-    """Structured parse failure; carries the 1-based input line if known."""
-
-    def __init__(self, message: str, line: Optional[int] = None):
-        self.line = line
-        super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-def parse_pabulib(text: str) -> Election:
-    """Parse a Pabulib ``.pb`` file into an election.
-
-    Candidates are the declared projects in file order; each VOTES row
-    becomes one ballot approving the project ids in its ``vote`` field
-    (duplicates collapsed, empty field allowed).  Costs and all metadata
-    are ignored, except that files declaring a non-approval ``vote_type``
-    are rejected.  Sections may appear in any order; trailing whitespace
-    is insignificant.
-
-    The rows are read and checked line by line; the vote tokens of all
-    rows are then split and mapped to project indices in one pass, and the
-    ballot matrix is filled by one assignment.  An undeclared project id
-    is reported with the line of the first row that names one.
-    """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}") from None
-    text = text.lstrip("﻿")
-
-    meta: dict[str, str] = {}
-    project_order: list[str] = []
-    project_seen: set[str] = set()
-    votes: list[str] = []
-    vote_lines: list[int] = []
-    seen_sections: set[str] = set()
-
-    section = None
-    header: list[str] = []
-    vote_col = -1
-    id_col = -1
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line:
-            continue
-        if line in _PABULIB_SECTIONS:
-            if line in seen_sections:
-                raise ParseError(f"duplicate section {line}", lineno)
-            seen_sections.add(line)
-            section = line
-            header = []
-            continue
-        if line.isupper() and line.isalpha():
-            raise ParseError(f"unknown section {line!r}", lineno)
-        if section is None:
-            raise ParseError("content before any section header", lineno)
-
-        fields = line.split(";")
-        if not header:
-            header = [f.strip() for f in fields]
-            if section == "PROJECTS":
-                try:
-                    id_col = header.index("project_id")
-                except ValueError:
-                    raise ParseError("PROJECTS header lacks a project_id column", lineno) from None
-            elif section == "VOTES":
-                try:
-                    vote_col = header.index("vote")
-                except ValueError:
-                    raise ParseError("VOTES header lacks a vote column", lineno) from None
-            continue
-
-        if section == "META":
-            if len(fields) < 2:
-                raise ParseError("META row needs key;value", lineno)
-            meta[fields[0].strip()] = fields[1].strip()
-        elif section == "PROJECTS":
-            if len(fields) != len(header):
-                raise ParseError(
-                    f"PROJECTS row has {len(fields)} fields, header has {len(header)}", lineno
-                )
-            pid = fields[id_col].strip()
-            if not pid:
-                raise ParseError("empty project id", lineno)
-            if pid in project_seen:
-                raise ParseError(f"duplicate project id {pid!r}", lineno)
-            project_seen.add(pid)
-            project_order.append(pid)
-        elif section == "VOTES":
-            if len(fields) != len(header):
-                raise ParseError(
-                    f"VOTES row has {len(fields)} fields, header has {len(header)}", lineno
-                )
-            votes.append(fields[vote_col].strip())
-            vote_lines.append(lineno)
-
-    vote_type = meta.get("vote_type", "approval").strip().lower()
-    if vote_type != "approval":
-        raise ParseError(f"only approval ballots are supported, file declares {vote_type!r}")
-    if "VOTES" not in seen_sections:
-        raise ParseError("missing VOTES section")
-    if not project_order:
-        raise ParseError("no projects declared")
-    if not votes:
-        raise ParseError("VOTES section has no ballots")
-
-    # one pass over every token of every vote: "" (from "1,,2") maps to -1
-    # and is skipped, an undeclared id maps to -2
-    lookup = {pid: j for j, pid in enumerate(project_order)}
-    lookup[""] = -1
-    sizes = [vote.count(",") + 1 if vote else 0 for vote in votes]
-    joined = ",".join(vote for vote in votes if vote)
-    tokens = joined.split(",") if joined else []
-    cols = np.fromiter(
-        map(lookup.get, map(str.strip, tokens), repeat(-2)), dtype=np.int64, count=len(tokens)
-    )
-    rows = np.repeat(np.arange(len(votes)), sizes)
-    undeclared = np.flatnonzero(cols == -2)
-    if undeclared.size:
-        first = undeclared[0]
-        raise ParseError(
-            f"vote references undeclared project {tokens[first].strip()!r}",
-            vote_lines[rows[first]],
-        )
-    approved = cols >= 0
-    mat = np.zeros((len(votes), len(project_order)), dtype=np.uint8)
-    mat[rows[approved], cols[approved]] = 1  # repeated ids collapse
-    label = meta.get("description") or meta.get("unit")
-    return Election(mat, label=label)
 
 
 def threshold_scores(matrix, threshold: float) -> Election:

@@ -1,5 +1,6 @@
 """Slow reference forms of library indices and samplers, kept as test oracles."""
 
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -12,6 +13,7 @@ from approvaldap.generators import (
     _id_prefix,
     _master,
 )
+from approvaldap.io import ParseError
 
 
 # -- n x n kernels over the voters, before the local agreement indices
@@ -225,3 +227,132 @@ def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
     probs = {g: _election_rng(master, 1 + g).random(m) for g in range(k)}
     rows = [(_voter_rng(master, i).random(m) < probs[groups[i]]) for i in range(n)]
     return Election(np.array(rows, dtype=np.uint8))
+
+
+# -- the line-by-line Pabulib parser, before the VOTES rows were read as arrays --
+
+_PABULIB_SECTIONS = ("META", "PROJECTS", "VOTES")
+
+
+def parse_pabulib_lines(text: str) -> Election:
+    """Parse a Pabulib ``.pb`` file into an election.
+
+    Candidates are the declared projects in file order; each VOTES row
+    becomes one ballot approving the project ids in its ``vote`` field
+    (duplicates collapsed, empty field allowed).  Costs and all metadata
+    are ignored, except that files declaring a non-approval ``vote_type``
+    are rejected.  Sections may appear in any order; trailing whitespace
+    is insignificant.
+
+    The rows are read and checked line by line; the vote tokens of all
+    rows are then split and mapped to project indices in one pass, and the
+    ballot matrix is filled by one assignment.  An undeclared project id
+    is reported with the line of the first row that names one.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc}") from None
+    text = text.lstrip("﻿")
+
+    meta: dict[str, str] = {}
+    project_order: list[str] = []
+    project_seen: set[str] = set()
+    votes: list[str] = []
+    vote_lines: list[int] = []
+    seen_sections: set[str] = set()
+
+    section = None
+    header: list[str] = []
+    vote_col = -1
+    id_col = -1
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
+        if not line:
+            continue
+        if line in _PABULIB_SECTIONS:
+            if line in seen_sections:
+                raise ParseError(f"duplicate section {line}", lineno)
+            seen_sections.add(line)
+            section = line
+            header = []
+            continue
+        if line.isupper() and line.isalpha():
+            raise ParseError(f"unknown section {line!r}", lineno)
+        if section is None:
+            raise ParseError("content before any section header", lineno)
+
+        fields = line.split(";")
+        if not header:
+            header = [f.strip() for f in fields]
+            if section == "PROJECTS":
+                try:
+                    id_col = header.index("project_id")
+                except ValueError:
+                    raise ParseError("PROJECTS header lacks a project_id column", lineno) from None
+            elif section == "VOTES":
+                try:
+                    vote_col = header.index("vote")
+                except ValueError:
+                    raise ParseError("VOTES header lacks a vote column", lineno) from None
+            continue
+
+        if section == "META":
+            if len(fields) < 2:
+                raise ParseError("META row needs key;value", lineno)
+            meta[fields[0].strip()] = fields[1].strip()
+        elif section == "PROJECTS":
+            if len(fields) != len(header):
+                raise ParseError(
+                    f"PROJECTS row has {len(fields)} fields, header has {len(header)}", lineno
+                )
+            pid = fields[id_col].strip()
+            if not pid:
+                raise ParseError("empty project id", lineno)
+            if pid in project_seen:
+                raise ParseError(f"duplicate project id {pid!r}", lineno)
+            project_seen.add(pid)
+            project_order.append(pid)
+        elif section == "VOTES":
+            if len(fields) != len(header):
+                raise ParseError(
+                    f"VOTES row has {len(fields)} fields, header has {len(header)}", lineno
+                )
+            votes.append(fields[vote_col].strip())
+            vote_lines.append(lineno)
+
+    vote_type = meta.get("vote_type", "approval").strip().lower()
+    if vote_type != "approval":
+        raise ParseError(f"only approval ballots are supported, file declares {vote_type!r}")
+    if "VOTES" not in seen_sections:
+        raise ParseError("missing VOTES section")
+    if not project_order:
+        raise ParseError("no projects declared")
+    if not votes:
+        raise ParseError("VOTES section has no ballots")
+
+    # one pass over every token of every vote: "" (from "1,,2") maps to -1
+    # and is skipped, an undeclared id maps to -2
+    lookup = {pid: j for j, pid in enumerate(project_order)}
+    lookup[""] = -1
+    sizes = [vote.count(",") + 1 if vote else 0 for vote in votes]
+    joined = ",".join(vote for vote in votes if vote)
+    tokens = joined.split(",") if joined else []
+    cols = np.fromiter(
+        map(lookup.get, map(str.strip, tokens), repeat(-2)), dtype=np.int64, count=len(tokens)
+    )
+    rows = np.repeat(np.arange(len(votes)), sizes)
+    undeclared = np.flatnonzero(cols == -2)
+    if undeclared.size:
+        first = undeclared[0]
+        raise ParseError(
+            f"vote references undeclared project {tokens[first].strip()!r}",
+            vote_lines[rows[first]],
+        )
+    approved = cols >= 0
+    mat = np.zeros((len(votes), len(project_order)), dtype=np.uint8)
+    mat[rows[approved], cols[approved]] = 1  # repeated ids collapse
+    label = meta.get("description") or meta.get("unit")
+    return Election(mat, label=label)

@@ -523,7 +523,8 @@ def test_kmedoids_path_builds_no_square_matrix(monkeypatch):
         raise AssertionError("an n x n pairwise matrix was built")
 
     for module, name in [
-        (agreement, "_product_blocks"),
+        (agreement, "_jaccard_similarity"),
+        (agreement, "_pcc_from_counts"),
         (metrics, "_product_blocks"),
         (metrics, "_jaccard_similarity"),
         (metrics, "_pcc_from_counts"),

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from approvaldap.io import (
 )
 
 from conftest import make_random_election
+from oracles import parse_pabulib_lines
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,3 +299,147 @@ def test_parse_matches_per_token_oracle(text):
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.matrix.shape == want.matrix.shape
     assert got.label == want.label
+
+
+# -- the array parser against the line-by-line parser --------------------------
+
+# str.splitlines breaks besides "\n", blanks that str.strip() removes, and
+# lines that look like section names
+_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_BLANKS = [" ", "\t", "\x1f", "\xa0", "\u3000", "\u2007"]
+_NAMES = ["META", "PROJECTS", "VOTES", "VOTES  ", "VOTES\xa0", "XYZ", "Votes", "  VOTES", "ÉTÉ"]
+
+
+def _same_parse(doc):
+    """The array parser gives the line-by-line parser's election or error."""
+    try:
+        want = parse_pabulib_lines(doc)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_pabulib(doc)
+        assert str(err.value) == str(exc)
+        assert err.value.line == exc.line
+        return
+    got = parse_pabulib(doc)
+    assert got.matrix.dtype == want.matrix.dtype
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.label == want.label
+
+
+@st.composite
+def mutated_pabulib_texts(draw):
+    """:func:`pabulib_texts` files with stray or repeated section names, a
+    section after VOTES, wrong field counts, blank and padded lines, odd line
+    breaks and non-ASCII ids, then byte flips, inserts and deletes, given as
+    text or as UTF-8 bytes."""
+    lines = draw(pabulib_texts()).split("\n")
+    votes = next(i for i, line in enumerate(lines) if line.rstrip("\r") == "VOTES")
+    for _ in range(draw(st.integers(0, 4))):
+        # mostly inside VOTES, whose rows follow its header line
+        i = draw(st.integers(votes + 1, len(lines)) | st.integers(0, len(lines)))
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            lines.insert(i, draw(st.sampled_from(_NAMES)))
+        elif kind == 1:
+            lines += ["META", "key;value", "unit;after votes"]
+        elif kind == 2 and i < len(lines):
+            lines[i] = lines[i] + ";x" if draw(st.booleans()) else lines[i].replace(";", "", 1)
+        elif kind == 3:
+            lines.insert(i, "".join(draw(st.lists(st.sampled_from(_BLANKS), max_size=3))))
+        elif kind in (4, 5) and i < len(lines):
+            noise = draw(st.sampled_from(_BREAKS + _BLANKS + ["é", "À", ",", ";", "\x00"]))
+            pos = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:pos] + noise + lines[i][pos:]
+        elif kind == 6 and i < len(lines):
+            lines[i] = lines[i].replace(",", "\xa0,", 1) + "\xa0"
+        elif kind == 7:
+            lines.insert(i, f"{len(lines)};{draw(st.sampled_from(['é', 'ab', '0', '1,é', '']))}")
+    doc = "\n".join(lines).encode()
+    if draw(st.booleans()):
+        blob = bytearray(doc)
+        for _ in range(draw(st.integers(1, 6))):
+            action = draw(st.integers(0, 2))
+            pos = draw(st.integers(0, len(blob)))
+            if action == 0 and pos < len(blob):
+                blob[pos] = draw(st.integers(0, 255))
+            elif action == 1:
+                blob.insert(pos, draw(st.integers(0, 255)))
+            elif pos < len(blob):
+                del blob[pos]
+        doc = bytes(blob)
+    return doc if draw(st.booleans()) else doc.decode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=600, deadline=None)
+@given(pabulib_texts() | mutated_pabulib_texts())
+def test_parse_matches_line_by_line_oracle(doc):
+    _same_parse(doc)
+
+
+@st.composite
+def long_id_texts(draw):
+    """Files whose ids differ in length, share long prefixes and hold NULs,
+    voted with those ids, near misses and tokens longer than any id."""
+    stem = st.text("ab\x00-é7", min_size=1, max_size=20)
+    stems = draw(st.lists(stem, min_size=1, max_size=40, unique=True))
+    prefix = draw(st.sampled_from(["", "p", "project-", "participatory-budget-"]))
+    ids = list(dict.fromkeys(prefix + stem for stem in stems))
+    near = [pid[:-1] for pid in ids] + [pid + "x" for pid in ids] + ["x" * 30]
+    token = st.sampled_from(ids + near) | st.sampled_from(ids)
+    rows = draw(st.lists(st.lists(token, max_size=8), min_size=1, max_size=30))
+    undeclared = draw(st.booleans())
+    lines = ["PROJECTS", "project_id;cost", *(f"{pid};1" for pid in ids), "VOTES", "voter_id;vote"]
+    for i, row in enumerate(rows):
+        lines.append(f"{i};{','.join(row if undeclared else [t for t in row if t in ids])}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_id_texts())
+def test_parse_matches_oracle_on_long_ids(doc):
+    _same_parse(doc)
+    _same_parse(doc.encode("utf-8", "surrogateescape"))
+
+
+def test_parse_finds_every_id_of_thousands():
+    # 3000 ids of 1 to 12 bytes, each voted once
+    ids = [format(j, "x").rjust(1 + j % 12, "0") for j in range(3000)]
+    lines = ["PROJECTS", "project_id", *ids, "VOTES", "voter_id;vote"]
+    lines += [f"{i};{','.join(ids[i::300])}" for i in range(300)]
+    e = parse_pabulib("\n".join(lines))
+    assert e.matrix.sum() == 3000
+    assert np.array_equal(e.matrix, parse_pabulib_lines("\n".join(lines)).matrix)
+
+
+def _write_pb(path, ballots, description):
+    """A Pabulib file laid out as the benchmark writes its inputs."""
+    n, m = ballots.shape
+    ids = np.array([str(j + 1) for j in range(m)])
+    lines = [
+        "META", "key;value", f"description;{description}", "vote_type;approval",
+        f"num_projects;{m}", f"num_votes;{n}",
+        "PROJECTS", "project_id;cost;name",
+        *(f"{j + 1};{1000 * (j % 7 + 1)};project {j + 1}" for j in range(m)),
+        "VOTES", "voter_id;vote",
+        *(f"{i + 1};{','.join(ids[row.astype(bool)])}" for i, row in enumerate(ballots)),
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_parse_peak_memory_is_below_the_line_by_line_parser(tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "city.pb"
+    _write_pb(path, (rng.random((60_000, 120)) < 0.05).astype(np.uint8), "memory guard")
+    blob = path.read_bytes()
+    peaks = {}
+    for parse in (parse_pabulib_lines, parse_pabulib):
+        tracemalloc.start()
+        try:
+            e = parse(blob)
+            peaks[parse] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert e.matrix.shape == (60_000, 120)
+        del e
+    assert peaks[parse_pabulib] < peaks[parse_pabulib_lines]
