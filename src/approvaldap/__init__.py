@@ -11,7 +11,7 @@ from .agreement import (
     pcc_agr,
     pccplus_agr,
 )
-from .clustering import kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
+from .clustering import kmedoids_hamming, spectral_pcc
 from .core import Election, ElectionStats, approval_score, reverse, stats, subsample
 from .divpol import (
     a_div,
@@ -66,7 +66,6 @@ __all__ = [
     "pccplus_agr",
     "kmedoids_hamming",
     "spectral_pcc",
-    "weighted_cluster_agreement",
     "a_div",
     "a_pol",
     "cntr_div",

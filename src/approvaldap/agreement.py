@@ -63,22 +63,42 @@ def av_agr(e: Election) -> float:
 def central_vote(e: Election) -> CentralVote:
     """The canonical central vote (ties at ``n/2`` resolve to disapprove)."""
     scores = e.approval_counts()
-    n = e.num_voters
-    ballot = (2 * scores > n).astype(np.uint8)
+    ballot = (2 * scores > e.num_voters).astype(np.uint8)
     ballot.setflags(write=False)
+    return CentralVote(ballot=ballot, chd=_chd(scores, e.num_voters))
+
+
+def _chd(scores: np.ndarray, n: int) -> int:
     # summing per candidate: each contributes min(|A(c)|, n - |A(c)|)
-    chd = int(np.minimum(scores, n - scores).sum())
-    return CentralVote(ballot=ballot, chd=chd)
+    return int(np.minimum(scores, n - scores).sum())
 
 
-def cntr_agr(e: Election) -> float:
-    """Central agreement: 1 minus chd normalized by ``n * min(avl, rev_avl)``."""
-    # n * min(avl, rev_avl) as an exact integer
-    total = e.total_approvals()
-    denom = min(total, e.num_voters * e.num_candidates - total)
-    if denom == 0:
-        return 1.0
-    return 1.0 - central_vote(e).chd / denom
+def _clusters(e: Election, labels):
+    """``(share, rows)`` per cluster in ascending id order; no labels, one cluster."""
+    n = e.num_voters
+    labels = np.zeros(n, dtype=np.intp) if labels is None else np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError("labels do not cover the election's voters")
+    for c in np.unique(labels):
+        rows = np.flatnonzero(labels == c)
+        yield rows.size / n, rows
+
+
+def cntr_agr(e: Election, labels=None) -> float:
+    """Central agreement: 1 minus chd normalized by ``n * min(avl, rev_avl)``.
+
+    With ``labels`` (one cluster id per voter), the cluster-size-weighted
+    mean of each cluster's own value, from its rows' approval counts.
+    """
+    x, m = e.matrix, e.num_candidates
+    value = 0.0
+    for share, rows in _clusters(e, labels):
+        scores = x[rows].sum(axis=0, dtype=np.int64)
+        # n * min(avl, rev_avl) as an exact integer
+        total = int(scores.sum())
+        denom = min(total, rows.size * m - total)
+        value += share * (1.0 if denom == 0 else 1.0 - _chd(scores, rows.size) / denom)
+    return value
 
 
 def pair_agr(e: Election) -> float:
@@ -102,7 +122,7 @@ def jacc_agr(e: Election) -> float:
     return _local_pair_means(e)[0]
 
 
-def pcc_agr(e: Election) -> float:
+def pcc_agr(e: Election, labels=None) -> float:
     """Mean PCC over all ordered ballot pairs, in O(nm) with no n x n matrix.
 
     With the weights ``w_i = 1/sqrt(l_i (m - l_i))`` of the ballot lengths
@@ -113,20 +133,22 @@ def pcc_agr(e: Election) -> float:
     involve a constant ballot score 1.  The mean is within float residue
     of ``pcc_matrix(e).mean()``; it is exactly 1 on identity elections and
     is clamped to [0, 1].
+
+    With ``labels``, the cluster-size-weighted mean of each cluster's own
+    value, as in :func:`cntr_agr`, from its rows of ``X``, ``w`` and ``l``.
     """
-    x = e.matrix
-    if (x == x[0]).all():
-        return 1.0
-    n, m = e.num_voters, e.num_candidates
+    x, m = e.matrix, e.num_candidates
     lengths = e.ballot_lengths()
     w = pcc_weights(lengths, m)
-    projected = w @ x
-    pair_sum = m * float(projected @ projected) - float(lengths @ w) ** 2
-    n_nc = int(np.count_nonzero(w))
-    value = (pair_sum + (n * n - n_nc * n_nc)) / (n * n)
-    if -_PCC_RESIDUE < value < 0.0:
-        return 0.0
-    return min(1.0, value)
+    value = 0.0
+    for share, rows in _clusters(e, labels):
+        xc, lc, wc, n = x[rows], lengths[rows], w[rows], rows.size
+        projected = wc @ xc
+        pair_sum = m * float(projected @ projected) - float(lc @ wc) ** 2
+        n_nc = int(np.count_nonzero(wc))
+        mean = 1.0 if (xc == xc[0]).all() else (pair_sum + (n * n - n_nc * n_nc)) / (n * n)
+        value += share * (0.0 if -_PCC_RESIDUE < mean < 0.0 else min(1.0, mean))
+    return value
 
 
 def pccplus_agr(e: Election) -> float:

@@ -10,18 +10,16 @@ the same cluster labels on every platform.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .core import Election, restrict_voters, seeded_rng
+from .core import Election, seeded_rng
 from .metrics import pcc_matrix, pcc_weights
 
 __all__ = [
     "kmedoids_hamming",
     "spectral_pcc",
-    "weighted_cluster_agreement",
 ]
 
 _KMEDOIDS_MAX_ITER = 100
@@ -433,25 +431,3 @@ def _update_centers(
     for j, coord in enumerate(weighted):
         sums = np.bincount(labels, weights=coord, minlength=k)
         centers[live, j] = sums[live] / mass[live]
-
-
-def weighted_cluster_agreement(
-    e: Election,
-    labels: np.ndarray,
-    agr: Callable[[Election], float],
-) -> float:
-    """Cluster-size-weighted mean of an agreement index over sub-elections.
-
-    ``labels`` gives each voter a cluster id; the clusters are scored in
-    ascending id order.  Singleton and degenerate-saturation clusters are
-    identity sub-elections and score 1 through ``agr`` itself.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (e.num_voters,):
-        raise ValueError("labels do not cover the election's voters")
-    n = e.num_voters
-    total = 0.0
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        total += (members.size / n) * agr(restrict_voters(e, members))
-    return total

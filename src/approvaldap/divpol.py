@@ -19,7 +19,7 @@ import scipy.sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .agreement import cntr_agr, pcc_agr
-from .clustering import kmedoids_hamming, spectral_pcc, weighted_cluster_agreement
+from .clustering import kmedoids_hamming, spectral_pcc
 from .core import Election, distinct_rows, seeded_rng
 from .metrics import cross_hamming
 
@@ -56,12 +56,11 @@ Clusterer = Callable[[Election, int, int], np.ndarray]
 
 
 def _cluster_agreement(e: Election, agr, clusterer: Clusterer, k: int, seed: int) -> float:
-    """:func:`weighted_cluster_agreement` of ``clusterer(e, k, seed)``,
-    memoised on the election so that diversity and polarization share
-    their k = 2 term."""
+    """``agr(e, clusterer(e, k, seed))``, memoised on the election so that
+    diversity and polarization share their k = 2 term."""
     return e._cache(
         ("cluster_agreement", agr, clusterer, k, seed),
-        lambda: weighted_cluster_agreement(e, clusterer(e, k, seed), agr),
+        lambda: agr(e, clusterer(e, k, seed)),
     )
 
 
@@ -69,8 +68,10 @@ def a_div(e: Election, agr, clusterer: Clusterer, seed: int) -> float:
     """Clustering-based diversity: one minus the mean best within-cluster
     agreement over cluster counts 1..5 (the count-1 term is ``agr(e)``).
 
-    The k = 2 term is the one :func:`a_pol` scores; it is computed once
-    per election, agreement, clusterer and seed.
+    ``agr`` is called both as ``agr(e)`` and as ``agr(e, labels)``, the
+    cluster-size-weighted mean over the clusters of ``labels``.  The k = 2
+    term is the one :func:`a_pol` scores; it is computed once per election,
+    agreement, clusterer and seed.
     """
     values = [agr(e)]
     for k in range(2, _DIV_MAX_CLUSTERS + 1):
@@ -83,8 +84,9 @@ def a_pol(e: Election, agr, clusterer: Clusterer, seed: int) -> float:
     2-partition over the whole election.
 
     The trivial single-block partition is always a candidate, so the value
-    is nonnegative before clamping.  The 2-partition's agreement is the
-    k = 2 term of :func:`a_div`, shared through the election's memo.
+    is nonnegative before clamping.  ``agr`` is called both as ``agr(e)``
+    and as ``agr(e, labels)``.  The 2-partition's agreement is the k = 2
+    term of :func:`a_div`, shared through the election's memo.
     """
     base = agr(e)
     best = max(_cluster_agreement(e, agr, clusterer, 2, seed), base)

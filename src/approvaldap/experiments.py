@@ -270,7 +270,7 @@ def mds_embed(distances: np.ndarray) -> Embedding:
     n = d.shape[0]
     if not np.isfinite(d).all():
         raise ValueError("distances must be finite")
-    if not np.allclose(d, d.T, atol=1e-9):
+    if not np.allclose(d, d.T, rtol=0.0, atol=1e-9):
         raise ValueError("distance matrix must be symmetric")
     if (d < 0).any():
         raise ValueError("distances must be nonnegative")

@@ -5,7 +5,7 @@ from typing import Sequence
 
 import numpy as np
 
-from approvaldap.core import Election, seeded_rng
+from approvaldap.core import Election, restrict_voters, seeded_rng
 from approvaldap.generators import (
     _check_prob,
     _check_sizes,
@@ -73,6 +73,24 @@ def pair_agr_naive(e: Election) -> float:
         raise ValueError("pairwise agreement sum undefined at saturation 0 or 1")
     ham_sum = int(hamming_matrix(e).sum())
     return 1.0 - (ham_sum * m) / (2 * total * (n * m - total))
+
+
+# -- clustered agreement over one sub-election per cluster, before
+# cntr_agr and pcc_agr took cluster labels ------------------------------
+
+
+def cluster_agreement_oracle(e: Election, labels, agr) -> float:
+    """Cluster-size-weighted mean of ``agr`` over the clusters of ``labels``
+    (one id per voter): each cluster's voters become a sub-election through
+    ``restrict_voters``, scored by the whole-election ``agr``, in ascending
+    id order."""
+    labels = np.asarray(labels)
+    n = e.num_voters
+    total = 0.0
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        total += (members.size / n) * agr(restrict_voters(e, members))
+    return total
 
 
 # -- samplers drawn with one Generator per voter, before the library read

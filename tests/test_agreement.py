@@ -27,7 +27,12 @@ from approvaldap.generators import (
 from approvaldap.metrics import _PRODUCT_BLOCK_ROWS, hamming, pcc_matrix
 
 from conftest import make_random_election
-from oracles import cntr_agr_closed_form, jaccard_similarity_matrix, pair_agr_naive
+from oracles import (
+    cluster_agreement_oracle,
+    cntr_agr_closed_form,
+    jaccard_similarity_matrix,
+    pair_agr_naive,
+)
 
 
 def brute_chd(e: Election, ballot) -> int:
@@ -211,6 +216,46 @@ def test_pcc_agr_is_exactly_one_on_identity_elections(m, n, seed):
     rng = np.random.default_rng(seed)
     ballot = rng.random(m) < rng.uniform(0.0, 1.0)
     assert pcc_agr(Election(np.tile(ballot, (n, 1)).astype(np.uint8))) == 1.0
+
+
+@st.composite
+def labelled_elections(draw):
+    """An election from ``make_random_election`` with one cluster id per
+    voter, ids drawn from a sparse set so they are rarely contiguous.  Kinds:
+    random ids; every voter its own cluster; each cluster holding copies of
+    one ballot (empty and full ballots among them); a single cluster.
+    Outside the copies kind, some ballots are made empty or full."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = make_random_election(rng, max_m=12, max_n=30)
+    n, m = e.num_voters, e.num_candidates
+    kind = draw(st.sampled_from(["random", "singletons", "copies", "one"]))
+    ids = np.array(draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True)))
+    if kind == "singletons":
+        labels = 3 * rng.permutation(n)
+    elif kind == "one":
+        labels = np.full(n, ids[0])
+    else:
+        labels = ids[rng.integers(ids.size, size=n)]
+    mat = e.matrix.copy()
+    if kind == "copies":
+        pool = np.vstack([np.zeros((1, m)), np.ones((1, m)), mat])
+        for c in ids:
+            mat[labels == c] = pool[rng.integers(len(pool))]
+    else:
+        edge = rng.random(n) < 0.2
+        mat[edge] = rng.integers(0, 2, size=(int(edge.sum()), 1))
+    return Election(mat), labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(labelled_elections())
+@example((Election([[1, 0, 1], [1, 0, 1], [0, 1, 0], [1, 1, 0]]), np.array([3, 7, 3, 7])))
+@example((Election([[0, 0], [1, 1], [0, 1]]), np.array([5, 5, 9])))
+def test_clustered_agreement_matches_sub_elections(case):
+    e, labels = case
+    for agr in (cntr_agr, pcc_agr):
+        assert agr(e, labels) == cluster_agreement_oracle(e, labels, agr)
+        assert agr(e, np.zeros(e.num_voters, dtype=np.intp)) == agr(e)
 
 
 def test_pccplus_agr_examples():

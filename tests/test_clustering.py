@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from approvaldap import clustering
 from approvaldap.agreement import cntr_agr, pcc_agr
-from approvaldap.clustering import (
-    kmedoids_hamming,
-    spectral_pcc,
-    weighted_cluster_agreement,
-)
+from approvaldap.clustering import kmedoids_hamming, spectral_pcc
 from approvaldap.core import Election, seeded_rng
 from approvaldap.generators import (
     CultureSpec,
@@ -153,20 +149,21 @@ def test_spectral_permutation_equivariance(rng):
     assert base_blocks == as_blocks(moved)
 
 
-def test_weighted_cluster_agreement():
+def test_clustered_agreement():
     e = gen_k_party(60, 60, 2)
     whole = np.zeros(60, dtype=np.intp)
-    assert weighted_cluster_agreement(e, whole, pcc_agr) == pcc_agr(e)
+    assert pcc_agr(e, whole) == pcc_agr(e)
     party = np.repeat(np.arange(2), 30)
-    assert weighted_cluster_agreement(e, party, pcc_agr) == 1.0
-    assert weighted_cluster_agreement(e, party, cntr_agr) == 1.0
+    assert pcc_agr(e, party) == 1.0
+    assert cntr_agr(e, party) == 1.0
     ident = gen_p_id(12, 9, 0.5)
     odd = np.arange(9) % 3
-    assert weighted_cluster_agreement(ident, odd, pcc_agr) == 1.0
-    with pytest.raises(ValueError):
-        weighted_cluster_agreement(e, np.zeros(1, dtype=np.intp), pcc_agr)
-    with pytest.raises(ValueError):
-        weighted_cluster_agreement(e, np.zeros((60, 1), dtype=np.intp), pcc_agr)
+    assert pcc_agr(ident, odd) == 1.0
+    for agr in (cntr_agr, pcc_agr):
+        with pytest.raises(ValueError):
+            agr(e, np.zeros(1, dtype=np.intp))
+        with pytest.raises(ValueError):
+            agr(e, np.zeros((60, 1), dtype=np.intp))
 
 
 def test_both_clusterers_saturate_block_elections():
@@ -174,8 +171,8 @@ def test_both_clusterers_saturate_block_elections():
         e = gen_k_party(48, 48, k)
         med = kmedoids_hamming(e, k, seed=2)
         spec = spectral_pcc(e, k, seed=2)
-        assert weighted_cluster_agreement(e, med, cntr_agr) == pytest.approx(1.0)
-        assert weighted_cluster_agreement(e, spec, pcc_agr) == pytest.approx(1.0)
+        assert cntr_agr(e, med) == pytest.approx(1.0)
+        assert pcc_agr(e, spec) == pytest.approx(1.0)
 
 
 def test_spectral_deterministic(rng):

@@ -6,7 +6,7 @@ import pytest
 
 from approvaldap import core, divpol
 from approvaldap.agreement import cntr_agr, pcc_agr
-from approvaldap.clustering import spectral_pcc, weighted_cluster_agreement
+from approvaldap.clustering import spectral_pcc
 from approvaldap.core import Election, reverse, seeded_rng, stats
 from approvaldap.divpol import (
     a_div,
@@ -318,7 +318,7 @@ def test_div_and_pol_share_the_two_cluster_term(monkeypatch, rng, div, pol, agr,
     fresh = Election(mat)
     assert (div(fresh, seed=3), pol(fresh, seed=3)) == values
     base = agr(fresh)
-    two = weighted_cluster_agreement(fresh, clusterer(fresh, 2, 3), agr)
+    two = agr(fresh, clusterer(fresh, 2, 3))
     assert values[1] == min(1.0, max(two, base) - base)
 
 

@@ -158,6 +158,9 @@ def test_mds_stress_is_nonincreasing(rng):
 def test_mds_validates_input():
     with pytest.raises(ValueError):
         mds_embed(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    # asymmetric by 9e-4, far past the absolute tolerance of 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        mds_embed(np.array([[0.0, 100.0], [100.0009, 0.0]]))
     with pytest.raises(ValueError):
         mds_embed(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ValueError):
