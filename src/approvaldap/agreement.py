@@ -74,14 +74,18 @@ def _chd(scores: np.ndarray, n: int) -> int:
 
 
 def _clusters(e: Election, labels):
-    """``(share, rows)`` per cluster in ascending id order; no labels, one cluster."""
+    """``(share, rows, size)`` per cluster in ascending id order; with no
+    labels, the one cluster ``(1.0, slice(None), n)``, whose rows are views."""
     n = e.num_voters
-    labels = np.zeros(n, dtype=np.intp) if labels is None else np.asarray(labels)
+    if labels is None:
+        yield 1.0, slice(None), n
+        return
+    labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError("labels do not cover the election's voters")
     for c in np.unique(labels):
         rows = np.flatnonzero(labels == c)
-        yield rows.size / n, rows
+        yield rows.size / n, rows, rows.size
 
 
 def cntr_agr(e: Election, labels=None) -> float:
@@ -92,12 +96,12 @@ def cntr_agr(e: Election, labels=None) -> float:
     """
     x, m = e.matrix, e.num_candidates
     value = 0.0
-    for share, rows in _clusters(e, labels):
+    for share, rows, size in _clusters(e, labels):
         scores = x[rows].sum(axis=0, dtype=np.int64)
         # n * min(avl, rev_avl) as an exact integer
         total = int(scores.sum())
-        denom = min(total, rows.size * m - total)
-        value += share * (1.0 if denom == 0 else 1.0 - _chd(scores, rows.size) / denom)
+        denom = min(total, size * m - total)
+        value += share * (1.0 if denom == 0 else 1.0 - _chd(scores, size) / denom)
     return value
 
 
@@ -141,8 +145,8 @@ def pcc_agr(e: Election, labels=None) -> float:
     lengths = e.ballot_lengths()
     w = pcc_weights(lengths, m)
     value = 0.0
-    for share, rows in _clusters(e, labels):
-        xc, lc, wc, n = x[rows], lengths[rows], w[rows], rows.size
+    for share, rows, n in _clusters(e, labels):
+        xc, lc, wc = x[rows], lengths[rows], w[rows]
         projected = wc @ xc
         pair_sum = m * float(projected @ projected) - float(lc @ wc) ** 2
         n_nc = int(np.count_nonzero(wc))

@@ -33,6 +33,10 @@ _KMEANS_STREAM = 0x5300
 # _NULL_EIGENVALUE of the largest count as zero
 _SPECTRAL_FACTOR_DIMS = 5
 _NULL_EIGENVALUE = 1e-9
+# a k-means point is labelled from its centre scores when no other centre
+# scores within _SCORE_MARGIN * max(1, R^2) of its best (R: the largest point
+# norm); see _label_points
+_SCORE_MARGIN = 1e-9
 
 
 def _first_appearance(labels: np.ndarray) -> np.ndarray:
@@ -319,11 +323,11 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     ``weights`` are ballot multiplicities; see :func:`_update_centers`.
     Each init draws its k-means++ centres from its own seeded stream, all
     inits pick together (:func:`_plus_plus_picks`), and the inits still
-    moving share each Lloyd round: one ``(a, k, n)`` array
-    of squared distances (:func:`_centre_sq_distances`), labels by a
-    running minimum over the centres (lowest id on ties, as ``np.argmin``
-    gives on finite distances) and one group-by for the centres of every
-    live init.  An init leaves once its labels stop changing, or after
+    moving share each Lloyd round: one product of centre scores labels
+    every point of every live init (:func:`_label_points`; lowest id on
+    ties, as ``np.argmin`` of the squared distances gives on finite
+    points), and one group-by moves the centres of every live init.  An
+    init leaves once its labels stop changing, or after
     ``_KMEANS_MAX_ITER`` rounds; each one's labels, centres and inertia are
     those of a run on its own.  The first init with the lowest inertia wins.
     """
@@ -339,14 +343,15 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     chosen[:, 0] = [cdf.searchsorted(rng.random(), side="right") for rng in rngs]
     # np.linalg.norm(points - centre, axis=1) for every init's centre, bitwise
     # below 8 coordinates (see _centre_sq_distances)
-    closest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, :1]])[:, 0])
+    closest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, :1, None]])[:, 0])
     root_weights = np.sqrt(weights)
     for c in range(1, k):
         chosen[:, c] = _plus_plus_picks(root_weights * closest, chosen[:, :c], rngs)
-        latest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, c : c + 1]])[:, 0])
+        latest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, c : c + 1, None]])[:, 0])
         np.minimum(closest, latest, out=closest)
     centers = points[chosen]
 
+    aug, margin = _score_operands(coords)
     # tiled once per call: the first a * n entries weight the stacked
     # labels of any a live inits
     tiled_weights = np.tile(weights, _KMEANS_INITS)
@@ -355,7 +360,7 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     live = np.arange(_KMEANS_INITS)
     for _ in range(_KMEANS_MAX_ITER):
         current = centers[live]
-        new_labels = _nearest_centre(_centre_sq_distances(coords, current))
+        new_labels = _label_points(coords, aug, margin, current)
         moving = (new_labels != labels[live]).any(axis=1)
         live, current, new_labels = live[moving], current[moving], new_labels[moving]
         if live.size == 0:
@@ -367,29 +372,98 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
             current.reshape(a * k, d), rows, tiled_weights[: a * n], tiled_weighted[:, : a * n]
         )
         centers[live] = current
-    sq = _centre_sq_distances(coords, centers)
+    sq = _centre_sq_distances(coords, centers[:, :, None])
     voters = np.arange(n)
     inertia = [float((weights * sq[i, labels[i], voters]).sum()) for i in range(_KMEANS_INITS)]
     return labels[int(np.argmin(inertia))]
 
 
+def _score_operands(coords: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(aug, margin)`` for :func:`_label_points` from the coordinate-major
+    ``(d, n)`` points: ``aug = [-2 coords; 1]``, shape ``(d + 1, n)``, and
+    the score margin ``_SCORE_MARGIN * max(1, R^2)`` for the largest point
+    norm ``R``."""
+    d, n = coords.shape
+    aug = np.empty((d + 1, n))
+    np.multiply(coords, -2.0, out=aug[:d])
+    aug[d] = 1.0
+    radius_sq = float(np.einsum("jn,jn->n", coords, coords).max(initial=0.0))
+    return aug, _SCORE_MARGIN * max(1.0, radius_sq)
+
+
+def _label_points(
+    coords: np.ndarray, aug: np.ndarray, margin: float, centers: np.ndarray
+) -> np.ndarray:
+    """``(a, n)`` index of each point's nearest centre among ``a`` sets of
+    ``k`` centres, shape ``(a, k, d)``: bitwise
+    ``_nearest_centre(_centre_sq_distances(coords, centers[:, :, None]))``.
+
+    ``coords`` and ``(aug, margin)`` are as in :func:`_score_operands`.  One
+    product of the centre-major rows ``[c, |c|^2]`` with ``aug`` gives every
+    score ``|c|^2 - 2 x.c``, shape ``(k, a, n)``: the squared distance less
+    ``|x|^2``, which is the same for every centre.  A point is settled when
+    exactly one centre scores within ``margin`` of its best score, and
+    takes that centre.  The other (init, point) pairs (coinciding centres,
+    near ties) take :func:`_nearest_centre` of their squared distances,
+    added in coordinate order as :func:`_centre_sq_distances` adds them.
+
+    Why a settled label is exact: centres are weighted means of points, so
+    every point and centre has norm at most ``R``.  Both forms sum at most
+    ``d + 1`` terms of size at most ``2 R^2`` whatever the summation order
+    or thread count, so each score and each summed squared distance is
+    within about ``1e-15 R^2`` of its true value.  A margin of ``1e-9
+    max(1, R^2)`` is far above twice that, so every other centre of a
+    settled point is strictly farther in the summed form too, and that
+    form's lowest-id minimum is the settled centre.  Underflow errors are
+    below the margin's ``1e-9`` floor.  NaN scores settle nothing.
+    """
+    a, k, d = centers.shape
+    n = coords.shape[1]
+    rows = np.empty((k, a, d + 1))
+    rows[:, :, :d] = centers.swapaxes(0, 1)
+    np.einsum("kaj,kaj->ka", rows[:, :, :d], rows[:, :, :d], out=rows[:, :, d])
+    score = (rows.reshape(k * a, d + 1) @ aug).reshape(k, a, n)
+    threshold = score.min(axis=0)
+    threshold += margin
+    near = score <= threshold
+    # the number of near centres and the sum of their ids, in the smallest
+    # integer type that holds k: a settled point's sum is its centre
+    small = np.min_scalar_type(k)
+    count = near[0].astype(small)
+    labels = np.zeros((a, n), dtype=small)
+    term = np.empty((a, n), dtype=small)
+    for c in range(1, k):
+        count += near[c]
+        labels += np.multiply(near[c], c, out=term, dtype=small)
+    labels = labels.astype(np.intp)
+    unsettled = count != 1
+    if unsettled.any():
+        inits, cols = np.nonzero(unsettled)
+        sq = _centre_sq_distances(coords[:, cols], centers[inits].swapaxes(0, 1))
+        labels[inits, cols] = _nearest_centre(sq[None])[0]
+    return labels
+
+
 def _centre_sq_distances(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``(a, k, n)`` squared distances from the points to ``a`` sets of ``k`` centres.
+    """Squared distances from points to centres, added coordinate by
+    coordinate in coordinate order.
 
     ``coords`` holds the points coordinate-major: ``points.T``, C-contiguous,
-    shape ``(d, n)``; ``centers`` has shape ``(a, k, d)``.  The squared
-    differences are added coordinate by coordinate, in coordinate order,
-    as ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` adds them
+    shape ``(d, n)``; ``centers[..., j]`` broadcasts against ``coords[j]``.
+    So ``(a, k, 1, d)`` centres (``a`` sets of ``k``) give ``(a, k, n)``
+    distances to every point, and ``(k, n, d)`` centres (one set per point)
+    give ``(k, n)``.  The squared differences are added as
+    ``((points[:, None] - centers[None]) ** 2).sum(axis=2)`` adds them
     below 8 coordinates (numpy sums fewer than 8 terms in order; the
     embeddings of the clustering indices have at most 5).  So each
-    ``(k, n)`` slice is bitwise the transpose of that form, without its
-    ``(n, k, d)`` temporary and its strided reduction over a short last axis.
+    distance is bitwise that form's, without its ``(n, k, d)`` temporary
+    and its strided reduction over a short last axis.
     """
-    sq = coords[0] - centers[:, :, 0, None]
+    sq = coords[0] - centers[..., 0]
     sq *= sq
     term = np.empty_like(sq)
     for j in range(1, coords.shape[0]):
-        np.subtract(coords[j], centers[:, :, j, None], out=term)
+        np.subtract(coords[j], centers[..., j], out=term)
         term *= term
         sq += term
     return sq

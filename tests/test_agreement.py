@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from approvaldap.agreement import (
     AGREEMENT_INDICES,
+    _clusters,
     av_agr,
     central_vote,
     cntr_agr,
@@ -256,6 +257,16 @@ def test_clustered_agreement_matches_sub_elections(case):
     for agr in (cntr_agr, pcc_agr):
         assert agr(e, labels) == cluster_agreement_oracle(e, labels, agr)
         assert agr(e, np.zeros(e.num_voters, dtype=np.intp)) == agr(e)
+
+
+def test_unlabelled_agreement_views_the_matrix_and_equals_one_cluster(rng):
+    e = make_random_election(rng)
+    assert list(_clusters(e, None)) == [(1.0, slice(None), e.num_voters)]
+    for _ in range(200):
+        e = make_random_election(rng)
+        one = np.zeros(e.num_voters)
+        assert pcc_agr(e) == pcc_agr(e, one)
+        assert cntr_agr(e) == cntr_agr(e, one)
 
 
 def test_pccplus_agr_examples():

@@ -447,6 +447,68 @@ def test_kmeans_matches_oracle_at_round_caps(case, cap, inits):
     assert np.array_equal(labels, want)
 
 
+def drawn_centres(points, a, k, rng):
+    """``(a, k, d)`` centres inside the points' hull, as k-means keeps them:
+    copies of points (so duplicated points give coinciding centres) or
+    random weighted means of points, some then copied onto another centre
+    of the same set."""
+    n = points.shape[0]
+    copies = points[rng.integers(n, size=(a, k))]
+    mix = rng.dirichlet(np.ones(n), size=(a, k)) @ points
+    centres = np.where(rng.random((a, k, 1)) < 0.5, copies, mix)
+    for i in np.flatnonzero(rng.random(a) < 0.5):
+        src, dst = rng.integers(k, size=2)
+        centres[i, dst] = centres[i, src]
+    return centres
+
+
+def labels_oracle(points, centres):
+    return clustering._nearest_centre(
+        clustering._centre_sq_distances(np.ascontiguousarray(points.T), centres[:, :, None])
+    )
+
+
+def scored_labels(points, centres):
+    coords = np.ascontiguousarray(points.T)
+    aug, margin = clustering._score_operands(coords)
+    return clustering._label_points(coords, aug, margin, centres)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    duplicated_points(),
+    st.sampled_from([1e-3, 1.0, 1e6]),
+    st.integers(1, clustering._KMEANS_INITS),
+)
+def test_scored_labels_match_summed_distances(case, scale, a):
+    points, k, _, seed = case
+    points = points * scale
+    centres = drawn_centres(points, a, k, np.random.default_rng(seed))
+    got = scored_labels(points, centres)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, labels_oracle(points, centres))
+
+
+def test_coinciding_centres_take_the_exact_path(monkeypatch):
+    # centres 1 and 2 coincide, so no point nearest to them is settled by
+    # its scores; the summed distances give it the lower id
+    points = np.array([[0.0, 0.0], [1.0, 1.0], [0.9, 1.1], [-1.0, 0.5], [1.0, 1.0]])
+    centres = np.array([[[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]], [[-1.0, 0.5], [0.0, 0.0], [0.9, 1.1]]])
+    calls = []
+    nearest = clustering._nearest_centre
+
+    def counted(sq):
+        calls.append(sq.shape[2])
+        return nearest(sq)
+
+    monkeypatch.setattr(clustering, "_nearest_centre", counted)
+    got = scored_labels(points, centres)
+    assert calls == [3]  # points 1, 2 and 4 of the first set
+    monkeypatch.undo()
+    assert got.tolist() == [[0, 1, 1, 0, 1], [1, 2, 2, 0, 2]]
+    assert np.array_equal(got, labels_oracle(points, centres))
+
+
 @settings(max_examples=300, deadline=None)
 @given(repeated_elections())
 def test_kmedoids_descent_matches_oracle(case):
@@ -761,7 +823,7 @@ def test_sq_distances_match_summed_form(d, n, k, a, seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
     centers = rng.normal(size=(a, k, d))
-    got = clustering._centre_sq_distances(np.ascontiguousarray(points.T), centers)
+    got = clustering._centre_sq_distances(np.ascontiguousarray(points.T), centers[:, :, None])
     assert got.shape == (a, k, n)
     for i in range(a):
         want = ((points[:, None, :] - centers[i][None, :, :]) ** 2).sum(axis=2)
