@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .core import Election, seeded_rng
+from .core import Election, seeded_streams
 from .metrics import pcc_matrix, pcc_weights
 
 __all__ = [
@@ -54,35 +54,45 @@ def _unchosen(n: int, chosen) -> np.ndarray:
     return np.flatnonzero(free)
 
 
-def _plus_plus_picks(dist_to_chosen: np.ndarray, chosen: np.ndarray, rngs) -> np.ndarray:
-    """One k-means++ style draw per start, from ``(r, n)`` distances, the
-    ``(r, c)`` points chosen so far and the ``r`` starts' streams: probability
-    proportional to squared distance, uniform over the points not yet chosen
-    when every distance is 0.
+def _plus_plus_picks(
+    dist_to_chosen: np.ndarray, chosen: np.ndarray, c: int, draws: np.ndarray, replay
+) -> None:
+    """Fill column ``c`` of the ``(r, k)`` picks ``chosen`` of ``r`` starts
+    with one k-means++ style draw each, from the ``(r, n)`` distances to
+    their first ``c`` picks: probability proportional to squared distance,
+    uniform over the points not yet chosen when every distance is 0.
 
-    Every start's cumulative weights come from one call each:
-    ``Generator.choice(n, p=p)`` draws ``cdf.searchsorted(random(),
-    side="right")`` for ``cdf = p.cumsum(); cdf /= cdf[-1]``, and the row
-    sums and row-wise cumulative sums here are bitwise those of each row
-    alone, so every stream makes the draw it would make alone.
+    ``draws`` holds each start's uniform for this pick, drawn up front from
+    its stream.  ``Generator.choice(n, p=p)`` draws
+    ``cdf.searchsorted(random(), side="right")`` for ``cdf = p.cumsum();
+    cdf /= cdf[-1]``.  Every start's cumulative weights come from one call
+    each, and the row sums and row-wise cumulative sums are bitwise those of
+    each row alone.  A cdf row is nondecreasing, so its ``searchsorted(u,
+    side="right")`` is the count of its entries ``<= u``: one comparison
+    draws every start's point, the draw it would make alone.
+
+    The distances are running minima over the picks, so a start whose
+    distances are all 0 keeps them at 0, and every later pick of it is the
+    uniform fallback.  Such a start gets its stream back from
+    ``replay(i, c)``, which replays the draws of its first ``c`` picks, and
+    draws all its remaining picks at once; unfilled entries of ``chosen``
+    are negative, so a start that fell back earlier is left alone.  A drawn
+    point is at a positive distance, so no point is picked twice, and with
+    ``k <= n`` picks some point is always left.
     """
     weights = dist_to_chosen**2
     s = weights.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):  # rows with s == 0 are not read
         cdf = (weights / s[:, None]).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-    n = weights.shape[1]
-    picks = np.empty(len(rngs), dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        if s[i] > 0.0:
-            picks[i] = cdf[i].searchsorted(rng.random(), side="right")
-        else:
-            remaining = _unchosen(n, chosen[i])
-            if remaining.size == 0:
-                picks[i] = rng.integers(n)
-            else:
-                picks[i] = remaining[rng.integers(remaining.size)]
-    return picks
+    drawn = s > 0.0
+    chosen[drawn, c] = (cdf[drawn] <= draws[drawn, None]).sum(axis=1)
+    n, k = weights.shape[1], chosen.shape[1]
+    for i in np.flatnonzero(~drawn & (chosen[:, c] < 0)).tolist():
+        rng = replay(i, c)
+        for j in range(c, k):
+            remaining = _unchosen(n, chosen[i, :j])
+            chosen[i, j] = remaining[rng.integers(remaining.size)]
 
 
 def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
@@ -109,14 +119,27 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
         return np.zeros(n, dtype=np.intp)
 
     left, right = _hamming_factors(e)
-    rngs = [seeded_rng(seed, _MEDOID_STREAM + start) for start in range(_KMEDOIDS_RESTARTS)]
-    medoids = np.empty((_KMEDOIDS_RESTARTS, k), dtype=np.int64)
-    medoids[:, 0] = [rng.integers(n) for rng in rngs]
+    # each start's stream: integers(n) for its first medoid, then one
+    # uniform per later pick
+    stream = seeded_streams(seed)
+    medoids = np.full((_KMEDOIDS_RESTARTS, k), -1, dtype=np.int64)
+    uniforms = np.empty((_KMEDOIDS_RESTARTS, k - 1))
+    for start in range(_KMEDOIDS_RESTARTS):
+        rng = stream(_MEDOID_STREAM + start)
+        medoids[start, 0] = rng.integers(n)
+        rng.random(out=uniforms[start])
+
+    def replay(start: int, c: int):
+        rng = stream(_MEDOID_STREAM + start)
+        rng.integers(n)
+        rng.random(c - 1)
+        return rng
+
     closest = np.full((_KMEDOIDS_RESTARTS, n), math.inf)
     for c in range(1, k):
         # each start's distances to its latest pick: one (r, n) product
         np.minimum(closest, right[medoids[:, c - 1]] @ left.T, out=closest)
-        medoids[:, c] = _plus_plus_picks(closest, medoids[:, :c], rngs)
+        _plus_plus_picks(closest, medoids, c, uniforms[:, c - 1], replay)
     labels, objs = _kmedoids_descent(left, right, medoids)
     return _first_appearance(labels[int(np.argmin(objs))])
 
@@ -334,19 +357,29 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     n, d = points.shape
     k = min(k, n)
     coords = np.ascontiguousarray(points.T)
-    rngs = [seeded_rng(seed, _KMEANS_STREAM + init) for init in range(_KMEANS_INITS)]
+    # each init's stream: one uniform per pick
+    stream = seeded_streams(seed)
+    uniforms = np.empty((_KMEANS_INITS, k))
+    for init in range(_KMEANS_INITS):
+        stream(_KMEANS_STREAM + init).random(out=uniforms[init])
+
+    def replay(init: int, c: int):
+        rng = stream(_KMEANS_STREAM + init)
+        rng.random(c)
+        return rng
+
     # the first draw of Generator.choice(n, p=weights / weights.sum()), with
     # one cdf for every init; see _plus_plus_picks
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    chosen = np.empty((_KMEANS_INITS, k), dtype=np.int64)
-    chosen[:, 0] = [cdf.searchsorted(rng.random(), side="right") for rng in rngs]
+    chosen = np.full((_KMEANS_INITS, k), -1, dtype=np.int64)
+    chosen[:, 0] = cdf.searchsorted(uniforms[:, 0], side="right")
     # np.linalg.norm(points - centre, axis=1) for every init's centre, bitwise
     # below 8 coordinates (see _centre_sq_distances)
     closest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, :1, None]])[:, 0])
     root_weights = np.sqrt(weights)
     for c in range(1, k):
-        chosen[:, c] = _plus_plus_picks(root_weights * closest, chosen[:, :c], rngs)
+        _plus_plus_picks(root_weights * closest, chosen, c, uniforms[:, c], replay)
         latest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, c : c + 1, None]])[:, 0])
         np.minimum(closest, latest, out=closest)
     centers = points[chosen]

@@ -11,7 +11,7 @@ and returns fresh objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -35,32 +35,45 @@ def seeded_rng(seed: int, substream: int = 0) -> Generator:
     """Counter-based RNG stream, reproducible across platforms and threads.
 
     Philox streams with distinct ``(seed, substream)`` keys are independent,
-    so callers may draw from several substreams in any order (or in
-    parallel) and still obtain identical results.
+    so callers may draw from several substreams in any order and still
+    obtain identical results.
     """
     key = np.array([seed & _KEY_MASK, substream & _KEY_MASK], dtype=np.uint64)
     return Generator(Philox(key=key))
 
 
-def stream_uniforms(seed: int, substreams: Iterable[int], count: int) -> np.ndarray:
-    """``(len(substreams), count)`` float64 array whose row ``i`` is bitwise
-    ``seeded_rng(seed, substreams[i]).random(count)``.
+def seeded_streams(seed: int) -> Callable[[int], Generator]:
+    """``stream(substream)``: a ``Generator`` in the state of a new
+    ``seeded_rng(seed, substream)``, the same object on every call, so each
+    stream is valid until the next call.
 
-    One ``Philox`` serves every row: before each row its state is reset to
-    the row's key with a zero counter and an empty buffer, which is the
-    state a new ``Philox(key=...)`` starts from, so no generator (and no
-    OS entropy for a discarded ``SeedSequence``) is built per row.
+    One ``Philox`` serves every call: its state is reset to the substream's
+    key with a zero counter and empty buffers, which is the state a new
+    ``Philox(key=...)`` starts from, so no generator (and no OS entropy for
+    a discarded ``SeedSequence``) is built per substream.
     """
-    subs = [int(sub) & _KEY_MASK for sub in substreams]
-    out = np.empty((len(subs), count))
     bitgen = Philox(key=np.array([int(seed) & _KEY_MASK, 0], dtype=np.uint64))
     fresh = bitgen.state
     key = fresh["state"]["key"]
-    draw = Generator(bitgen).random
-    for row, sub in zip(out, subs):
-        key[1] = sub
+    rng = Generator(bitgen)
+
+    def stream(substream: int) -> Generator:
+        key[1] = int(substream) & _KEY_MASK
         bitgen.state = fresh
-        draw(count, out=row)
+        return rng
+
+    return stream
+
+
+def stream_uniforms(seed: int, substreams: Iterable[int], count: int) -> np.ndarray:
+    """``(len(substreams), count)`` float64 array whose row ``i`` is bitwise
+    ``seeded_rng(seed, substreams[i]).random(count)``, through one ``Philox``
+    (see :func:`seeded_streams`)."""
+    subs = list(substreams)
+    out = np.empty((len(subs), count))
+    stream = seeded_streams(seed)
+    for row, sub in zip(out, subs):
+        stream(sub).random(out=row)
     return out
 
 

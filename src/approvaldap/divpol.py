@@ -48,8 +48,12 @@ _MATCHING_MAX_BYTES = 1 << 30
 # at 2e5 and 8e5 variables)
 _LP_BYTES_PER_VARIABLE = 1200
 # the sampled matching runs as the LP over distinct ballots when that LP has
-# this many times fewer variables than the dense assignment has cells; at
-# 5000 draws the LP was faster at 2400x fewer and slower at 530x fewer
+# this many times fewer variables than the dense assignment has cells.  At
+# 5000 draws (draws as the assignment's rows, one BLAS thread) the LP took
+# 0.14-1.72 s against 0.97-2.80 s from 528x to 2441x fewer, about as long at
+# 372x and 493x, and longer below: 4.0-4.5 s against 1.4-2.5 s at 235x and
+# 247x, 84 s against 1.8 s at 123x.  The margin above the crossover keeps
+# clear of the LP's steep side.
 _LP_CELL_RATIO = 1000
 
 Clusterer = Callable[[Election, int, int], np.ndarray]
@@ -177,10 +181,15 @@ def ham_to_universe(e: Election, seed: int = 0, exact: bool = False) -> float:
     approximated with ``_SAMPLES_PER_VOTER`` seeded draws per voter and the
     matching is solved as an assignment problem over the repeated ballots,
     or as a transportation LP over the distinct ones when ballots repeat so
-    much that the LP is far smaller (both reach the same integral optimum);
-    with ``exact=True`` the full weighted universe of ``2^m`` ballots is
-    used (only viable for small ``m``) and the fractional matching is
-    solved as a transportation LP.
+    much that the LP is far smaller (both reach the same integral optimum).
+    The assignment's square cost has the repeated draws as rows and the
+    repeated ballots as columns; it is expanded from the distinct pairs'
+    Hamming distances by one ``np.repeat`` per axis, so no intermediate is
+    larger than it.  The optimum is an integer, the same in either
+    orientation, and ``linear_sum_assignment`` finds it faster with the
+    draws as rows.  With ``exact=True`` the full weighted universe of
+    ``2^m`` ballots is used (only viable for small ``m``) and the
+    fractional matching is solved as a transportation LP.
     """
     n, m = e.num_voters, e.num_candidates
     total = e.total_approvals()
@@ -214,9 +223,8 @@ def ham_to_universe(e: Election, seed: int = 0, exact: bool = False) -> float:
         supply = (counts * _SAMPLES_PER_VOTER).astype(np.float64)
         value = round(_transport(cost, supply, sample_counts.astype(np.float64)))
     else:
-        rows = np.repeat(np.arange(len(ballots)), counts * _SAMPLES_PER_VOTER)
-        cols = np.repeat(np.arange(len(sample_ballots)), sample_counts)
-        cost = cost[rows[:, None], cols[None, :]]
+        cost = np.repeat(cost.T, sample_counts, axis=0)
+        cost = np.repeat(cost, counts * _SAMPLES_PER_VOTER, axis=1)
         r, c = linear_sum_assignment(cost)
         value = int(cost[r, c].sum())
     return value / (n_samples * m)

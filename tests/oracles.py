@@ -4,8 +4,10 @@ from itertools import repeat
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
-from approvaldap.core import Election, restrict_voters, seeded_rng
+from approvaldap import divpol
+from approvaldap.core import Election, distinct_rows, restrict_voters, seeded_rng
 from approvaldap.generators import (
     _check_prob,
     _check_sizes,
@@ -14,6 +16,7 @@ from approvaldap.generators import (
     _master,
 )
 from approvaldap.io import ParseError
+from approvaldap.metrics import cross_hamming
 
 
 # -- n x n kernels over the voters, before the local agreement indices
@@ -91,6 +94,29 @@ def cluster_agreement_oracle(e: Election, labels, agr) -> float:
         members = np.flatnonzero(labels == c)
         total += (members.size / n) * agr(restrict_voters(e, members))
     return total
+
+
+# -- the sampled outer-diversity matching with the repeated ballots as rows,
+# before the draws became the rows ----------------------------------------
+
+
+def assignment_ham_to_universe(e: Election, seed: int) -> float:
+    """Sampled ``divpol.ham_to_universe`` solved as the assignment whose
+    square cost has the repeated ballots as rows and the repeated draws as
+    columns, expanded by one 2-D fancy index."""
+    n, m = e.num_voters, e.num_candidates
+    p = e.total_approvals() / (n * m)
+    k = divpol._SAMPLES_PER_VOTER
+    rng = seeded_rng(seed, divpol._SAMPLE_STREAM)
+    samples = (rng.random((k * n, m)) < p).astype(np.uint8)
+    ballots, _, counts = e.distinct_ballots()
+    sample_ballots, _, sample_counts = distinct_rows(samples)
+    cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
+    rows = np.repeat(np.arange(len(ballots)), counts * k)
+    cols = np.repeat(np.arange(len(sample_ballots)), sample_counts)
+    cost = cost[rows[:, None], cols[None, :]]
+    r, c = linear_sum_assignment(cost)
+    return int(cost[r, c].sum()) / (k * n * m)
 
 
 # -- samplers drawn with one Generator per voter, before the library read

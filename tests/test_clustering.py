@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from approvaldap import clustering
+from approvaldap import clustering, core
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import kmedoids_hamming, spectral_pcc
 from approvaldap.core import Election, seeded_rng
@@ -216,37 +216,119 @@ def test_unchosen_matches_setdiff(n, chosen):
 
 
 def count_fallbacks(monkeypatch):
+    """Record the number of points chosen before each fallback draw."""
     calls = []
     unchosen = clustering._unchosen
 
     def counted(n, chosen):
-        calls.append(n)
+        calls.append(len(chosen))
         return unchosen(n, chosen)
 
     monkeypatch.setattr(clustering, "_unchosen", counted)
     return calls
 
 
+def record_seeds(monkeypatch):
+    """Record the ``(r, k)`` k-means++ picks of every start after each pick;
+    the last record holds a call's complete seeds."""
+    seeds = []
+    picks = clustering._plus_plus_picks
+
+    def recorded(dist_to_chosen, chosen, *args):
+        picks(dist_to_chosen, chosen, *args)
+        seeds.append(chosen.copy())
+
+    monkeypatch.setattr(clustering, "_plus_plus_picks", recorded)
+    return seeds
+
+
+def fallback_picks(k, c, starts):
+    """The sorted pick numbers of the fallback draws when each of ``starts``
+    starts first falls back at pick c of k: picks c, ..., k - 1 once each."""
+    return sorted(pick for pick in range(c, k) for _ in range(starts))
+
+
 def test_kmedoids_fallback_draws_match_oracle(monkeypatch):
-    # an identity election: every distance is 0, so every start after its
-    # first medoid draws uniformly from the voters not yet chosen
-    e = Election(np.tile(np.array([1, 0, 1, 1, 0], dtype=np.uint8), (9, 1)))
-    want = kmedoids_oracle(e, 3, seed=11)
-    calls = count_fallbacks(monkeypatch)
-    assert np.array_equal(kmedoids_hamming(e, 3, seed=11), want)
-    assert calls == [e.num_voters] * (2 * clustering._KMEDOIDS_RESTARTS)
+    # c distinct ballots: once every one is a medoid, every distance is 0, so
+    # every start falls back at pick c and draws uniformly from the voters
+    # not yet chosen
+    pool = np.array(
+        [[1, 0, 1, 1, 0], [0, 1, 1, 0, 0], [1, 1, 0, 0, 1], [0, 0, 0, 1, 1]], dtype=np.uint8
+    )
+    for k in range(2, 6):
+        for c in range(1, k):
+            e = Election(pool[np.arange(9) % c])
+            for seed in (11, 12):
+                want = kmedoids_oracle(e, k, seed)
+                seeds = [
+                    kmedoids_seeds_oracle(
+                        hamming_matrix(e), k, seeded_rng(seed, clustering._MEDOID_STREAM + start)
+                    )
+                    for start in range(clustering._KMEDOIDS_RESTARTS)
+                ]
+                calls = count_fallbacks(monkeypatch)
+                got = record_seeds(monkeypatch)
+                assert np.array_equal(kmedoids_hamming(e, k, seed), want), (k, c, seed)
+                assert sorted(calls) == fallback_picks(k, c, clustering._KMEDOIDS_RESTARTS)
+                assert np.array_equal(got[-1], seeds)
+                monkeypatch.undo()
 
 
 def test_kmeans_fallback_draws_match_oracle(monkeypatch):
-    # two distinct points and k = 4: once both are chosen, every weighted
-    # distance is 0 and the rest of each init's centres come from the fallback
-    points = np.array([[0.0, 1.0], [2.0, -1.0], [0.0, 1.0], [2.0, -1.0], [0.0, 1.0]])
-    weights = np.array([1.0, 2.0, 3.0, 1.0, 2.0])
-    for seed in (0, 1, 2):
-        want = kmeans_oracle(points, 4, weights, seed)
-        calls = count_fallbacks(monkeypatch)
-        assert np.array_equal(clustering._kmeans(points, 4, weights, seed), want)
-        assert calls and set(calls) == {points.shape[0]}
+    # c distinct points: once each is a centre, every weighted distance is 0
+    # and the rest of each init's centres come from the fallback
+    pool = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5], [-1.0, 0.0]])
+    weights = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 4.0, 2.0, 1.0])
+    for k in range(2, 6):
+        for c in range(1, k):
+            points = pool[np.arange(9) % c]
+            for seed in (0, 1, 2):
+                want = kmeans_oracle(points, k, weights, seed)
+                seeds = [
+                    kmeans_seeds_oracle(
+                        points, k, weights, seeded_rng(seed, clustering._KMEANS_STREAM + init)
+                    )
+                    for init in range(clustering._KMEANS_INITS)
+                ]
+                calls = count_fallbacks(monkeypatch)
+                got = record_seeds(monkeypatch)
+                assert np.array_equal(clustering._kmeans(points, k, weights, seed), want)
+                assert sorted(calls) == fallback_picks(k, c, clustering._KMEANS_INITS)
+                assert np.array_equal(got[-1], seeds)
+                monkeypatch.undo()
+
+
+def test_clusterers_build_one_bit_generator_per_call(monkeypatch):
+    built = []
+    real = core.Philox
+
+    def counting(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    rng = np.random.default_rng(3)
+    cases = [
+        # no start falls back
+        (
+            sample(CultureSpec("resampling", 30, 200, seed=5, params={"p": 0.3, "phi": 0.5})),
+            rng.normal(size=(200, 4)),
+            False,
+        ),
+        # two distinct ballots and points: every start falls back from pick 2
+        (gen_k_party(30, 200, 2), np.repeat(rng.normal(size=(2, 4)), 100, axis=0), True),
+    ]
+    weights = rng.integers(1, 5, 200).astype(np.float64)
+    for e, points, falls_back in cases:
+        fallbacks = count_fallbacks(monkeypatch)
+        monkeypatch.setattr(core, "Philox", counting)
+        for k in range(2, 6):
+            built.clear()
+            kmedoids_hamming(e, k, seed=k)
+            assert len(built) <= 1
+            built.clear()
+            clustering._kmeans(points, k, weights, seed=k)
+            assert len(built) <= 1
+        assert bool(fallbacks) == falls_back
         monkeypatch.undo()
 
 
@@ -273,19 +355,21 @@ def update_centers_oracle(centers, labels, points, weights):
             centers[c] = np.average(points[members], axis=0, weights=weights[members])
 
 
-def kmeans_single_oracle(points, k, weights, rng):
+def kmeans_seeds_oracle(points, k, weights, rng):
+    """The indices of one init's k-means++ centres, drawn one at a time."""
     n = points.shape[0]
-    k = min(k, n)
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.choice(n, p=weights / weights.sum()))
-    chosen = [first]
-    centers[0] = points[first]
-    closest = np.linalg.norm(points - centers[0], axis=1)
-    for c in range(1, k):
+    chosen = [int(rng.choice(n, p=weights / weights.sum()))]
+    closest = np.linalg.norm(points - points[chosen[0]], axis=1)
+    for _ in range(1, min(k, n)):
         nxt = _plus_plus_pick(np.sqrt(weights) * closest, chosen, rng)
         chosen.append(nxt)
-        centers[c] = points[nxt]
-        np.minimum(closest, np.linalg.norm(points - centers[c], axis=1), out=closest)
+        np.minimum(closest, np.linalg.norm(points - points[nxt], axis=1), out=closest)
+    return chosen
+
+
+def kmeans_single_oracle(points, k, weights, rng):
+    n = points.shape[0]
+    centers = points[kmeans_seeds_oracle(points, k, weights, rng)]
     labels = None
     for _ in range(clustering._KMEANS_MAX_ITER):
         sq = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -329,18 +413,23 @@ def kmedoids_descent_oracle(dist, medoids):
     return labels, int(dist[np.arange(n), medoids[labels]].sum())
 
 
+def kmedoids_seeds_oracle(dist, k, rng):
+    """One start's k-means++ style medoids, drawn one at a time."""
+    medoids = [int(rng.integers(dist.shape[0]))]
+    closest = dist[medoids[0]].copy()
+    while len(medoids) < k:
+        nxt = _plus_plus_pick(closest, medoids, rng)
+        medoids.append(nxt)
+        np.minimum(closest, dist[nxt], out=closest)
+    return medoids
+
+
 def kmedoids_oracle(e, k, seed):
-    n = e.num_voters
     dist = hamming_matrix(e)  # int64
     best_obj, best_labels = math.inf, None
     for start in range(clustering._KMEDOIDS_RESTARTS):
         rng = seeded_rng(seed, clustering._MEDOID_STREAM + start)
-        medoids = [int(rng.integers(n))]
-        closest = dist[medoids[0]].copy()
-        while len(medoids) < k:
-            nxt = _plus_plus_pick(closest, medoids, rng)
-            medoids.append(nxt)
-            np.minimum(closest, dist[nxt], out=closest)
+        medoids = kmedoids_seeds_oracle(dist, k, rng)
         labels, obj = kmedoids_descent_oracle(dist, np.asarray(medoids))
         if obj < best_obj:
             best_obj, best_labels = obj, labels

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from approvaldap import core, divpol
 from approvaldap.agreement import cntr_agr, pcc_agr
@@ -25,7 +28,7 @@ from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_tria
 from approvaldap.metrics import cross_hamming
 
 from conftest import make_random_election
-from oracles import hamming_matrix
+from oracles import assignment_ham_to_universe, hamming_matrix
 
 
 def test_a_div_is_zero_on_identity():
@@ -202,6 +205,36 @@ def test_sampled_assignment_matches_transport_oracle(rng, monkeypatch):
         assert abs(ham_to_universe(e, i) - _transport_ham_to_universe(e, i)) <= 1e-12
         checked += 1
     assert checked >= 200 + len(compass_specs())
+
+
+@st.composite
+def repeated_ballot_elections(draw):
+    """Elections over a pool of a few ballots: ballots repeat, and with few
+    candidates many matchings tie."""
+    m = draw(st.integers(1, 10))
+    pool = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ballots = (rng.random((pool, m)) < rng.random()).astype(np.uint8)
+    return Election(ballots[rng.integers(pool, size=n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_ballot_elections(), st.integers(0, 2**32 - 1))
+def test_sampled_assignment_matches_row_major_oracle(e, seed):
+    assume(e.total_approvals() not in (0, e.num_voters * e.num_candidates))
+    with mock.patch.object(divpol, "_LP_CELL_RATIO", math.inf):  # always the assignment
+        assert ham_to_universe(e, seed) == assignment_ham_to_universe(e, seed)
+
+
+def test_sampled_assignment_matches_row_major_oracle_on_party_cultures(monkeypatch):
+    monkeypatch.setattr(divpol, "_LP_CELL_RATIO", math.inf)
+    specs = [spec for spec in compass_specs() if "Party" in spec.label]
+    assert len(specs) == 5 and all((spec.m, spec.n) == (60, 60) for spec in specs)
+    for spec in specs:
+        for seed in (0, 7, 42):
+            e = sample(spec.with_seed(seed))
+            assert ham_to_universe(e, seed) == assignment_ham_to_universe(e, seed), spec.label
 
 
 def _few_distinct_ballots(n: int, m: int, seed: int) -> Election:
