@@ -12,7 +12,7 @@ from .agreement import (
     pccplus_agr,
 )
 from .clustering import kmedoids_hamming, spectral_pcc
-from .core import Election, ElectionStats, approval_score, reverse, stats, subsample
+from .core import Election, ElectionStats, stats, subsample
 from .divpol import (
     a_div,
     a_pol,
@@ -27,11 +27,9 @@ from .divpol import (
 from .experiments import (
     INDEX_NAMES,
     Embedding,
-    FeatureVector,
     complementarity,
     correlations,
     evaluate_index,
-    feature_distance,
     feature_vector,
     index_table,
     map_of_elections,
@@ -40,23 +38,15 @@ from .experiments import (
     synthetic_map_entries,
 )
 from .generators import CultureSpec, sample
-from .io import ParseError, parse_pabulib, read_native, threshold_scores, write_native
-from .metrics import PairCounts, hamming, jaccard, pcc, pcc_from_hamming
+from .io import ParseError, parse_pabulib, read_native, write_native
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Election",
     "ElectionStats",
-    "approval_score",
     "stats",
-    "reverse",
     "subsample",
-    "PairCounts",
-    "hamming",
-    "jaccard",
-    "pcc",
-    "pcc_from_hamming",
     "av_agr",
     "central_vote",
     "cntr_agr",
@@ -79,15 +69,12 @@ __all__ = [
     "sample",
     "ParseError",
     "parse_pabulib",
-    "threshold_scores",
     "write_native",
     "read_native",
     "INDEX_NAMES",
     "evaluate_index",
-    "FeatureVector",
     "Embedding",
     "feature_vector",
-    "feature_distance",
     "mds_embed",
     "resampling_experiment",
     "index_table",

@@ -5,9 +5,9 @@ Subcommands: ``generate`` (sample a culture to a native election file),
 over a manifest of cultures), ``resample`` (saturation-independence
 grid), and ``map`` (feature-distance map with MDS embedding).
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or validation error.
-Manifests must carry an explicit seed; ad-hoc commands default to seed 0
-with a printed notice.
+Exit codes: 0 success, 1 runtime failure, 2 usage or validation error or
+too little memory.  Manifests must carry an explicit seed; ad-hoc commands
+default to seed 0 with a printed notice.
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.handler(args)
     except (ManifestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -186,12 +189,8 @@ def _cmd_index(args) -> int:
         path = Path(raw)
         try:
             e = _read_election(path)
-        except OSError as exc:  # missing, a directory, unreadable, ...
-            print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
-            failures += 1
-            continue
-        except (ParseError, UnicodeDecodeError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        except (OSError, ParseError, UnicodeDecodeError) as exc:  # missing, unreadable, malformed
+            print(f"error: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
             failures += 1
             continue
         run_seed = experiments.derive_seed(seed, "index", i)

@@ -19,10 +19,8 @@ from numpy.random import Generator, Philox
 __all__ = [
     "Election",
     "ElectionStats",
-    "approval_score",
     "distinct_rows",
     "stats",
-    "reverse",
     "subsample",
     "restrict_voters",
     "restrict_candidates",
@@ -255,24 +253,12 @@ def distinct_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return matrix[first], inverse, counts
 
 
-def approval_score(e: Election, j: int) -> int:
-    """Number of voters approving candidate ``j``."""
-    if not 0 <= j < e.num_candidates:
-        raise IndexError(f"candidate index {j} out of range for {e.num_candidates} candidates")
-    return int(e.approval_counts()[j])
-
-
 def stats(e: Election) -> ElectionStats:
     """Scalar statistics of an election; satisfies ``avl + rev_avl == m``."""
     m, n = e.num_candidates, e.num_voters
     total = e.total_approvals()
     avl = total / n
     return ElectionStats(avl=avl, rev_avl=(n * m - total) / n, satr=total / (n * m))
-
-
-def reverse(e: Election) -> Election:
-    """Flip every entry of every ballot.  An involution."""
-    return Election(1 - e.matrix, label=e.label)
 
 
 def restrict_voters(e: Election, indices: Sequence[int]) -> Election:

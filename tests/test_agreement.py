@@ -25,12 +25,13 @@ from approvaldap.generators import (
     gen_triangle,
     gen_xy_two_party,
 )
-from approvaldap.metrics import _PRODUCT_BLOCK_ROWS, hamming, pcc_matrix
+from approvaldap.metrics import _PRODUCT_BLOCK_ROWS, pcc_matrix
 
 from conftest import make_random_election
 from oracles import (
     cluster_agreement_oracle,
     cntr_agr_closed_form,
+    hamming,
     jaccard_similarity_matrix,
     pair_agr_naive,
 )

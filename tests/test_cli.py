@@ -306,6 +306,39 @@ def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
     assert evaluated == [4, 4]  # nothing was computed on the refused file
 
 
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # the ballot matrix of 10^6 x 10^6 is refused by the allocator; stand in
+    # for that refusal so that nothing large is allocated here
+    import tracemalloc
+
+    from approvaldap import generators
+
+    def refuse(master, voters, m, draws, approve):
+        raise MemoryError(
+            f"Unable to allocate 931. GiB for an array with shape ({len(voters)}, {m}) "
+            "and data type uint8"
+        )
+
+    monkeypatch.setattr(generators, "_voter_rows", refuse)
+    out = tmp_path / "e.json"
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = run(
+            capsys, "generate", "--family", "p_ic", "--m", "1000000", "--n", "1000000",
+            "--p", "0.5", "--seed", "0", "--out", str(out),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert stderr.splitlines() == [
+        "error: out of memory: Unable to allocate 931. GiB for an array with shape "
+        "(1000000, 1000000) and data type uint8"
+    ]
+    assert stdout == "" and not out.exists()
+    assert peak < 1 << 24
+
+
 def test_table_compass_manifest_loads():
     # `table --compass` tabulates these cultures with this seed and sample count
     from approvaldap.experiments import COMPASS_SAMPLES, COMPASS_SEED, compass_specs

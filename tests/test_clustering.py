@@ -673,7 +673,7 @@ def test_kmedoids_path_builds_no_square_matrix(monkeypatch):
     for module, name in [
         (agreement, "_jaccard_similarity"),
         (agreement, "_pcc_from_counts"),
-        (metrics, "_product_blocks"),
+        (metrics, "cross_hamming"),
         (metrics, "_jaccard_similarity"),
         (metrics, "_pcc_from_counts"),
         (metrics, "pcc_matrix"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from approvaldap import core, divpol
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import spectral_pcc
-from approvaldap.core import Election, reverse, seeded_rng, stats
+from approvaldap.core import Election, seeded_rng, stats
 from approvaldap.divpol import (
     a_div,
     a_pol,
@@ -28,7 +28,12 @@ from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_tria
 from approvaldap.metrics import cross_hamming
 
 from conftest import make_random_election
-from oracles import assignment_ham_to_universe, hamming_matrix
+from oracles import (
+    assignment_ham_to_universe,
+    exact_ham_to_universe,
+    exact_out_div,
+    hamming_matrix,
+)
 
 
 def test_a_div_is_zero_on_identity():
@@ -72,7 +77,7 @@ def test_pair_pol_brute_force(rng):
         ham = hamming_matrix(e)
         expected = 2.0 * float(np.std(ham)) / e.num_candidates
         assert pair_pol(e) == pytest.approx(expected, abs=1e-12)
-        assert pair_pol(reverse(e)) == pair_pol(e)
+        assert pair_pol(Election(1 - e.matrix)) == pair_pol(e)
 
 
 def pair_pol_oracle(e: Election) -> float:
@@ -144,9 +149,9 @@ def test_out_div_exact_universe_against_transport_oracle(rng):
         total = e.total_approvals()
         nm = e.num_voters * e.num_candidates
         if total in (0, nm):
-            assert out_div(e, exact=True) == 0.0
+            assert exact_out_div(e) == 0.0
             continue
-        got = out_div(e, exact=True)
+        got = exact_out_div(e)
         expected = _oracle_out_div(e, networkx)
         assert got == pytest.approx(expected, abs=1e-9)
 
@@ -293,7 +298,7 @@ def test_ham_to_universe_single_ballot_closed_form():
     # distance must equal the closed-form single-ballot value
     e = Election([[1, 1, 0, 0, 0]] * 3)
     p = stats(e).satr
-    assert ham_to_universe(e, exact=True) == pytest.approx(
+    assert exact_ham_to_universe(e) == pytest.approx(
         ham_single_to_unc(p, 2 / 5), abs=1e-12
     )
 
@@ -305,7 +310,7 @@ def test_sampled_estimator_tracks_exact_value(rng, monkeypatch):
         total = e.total_approvals()
         if total in (0, e.num_voters * e.num_candidates):
             continue
-        exact = out_div(e, exact=True)
+        exact = exact_out_div(e)
         sampled = out_div(e, seed=5)
         assert sampled == pytest.approx(exact, abs=0.08)
 

@@ -11,6 +11,9 @@ any printed digit of any index fails here.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from approvaldap.cli import main
@@ -18,16 +21,29 @@ from approvaldap.experiments import SYNTHETIC_MAP_SEED, compass_specs, synthetic
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 TABLE_LABELS = ("1/3-ID", "2-Party", "N(2-Party,0.6)", "1/4-IC")
 # 0.3-IC, a resampling election and a 2D-Euclidean (variant 5) one, all 100x1000
 MAP_ENTRIES = (16, 35, 236)
+MAP_FILES = ("map_features.csv", "map_embedding.csv")
+
+
+def write_table_manifest(path: Path) -> None:
+    specs = [s.to_dict() for s in compass_specs(30, 30) if s.label in TABLE_LABELS]
+    assert [s["label"] for s in specs] == list(TABLE_LABELS)
+    path.write_text(json.dumps({"seed": 18, "samples": 2, "specs": specs}))
+
+
+def write_map_manifest(path: Path) -> None:
+    corpus = synthetic_map_entries(SYNTHETIC_MAP_SEED)
+    entries = [corpus[i].to_dict() for i in MAP_ENTRIES]
+    assert [en["spec"]["n"] for en in entries] == [1000, 1000, 1000]
+    path.write_text(json.dumps({"seed": 19, "entries": entries}))
 
 
 def test_table_manifest_matches_golden(tmp_path, capsys):
-    specs = [s.to_dict() for s in compass_specs(30, 30) if s.label in TABLE_LABELS]
-    assert [s["label"] for s in specs] == list(TABLE_LABELS)
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"seed": 18, "samples": 2, "specs": specs}))
+    write_table_manifest(path)
     assert main(["table", "--manifest", str(path), "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     expected = (GOLDEN / "index_table.csv").read_bytes()
@@ -43,12 +59,33 @@ def test_index_city_small_matches_golden(monkeypatch, capsys):
 
 
 def test_map_manifest_matches_golden(tmp_path, capsys):
-    corpus = synthetic_map_entries(SYNTHETIC_MAP_SEED)
-    entries = [corpus[i].to_dict() for i in MAP_ENTRIES]
-    assert [en["spec"]["n"] for en in entries] == [1000, 1000, 1000]
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"seed": 19, "entries": entries}))
+    write_map_manifest(path)
     assert main(["map", "--manifest", str(path), "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    for name in ("map_features.csv", "map_embedding.csv"):
+    for name in MAP_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_goldens_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count when it loads, so each setting runs
+    # the CLI in a fresh process
+    runs = (
+        ("table", write_table_manifest, ("index_table.csv",)),
+        ("map", write_map_manifest, MAP_FILES),
+    )
+    pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
+        for command, write_manifest, names in runs:
+            path = tmp_path / f"{command}.json"
+            write_manifest(path)
+            out_dir = tmp_path / f"{command}-{threads}"
+            argv = ["--manifest", str(path), "--out-dir", str(out_dir)]
+            subprocess.run(
+                [sys.executable, "-m", "approvaldap.cli", command, *argv],
+                env=env, capture_output=True, check=True, timeout=300,
+            )
+            for name in names:
+                got = (out_dir / name).read_bytes()
+                assert got == (GOLDEN / name).read_bytes(), (threads, name)

@@ -11,7 +11,6 @@ from approvaldap.io import (
     ParseError,
     parse_pabulib,
     read_native,
-    threshold_scores,
     write_csv_matrix,
     write_native,
     write_svg_heatmap,
@@ -109,19 +108,6 @@ def test_parse_rejects_garbage_without_crashing():
 def test_parse_accepts_bytes_and_bom():
     text = "﻿META\nkey;value\nPROJECTS\nproject_id\na\nVOTES\nvoter_id;vote\n1;a\n"
     assert parse_pabulib(text.encode("utf-8")).num_candidates == 1
-
-
-def test_threshold_scores():
-    scores = [[3.5, 4.0, 5.0], [1.0, 4.5, 3.9]]
-    e = threshold_scores(scores, 4.0)
-    assert e.matrix.tolist() == [[0, 1, 1], [0, 1, 0]]
-    assert not threshold_scores(scores, 6.0).matrix.any()
-    assert threshold_scores(scores, 1.0).matrix.all()
-    with pytest.raises(ValueError):
-        threshold_scores([[1, 2], [1]], 1.5)
-    for flat in ([1, 2, 3], np.array([1.0, 2.0]), 5, np.array(5.0)):
-        with pytest.raises(ValueError, match="must be two-dimensional"):
-            threshold_scores(flat, 1.5)
 
 
 def test_native_round_trip(rng):

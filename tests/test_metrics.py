@@ -6,20 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approvaldap.core import Election
-from approvaldap.metrics import (
-    PairCounts,
-    _jaccard_similarity,
-    cross_hamming,
-    hamming,
-    jaccard,
-    pair_counts,
-    pcc,
-    pcc_from_hamming,
-    pcc_matrix,
-)
+from approvaldap.metrics import _jaccard_similarity, cross_hamming, pcc_matrix
 
 from conftest import BOUNDARY_WIDTHS, make_random_election
-from oracles import hamming_matrix, intersection_matrix, jaccard_similarity_matrix
+from oracles import (
+    hamming,
+    hamming_matrix,
+    intersection_matrix,
+    jaccard,
+    jaccard_similarity_matrix,
+    pcc,
+)
 
 
 def pcc_mean_centered(u, v):
@@ -31,12 +28,6 @@ def pcc_mean_centered(u, v):
     if den == 0:
         return 1.0
     return float((dx * dy).sum() / den)
-
-
-def test_pair_counts():
-    c = pair_counts([1, 1, 0, 0, 1], [1, 0, 1, 0, 0])
-    assert c == PairCounts(n11=1, n10=2, n01=1, n00=1)
-    assert c.length == 5
 
 
 def test_hamming_examples():
@@ -82,15 +73,6 @@ def test_pcc_matches_mean_centered_form(rng):
             assert pcc(u, v) == pytest.approx(pcc_mean_centered(u, v), abs=1e-12)
 
 
-def test_pcc_from_hamming():
-    assert pcc_from_hamming(0.4, 10, 0) == 1.0
-    assert pcc_from_hamming(0.5, 60, 30) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        pcc_from_hamming(0.0, 10, 2)
-    with pytest.raises(ValueError):
-        pcc_from_hamming(1.0, 10, 2)
-
-
 def test_pcc_from_hamming_agrees_on_fixed_length_pairs(rng):
     m, n, approvals = 20, 20, 7
     rows = np.zeros((n, m), dtype=np.uint8)
@@ -100,8 +82,9 @@ def test_pcc_from_hamming_agrees_on_fixed_length_pairs(rng):
     p = approvals / m
     for i in range(n):
         for j in range(n):
-            expected = pcc(rows[i], rows[j])
-            got = pcc_from_hamming(p, m, hamming(rows[i], rows[j]))
+            # two ballots of p*m approvals each: pcc = 1 - ham / (2 m p (1 - p))
+            expected = 1.0 - hamming(rows[i], rows[j]) / (2.0 * m * p * (1.0 - p))
+            got = pcc(rows[i], rows[j])
             assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -130,10 +113,9 @@ def test_cross_hamming(rng):
         a = make_random_election(rng, max_m=9, max_n=7, m=m)
         b = Election((rng.random((5, a.num_candidates)) < 0.5).astype(np.uint8))
         table = cross_hamming(a, b)
-        assert table.shape == (a.num_voters, 5)
-        for i in range(a.num_voters):
-            for j in range(5):
-                assert table[i, j] == hamming(a.matrix[i], b.matrix[j])
+        assert table.dtype == np.float64
+        want = [[hamming(u, v) for v in b.matrix] for u in a.matrix]
+        assert np.array_equal(table, np.array(want, dtype=np.float64))
     with pytest.raises(ValueError):
         cross_hamming(a, Election([[1] * (a.num_candidates + 1)]))
 
