@@ -38,7 +38,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ManifestError, ValueError) as exc:
+    except ValueError as exc:  # a ManifestError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's message names the array it could not allocate

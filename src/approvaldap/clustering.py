@@ -47,20 +47,13 @@ def _first_appearance(labels: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def _unchosen(n: int, chosen) -> np.ndarray:
-    """Sorted indices in ``[0, n)`` absent from ``chosen``."""
-    free = np.ones(n, dtype=bool)
-    free[np.asarray(chosen, dtype=np.intp)] = False
-    return np.flatnonzero(free)
-
-
 def _plus_plus_picks(
-    dist_to_chosen: np.ndarray, chosen: np.ndarray, c: int, draws: np.ndarray, replay
-) -> None:
+    dist_to_chosen: np.ndarray, chosen: np.ndarray, c: int, draws: np.ndarray
+) -> bool:
     """Fill column ``c`` of the ``(r, k)`` picks ``chosen`` of ``r`` starts
     with one k-means++ style draw each, from the ``(r, n)`` distances to
-    their first ``c`` picks: probability proportional to squared distance,
-    uniform over the points not yet chosen when every distance is 0.
+    their first ``c`` picks: probability proportional to squared distance.
+    Return ``False``, drawing nothing, when a start's distances are all 0.
 
     ``draws`` holds each start's uniform for this pick, drawn up front from
     its stream.  ``Generator.choice(n, p=p)`` draws
@@ -71,28 +64,19 @@ def _plus_plus_picks(
     side="right")`` is the count of its entries ``<= u``: one comparison
     draws every start's point, the draw it would make alone.
 
-    The distances are running minima over the picks, so a start whose
-    distances are all 0 keeps them at 0, and every later pick of it is the
-    uniform fallback.  Such a start gets its stream back from
-    ``replay(i, c)``, which replays the draws of its first ``c`` picks, and
-    draws all its remaining picks at once; unfilled entries of ``chosen``
-    are negative, so a start that fell back earlier is left alone.  A drawn
-    point is at a positive distance, so no point is picked twice, and with
-    ``k <= n`` picks some point is always left.
+    A drawn point is at a positive distance, so each start's ``c`` picks
+    are ``c`` distinct points.  So the distances of one start are all 0
+    exactly when those of every start are: when the points have at most
+    ``c`` distinct rows, each of them among every start's picks.
     """
     weights = dist_to_chosen**2
     s = weights.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):  # rows with s == 0 are not read
-        cdf = (weights / s[:, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-    drawn = s > 0.0
-    chosen[drawn, c] = (cdf[drawn] <= draws[drawn, None]).sum(axis=1)
-    n, k = weights.shape[1], chosen.shape[1]
-    for i in np.flatnonzero(~drawn & (chosen[:, c] < 0)).tolist():
-        rng = replay(i, c)
-        for j in range(c, k):
-            remaining = _unchosen(n, chosen[i, :j])
-            chosen[i, j] = remaining[rng.integers(remaining.size)]
+    if not s.all():
+        return False
+    cdf = (weights / s[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    chosen[:, c] = (cdf <= draws[:, None]).sum(axis=1)
+    return True
 
 
 def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
@@ -108,7 +92,8 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     ``n x (m + 2)`` Hamming factors of the election (see
     :func:`_hamming_factors`), memoised so that every cluster count shares
     them; no ``n x n`` matrix is formed.  The 10 restarts descend together
-    (see :func:`_kmedoids_descent`).
+    (see :func:`_kmedoids_descent`).  With fewer than ``k`` distinct
+    ballots seeding stops early, and each distinct ballot is one cluster.
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
@@ -122,24 +107,21 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     # each start's stream: integers(n) for its first medoid, then one
     # uniform per later pick
     stream = seeded_streams(seed)
-    medoids = np.full((_KMEDOIDS_RESTARTS, k), -1, dtype=np.int64)
+    medoids = np.empty((_KMEDOIDS_RESTARTS, k), dtype=np.int64)
     uniforms = np.empty((_KMEDOIDS_RESTARTS, k - 1))
     for start in range(_KMEDOIDS_RESTARTS):
         rng = stream(_MEDOID_STREAM + start)
         medoids[start, 0] = rng.integers(n)
         rng.random(out=uniforms[start])
 
-    def replay(start: int, c: int):
-        rng = stream(_MEDOID_STREAM + start)
-        rng.integers(n)
-        rng.random(c - 1)
-        return rng
-
     closest = np.full((_KMEDOIDS_RESTARTS, n), math.inf)
     for c in range(1, k):
         # each start's distances to its latest pick: one (r, n) product
         np.minimum(closest, right[medoids[:, c - 1]] @ left.T, out=closest)
-        _plus_plus_picks(closest, medoids, c, uniforms[:, c - 1], replay)
+        if not _plus_plus_picks(closest, medoids, c, uniforms[:, c - 1]):
+            # c distinct ballots, each a medoid of start 0: one cluster each
+            dist = _medoid_distances(left, right, medoids[:1, :c])
+            return _first_appearance(_nearest_centre(dist)[0])
     labels, objs = _kmedoids_descent(left, right, medoids)
     return _first_appearance(labels[int(np.argmin(objs))])
 
@@ -353,6 +335,8 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     init leaves once its labels stop changing, or after
     ``_KMEANS_MAX_ITER`` rounds; each one's labels, centres and inertia are
     those of a run on its own.  The first init with the lowest inertia wins.
+    With fewer than ``k`` distinct points seeding stops early, and each
+    distinct point is one cluster, numbered in order of first appearance.
     """
     n, d = points.shape
     k = min(k, n)
@@ -363,23 +347,21 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     for init in range(_KMEANS_INITS):
         stream(_KMEANS_STREAM + init).random(out=uniforms[init])
 
-    def replay(init: int, c: int):
-        rng = stream(_KMEANS_STREAM + init)
-        rng.random(c)
-        return rng
-
     # the first draw of Generator.choice(n, p=weights / weights.sum()), with
     # one cdf for every init; see _plus_plus_picks
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
-    chosen = np.full((_KMEANS_INITS, k), -1, dtype=np.int64)
+    chosen = np.empty((_KMEANS_INITS, k), dtype=np.int64)
     chosen[:, 0] = cdf.searchsorted(uniforms[:, 0], side="right")
     # np.linalg.norm(points - centre, axis=1) for every init's centre, bitwise
     # below 8 coordinates (see _centre_sq_distances)
     closest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, :1, None]])[:, 0])
     root_weights = np.sqrt(weights)
     for c in range(1, k):
-        _plus_plus_picks(root_weights * closest, chosen, c, uniforms[:, c], replay)
+        if not _plus_plus_picks(root_weights * closest, chosen, c, uniforms[:, c]):
+            # c distinct points, each a centre of init 0: one cluster each
+            sq = _centre_sq_distances(coords, points[chosen[:1, :c, None]])
+            return _first_appearance(_nearest_centre(sq)[0])
         latest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, c : c + 1, None]])[:, 0])
         np.minimum(closest, latest, out=closest)
     centers = points[chosen]

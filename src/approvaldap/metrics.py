@@ -22,10 +22,6 @@ __all__ = [
     "cross_hamming",
 ]
 
-# rows of the product per BLAS call: every float64 temporary is O(block * n);
-# at 4000 distinct ballots two 128-row blocks take 8.2 MB, two of 256 16.4 MB
-_PRODUCT_BLOCK_ROWS = 128
-
 
 def _jaccard_similarity(n11: np.ndarray, la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """New array of ``1 - jaccard`` from float64 intersection sizes ``n11`` and the

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from approvaldap.agreement import (
+    _PRODUCT_BLOCK_ROWS,
     AGREEMENT_INDICES,
     _clusters,
     av_agr,
@@ -25,7 +26,7 @@ from approvaldap.generators import (
     gen_triangle,
     gen_xy_two_party,
 )
-from approvaldap.metrics import _PRODUCT_BLOCK_ROWS, pcc_matrix
+from approvaldap.metrics import pcc_matrix
 
 from conftest import make_random_election
 from oracles import (

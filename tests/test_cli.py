@@ -349,10 +349,8 @@ def test_table_compass_manifest_loads():
     assert {"1/3-ID", "2-Party", "Triangle", "Lin-IC"} <= {spec.label for spec in specs}
 
 
-def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
-    # experiments run as a plain loop: a second run of each manifest command
-    # writes the same bytes, and APPROVAL_DAP_THREADS, even a junk value, is
-    # ignored
+def test_manifest_commands_repeat_their_outputs(tmp_path, capsys):
+    # a second run of each manifest command writes the same bytes
     spec = {"m": 70, "n": 24, "seed": 0}
     table = {
         "seed": 5,
@@ -374,10 +372,7 @@ def test_thread_count_does_not_change_outputs(tmp_path, capsys, monkeypatch):
     ]
     manifests = {"table": table, "map": {"seed": 6, "entries": entries}}
     outputs = {}
-    monkeypatch.delenv("APPROVAL_DAP_THREADS", raising=False)
-    for attempt in ("plain", "junk"):
-        if attempt == "junk":
-            monkeypatch.setenv("APPROVAL_DAP_THREADS", "junk")
+    for attempt in ("first", "second"):
         for command, manifest in manifests.items():
             out_dir = tmp_path / f"{command}-{attempt}"
             path = tmp_path / f"{command}.json"

@@ -202,100 +202,71 @@ def test_choice_is_one_draw_against_the_normalised_cdf():
             assert a.choice(n, p=p) == cdf.searchsorted(b.random(), side="right")
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(1, 50),
-    st.lists(st.integers(0, 49), min_size=1, max_size=60),
-)
-def test_unchosen_matches_setdiff(n, chosen):
-    chosen = [c % n for c in chosen]
-    want = np.setdiff1d(np.arange(n), np.asarray(chosen, dtype=np.int64))
-    got = clustering._unchosen(n, chosen)
-    assert np.array_equal(got, want)
-    assert np.array_equal(clustering._unchosen(n, np.asarray(chosen)), want)
-
-
-def count_fallbacks(monkeypatch):
-    """Record the number of points chosen before each fallback draw."""
-    calls = []
-    unchosen = clustering._unchosen
-
-    def counted(n, chosen):
-        calls.append(len(chosen))
-        return unchosen(n, chosen)
-
-    monkeypatch.setattr(clustering, "_unchosen", counted)
-    return calls
-
-
 def record_seeds(monkeypatch):
     """Record the ``(r, k)`` k-means++ picks of every start after each pick;
-    the last record holds a call's complete seeds."""
+    the last record holds every pick a call made."""
     seeds = []
     picks = clustering._plus_plus_picks
 
     def recorded(dist_to_chosen, chosen, *args):
-        picks(dist_to_chosen, chosen, *args)
+        drawn = picks(dist_to_chosen, chosen, *args)
         seeds.append(chosen.copy())
+        return drawn
 
     monkeypatch.setattr(clustering, "_plus_plus_picks", recorded)
     return seeds
 
 
-def fallback_picks(k, c, starts):
-    """The sorted pick numbers of the fallback draws when each of ``starts``
-    starts first falls back at pick c of k: picks c, ..., k - 1 once each."""
-    return sorted(pick for pick in range(c, k) for _ in range(starts))
-
-
 def test_kmedoids_fallback_draws_match_oracle(monkeypatch):
-    # c distinct ballots: once every one is a medoid, every distance is 0, so
-    # every start falls back at pick c and draws uniformly from the voters
-    # not yet chosen
+    # c < k distinct ballots: after c picks every distance is 0, so the
+    # oracle draws its further medoids uniformly while seeding stops; each
+    # distinct ballot is one cluster and every start's c picks are the oracle's
     pool = np.array(
         [[1, 0, 1, 1, 0], [0, 1, 1, 0, 0], [1, 1, 0, 0, 1], [0, 0, 0, 1, 1]], dtype=np.uint8
     )
     for k in range(2, 6):
         for c in range(1, k):
-            e = Election(pool[np.arange(9) % c])
+            rows = np.arange(9) % c  # one cluster per distinct row
+            e = Election(pool[rows])
             for seed in (11, 12):
-                want = kmedoids_oracle(e, k, seed)
                 seeds = [
                     kmedoids_seeds_oracle(
                         hamming_matrix(e), k, seeded_rng(seed, clustering._MEDOID_STREAM + start)
-                    )
+                    )[:c]
                     for start in range(clustering._KMEDOIDS_RESTARTS)
                 ]
-                calls = count_fallbacks(monkeypatch)
                 got = record_seeds(monkeypatch)
-                assert np.array_equal(kmedoids_hamming(e, k, seed), want), (k, c, seed)
-                assert sorted(calls) == fallback_picks(k, c, clustering._KMEDOIDS_RESTARTS)
-                assert np.array_equal(got[-1], seeds)
+                labels = kmedoids_hamming(e, k, seed)
                 monkeypatch.undo()
+                assert np.array_equal(labels, rows), (k, c, seed)
+                assert np.array_equal(labels, kmedoids_oracle(e, k, seed))
+                assert np.array_equal(got[-1][:, :c], seeds)
 
 
 def test_kmeans_fallback_draws_match_oracle(monkeypatch):
-    # c distinct points: once each is a centre, every weighted distance is 0
-    # and the rest of each init's centres come from the fallback
+    # c < k distinct points: after c centres every weighted distance is 0,
+    # so the oracle draws its further centres uniformly while seeding stops;
+    # each distinct point is one cluster, the oracle's partition
     pool = np.array([[0.0, 1.0], [2.0, -1.0], [0.5, 0.5], [-1.0, 0.0]])
     weights = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 4.0, 2.0, 1.0])
     for k in range(2, 6):
         for c in range(1, k):
-            points = pool[np.arange(9) % c]
+            rows = np.arange(9) % c  # one cluster per distinct row
+            points = pool[rows]
             for seed in (0, 1, 2):
-                want = kmeans_oracle(points, k, weights, seed)
                 seeds = [
                     kmeans_seeds_oracle(
                         points, k, weights, seeded_rng(seed, clustering._KMEANS_STREAM + init)
-                    )
+                    )[:c]
                     for init in range(clustering._KMEANS_INITS)
                 ]
-                calls = count_fallbacks(monkeypatch)
                 got = record_seeds(monkeypatch)
-                assert np.array_equal(clustering._kmeans(points, k, weights, seed), want)
-                assert sorted(calls) == fallback_picks(k, c, clustering._KMEANS_INITS)
-                assert np.array_equal(got[-1], seeds)
+                labels = clustering._kmeans(points, k, weights, seed)
                 monkeypatch.undo()
+                assert np.array_equal(labels, rows), (k, c, seed)
+                want = kmeans_oracle(points, k, weights, seed)
+                assert np.array_equal(labels, clustering._first_appearance(want))
+                assert np.array_equal(got[-1][:, :c], seeds)
 
 
 def test_clusterers_build_one_bit_generator_per_call(monkeypatch):
@@ -308,19 +279,17 @@ def test_clusterers_build_one_bit_generator_per_call(monkeypatch):
 
     rng = np.random.default_rng(3)
     cases = [
-        # no start falls back
+        # every start draws all its picks
         (
             sample(CultureSpec("resampling", 30, 200, seed=5, params={"p": 0.3, "phi": 0.5})),
             rng.normal(size=(200, 4)),
-            False,
         ),
-        # two distinct ballots and points: every start falls back from pick 2
-        (gen_k_party(30, 200, 2), np.repeat(rng.normal(size=(2, 4)), 100, axis=0), True),
+        # two distinct ballots and points: seeding stops after pick 2
+        (gen_k_party(30, 200, 2), np.repeat(rng.normal(size=(2, 4)), 100, axis=0)),
     ]
     weights = rng.integers(1, 5, 200).astype(np.float64)
-    for e, points, falls_back in cases:
-        fallbacks = count_fallbacks(monkeypatch)
-        monkeypatch.setattr(core, "Philox", counting)
+    monkeypatch.setattr(core, "Philox", counting)
+    for e, points in cases:
         for k in range(2, 6):
             built.clear()
             kmedoids_hamming(e, k, seed=k)
@@ -328,8 +297,6 @@ def test_clusterers_build_one_bit_generator_per_call(monkeypatch):
             built.clear()
             clustering._kmeans(points, k, weights, seed=k)
             assert len(built) <= 1
-        assert bool(fallbacks) == falls_back
-        monkeypatch.undo()
 
 
 # -- oracles: the per-cluster loops the vectorised updates replaced ---------
@@ -341,7 +308,7 @@ def _plus_plus_pick(dist_to_chosen: np.ndarray, chosen, rng) -> int:
     weights = dist_to_chosen.astype(np.float64) ** 2
     s = weights.sum()
     if s <= 0.0:
-        remaining = clustering._unchosen(weights.size, chosen)
+        remaining = np.setdiff1d(np.arange(weights.size), chosen)
         if remaining.size == 0:
             return int(rng.integers(weights.size))
         return int(remaining[rng.integers(remaining.size)])
@@ -481,12 +448,23 @@ def test_center_update_matches_per_cluster_average(case):
     assert fast.tobytes() == slow.tobytes()
 
 
+def assert_kmeans_matches_oracle(labels, want, points, k):
+    """Raw labels equal when the points have at least ``k`` distinct rows
+    (or are all distinct).  Below that seeding stops early and numbers the
+    clusters in order of first appearance, while the oracle's raw ids come
+    from its uniform draws past the last distinct row, so the partitions are
+    compared."""
+    if np.unique(points, axis=0).shape[0] < min(k, points.shape[0]):
+        want = clustering._first_appearance(want)
+    assert np.array_equal(labels, want)
+
+
 @settings(max_examples=300, deadline=None)
 @given(weighted_points())
 def test_kmeans_single_matches_oracle(case):
     points, k, weights, seed = case
     labels = clustering._kmeans(points, k, weights, seed)
-    assert np.array_equal(labels, kmeans_oracle(points, k, weights, seed))
+    assert_kmeans_matches_oracle(labels, kmeans_oracle(points, k, weights, seed), points, k)
 
 
 @st.composite
@@ -513,7 +491,7 @@ def test_kmeans_matches_best_of_oracle_runs(case):
     # coinciding centres tie on every point: the lowest id takes it
     points, k, weights, seed = case
     labels = clustering._kmeans(points, k, weights, seed)
-    assert np.array_equal(labels, kmeans_oracle(points, k, weights, seed))
+    assert_kmeans_matches_oracle(labels, kmeans_oracle(points, k, weights, seed), points, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -533,7 +511,7 @@ def test_kmeans_matches_oracle_at_round_caps(case, cap, inits):
         patch.setattr(clustering, "_KMEANS_INITS", inits)
         labels = clustering._kmeans(points, k, weights, seed)
         want = kmeans_oracle(points, k, weights, seed)
-    assert np.array_equal(labels, want)
+    assert_kmeans_matches_oracle(labels, want, points, k)
 
 
 def drawn_centres(points, a, k, rng):
@@ -623,7 +601,7 @@ def test_kmedoids_matches_oracle(case):
 @st.composite
 def kmedoids_elections(draw):
     """Random elections with m on and off byte boundaries, all-equal ones
-    (every distance is 0, so seeding takes the uniform fallback), and
+    (every distance is 0, so seeding stops after the first pick), and
     cluster counts from 1 to past n."""
     m = draw(st.sampled_from([1, 3, 7, 8, 9, 15, 16, 17, 24, 31]))
     n = draw(st.integers(1, 30))

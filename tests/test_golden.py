@@ -4,10 +4,14 @@
 ``table --manifest`` at 30x30 (2 samples, seed 18, every index), the
 ``index --seed 0`` CSV of ``tests/data/city_small.pb`` (every index), and
 the ``map_features.csv`` and ``map_embedding.csv`` of a three-entry
-``map --manifest`` (seed 19).  The map entries have 956-1000 distinct
-ballots, so their spectral k-means runs up to its 50-round cap; the other
-two goldens never cluster more than about 60 points.  A rewrite that moves
-any printed digit of any index fails here.
+``map --manifest`` (seed 19), and the ``resampling_<index>.csv`` grids of
+``resample --m 20 --n 20 --samples 1 --seed 5`` for ``pcc_pol`` and
+``cntr_div``.  The map entries have 956-1000 distinct ballots, so their
+spectral k-means runs up to its 50-round cap; the other goldens never
+cluster more than about 60 points, and the grids' phi = 0 column holds
+identity elections, whose one distinct ballot stops k-means++ seeding
+after its first pick.  A rewrite that moves any printed digit of any index
+fails here.
 """
 
 import json
@@ -15,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from approvaldap.cli import main
 from approvaldap.experiments import SYNTHETIC_MAP_SEED, compass_specs, synthetic_map_entries
@@ -65,6 +71,15 @@ def test_map_manifest_matches_golden(tmp_path, capsys):
     capsys.readouterr()
     for name in MAP_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("index", ["pcc_pol", "cntr_div"])
+def test_resample_matches_golden(tmp_path, capsys, index):
+    argv = ["--m", "20", "--n", "20", "--samples", "1", "--seed", "5", "--out-dir", str(tmp_path)]
+    assert main(["resample", "--index", index, *argv]) == 0
+    capsys.readouterr()
+    name = f"resampling_{index}.csv"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_goldens_do_not_depend_on_blas_threads(tmp_path):
