@@ -329,8 +329,11 @@ def _map_manifest(doc):
         if not isinstance(raw, dict) or "spec" not in raw:
             raise ManifestError(pointer, "must be an object with a 'spec' field")
         spec = _parse_spec(raw["spec"], f"{pointer}/spec")
-        group = raw.get("group", spec.family)
-        items.append((spec.display_label(), group, sample(spec)))
+        try:
+            e = sample(spec)
+        except ValueError as exc:  # parameters the sampler refuses
+            raise ManifestError(f"{pointer}/spec", str(exc)) from None
+        items.append((spec.display_label(), raw.get("group", spec.family), e))
     files = doc.get("files", [])
     if not isinstance(files, list):
         raise ManifestError("/files", "must be a list")

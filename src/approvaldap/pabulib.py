@@ -6,7 +6,6 @@
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -27,14 +26,18 @@ _LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _PAD = np.array([int.from_bytes(b"\n" * (8 - k), "little") << 8 * k for k in range(9)], dtype=np.uint64)
 # Fibonacci hashing: a table slot is the top bits of key * 2^64 / golden ratio
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
-# the byte classes the array reading needs; a blank is an ASCII byte that
-# str.strip() removes and that does not break a line
-_NEWLINE, _BLANK, _UPPER, _HIGH, _SEMICOLON, _COMMA = range(1, 7)
+# the non-ASCII characters that str.strip() removes and that do not break a
+# line; UTF-8 is self-synchronising, so their bytes are found as byte strings
+_WIDE_BLANKS = "\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+# the byte classes the array reading needs: a blank is a byte of a character
+# that str.strip() removes and that does not break a line, and a name byte is
+# one of A-Z or any non-ASCII byte, the bytes a section name can hold
+_NEWLINE, _BLANK, _NAME, _SEMICOLON, _COMMA = range(1, 6)
 _BYTE_CLASS = np.zeros(256, dtype=np.uint8)
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 _BYTE_CLASS[[ord(" "), ord("\t"), 0x1F]] = _BLANK
-_BYTE_CLASS[ord("A") : ord("Z") + 1] = _UPPER
-_BYTE_CLASS[0x80:] = _HIGH
+_BYTE_CLASS[ord("A") : ord("Z") + 1] = _NAME
+_BYTE_CLASS[0x80:] = _NAME
 _BYTE_CLASS[ord(";")] = _SEMICOLON
 _BYTE_CLASS[ord(",")] = _COMMA
 
@@ -58,29 +61,29 @@ def parse_pabulib(text: str) -> Election:
     is insignificant.
 
     The file is read as one byte array whose lines end at the breaks of
-    ``str.splitlines``.  The META and PROJECTS lines, the lines of letters
-    A-Z (which may be section names) and the lines holding a non-ASCII
-    byte are read one at a time as text.  The other VOTES rows are read by
-    array operations over the whole file: semicolon counts check their
-    fields, semicolon and comma positions cut their votes into tokens, and
-    a hash table of the project ids maps each token to its column.  Every
-    error is the one a line-by-line reading raises first, with its line;
-    an undeclared project id is reported after the other checks, at the
-    first row that names one.  The array set-up costs a fixed fraction of
-    a millisecond, so the reading gains on large files, not on small ones.
+    ``str.splitlines``.  The META and PROJECTS lines, the blank lines and
+    the lines made only of A-Z and non-ASCII characters (the only lines
+    that may be section names) are read one at a time as text.  Every
+    VOTES row is read by array operations over the whole file: semicolon
+    counts check its fields, semicolon and comma positions cut its vote
+    into tokens, the bytes of the characters ``str.strip`` removes are
+    stripped from each token, and a hash table of the project ids maps
+    each token to its column.  Every error is the one a line-by-line
+    reading raises first, with its line; an undeclared project id is
+    reported after the other checks, at the first row that names one.  The
+    array set-up costs a fixed fraction of a millisecond, so the reading
+    gains on large files, not on small ones.
     """
     raw = _Bytes(_pabulib_bytes(text))
     # line i is raw.data[starts[i]:ends[i]], and ends at a "\n"
     ends = raw.at[_NEWLINE]
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    rends = raw.rstrip(ends.copy())  # the ends after str.rstrip() on ASCII lines
-    # read as text: lines of letters A-Z, which may be section names, known or
-    # not; blank lines, which the reading skips; and lines with a non-ASCII
-    # byte, which strip and split as Unicode text
-    upper, high = raw.at[_UPPER], raw.at[_HIGH]
-    as_text = np.searchsorted(upper, rends) - np.searchsorted(upper, starts) == rends - starts
-    as_text |= np.searchsorted(high, ends) > np.searchsorted(high, starts)
+    rends = raw.rstrip(ends.copy())  # the ends after str.rstrip()
+    # read as text: blank lines, which the reading skips, and lines of name
+    # bytes, which may be section names, known or not
+    name = raw.at[_NAME]
+    as_text = np.searchsorted(name, rends) - np.searchsorted(name, starts) == rends - starts
 
     reader = _SectionReader()
     try:
@@ -109,7 +112,7 @@ def parse_pabulib(text: str) -> Election:
         raise ParseError("missing VOTES section")
     if not reader.projects:
         raise ParseError("no projects declared")
-    if not rows.size and not reader.votes:
+    if not rows.size:
         raise ParseError("VOTES section has no ballots")
 
     col = reader.vote_col
@@ -119,43 +122,15 @@ def parse_pabulib(text: str) -> Election:
     n_tokens, tok_lo, tok_hi = raw.tokens(lo, hi)
     del lo, hi
     cols = _project_columns(raw, tok_lo, tok_hi - tok_lo, reader.projects)
-
-    # the tokens of the rows read as text, split and looked up as one string
-    lookup = {pid: j for j, pid in enumerate(reader.projects)}
-    lookup[""] = -1
-    votes = [vote for _, vote in reader.votes]
-    joined = ",".join(vote for vote in votes if vote)
-    fed_tokens = joined.split(",") if joined else []
-    fed_cols = np.fromiter(
-        map(lookup.get, map(str.strip, fed_tokens), repeat(-2)), dtype=np.int32, count=len(fed_tokens)
-    )
-    fed_n_tokens = [vote.count(",") + 1 if vote else 0 for vote in votes]
-
-    # the first undeclared id of either kind of row
-    undeclared = []
     bad = np.flatnonzero(cols == -2)
     if bad.size:
         row = np.searchsorted(np.cumsum(n_tokens), bad[0], side="right")
-        undeclared.append((int(rows[row]) + 1, raw.text(tok_lo[bad[0]], tok_hi[bad[0]])))
-    bad = np.flatnonzero(fed_cols == -2)
-    if bad.size:
-        row = np.searchsorted(np.cumsum(fed_n_tokens), bad[0], side="right")
-        undeclared.append((reader.votes[row][0], fed_tokens[bad[0]].strip()))
-    if undeclared:
-        line, pid = min(undeclared)
-        raise ParseError(f"vote references undeclared project {pid!r}", line)
+        pid = raw.text(tok_lo[bad[0]], tok_hi[bad[0]])
+        raise ParseError(f"vote references undeclared project {pid!r}", int(rows[row]) + 1)
     del tok_lo, tok_hi
 
-    # each token's ballot: the two kinds of row interleave in line order
-    fed_rows = np.array([line - 1 for line, _ in reader.votes], dtype=raw.offset)
-    ballot = np.concatenate(
-        (
-            np.repeat(np.arange(rows.size) + np.searchsorted(fed_rows, rows), n_tokens),
-            np.repeat(np.arange(fed_rows.size) + np.searchsorted(rows, fed_rows), fed_n_tokens),
-        )
-    )
-    cols = np.concatenate((cols, fed_cols))
-    mat = np.zeros((rows.size + fed_rows.size, len(reader.projects)), dtype=np.uint8)
+    ballot = np.repeat(np.arange(rows.size), n_tokens)  # the row of each token
+    mat = np.zeros((rows.size, len(reader.projects)), dtype=np.uint8)
     approved = cols >= 0
     flat = ballot[approved] * mat.shape[1]
     flat += cols[approved]
@@ -192,6 +167,15 @@ class _Bytes:
         self.offset = np.int32 if len(data) < 2**31 else np.int64
         self.arr = np.frombuffer(data, dtype=np.uint8)
         self.kind = _BYTE_CLASS.take(self.arr)
+        if not data.isascii():  # the bytes of each wide blank are blanks too
+            high = np.flatnonzero(self.arr >= 0x80)
+            lead = self.arr[high]
+            for blank in _WIDE_BLANKS:
+                seq = blank.encode()
+                at = high[lead == seq[0]]
+                for k in range(1, len(seq)):
+                    at = at[self.arr[at + k] == seq[k]]
+                self.kind[at[:, None] + np.arange(len(seq))] = _BLANK
         pos = np.flatnonzero(self.kind)
         kinds = self.kind[pos]
         pos = pos.astype(self.offset)
@@ -303,8 +287,9 @@ def _project_columns(raw: _Bytes, lo: np.ndarray, size: np.ndarray, projects: li
 
 class _SectionReader:
     """The line-by-line reading of a Pabulib file, which sees every line but
-    the VOTES rows between two lines read ``as_text``: :meth:`read` records
-    where those are, and :func:`parse_pabulib` reads them as arrays."""
+    the VOTES rows between two lines read ``as_text``.  It records where
+    the VOTES rows are, those it sees included, as ``row_spans``, and
+    :func:`parse_pabulib` reads them all as arrays."""
 
     def __init__(self):
         self.meta: dict[str, str] = {}
@@ -316,8 +301,7 @@ class _SectionReader:
         self.id_col = -1
         self.vote_col = -1
         self.vote_width = 0  # the fields of the VOTES header
-        self.votes: list[tuple[int, str]] = []  # (line, vote field) of the VOTES rows fed
-        self.row_spans: list[tuple[int, int]] = []  # line index ranges of the others
+        self.row_spans: list[tuple[int, int]] = []  # line index ranges of the VOTES rows
 
     def read(self, raw: _Bytes, starts, ends, as_text) -> None:
         """Feed the lines in order, except that past the VOTES header the lines
@@ -351,6 +335,9 @@ class _SectionReader:
         if self.section is None:
             raise ParseError("content before any section header", lineno)
 
+        if self.section == "VOTES" and self.header:
+            self.row_spans.append((lineno - 1, lineno))
+            return
         fields = line.split(";")
         if not self.header:
             self.header = [f.strip() for f in fields]
@@ -383,9 +370,3 @@ class _SectionReader:
                 raise ParseError(f"duplicate project id {pid!r}", lineno)
             self.project_seen.add(pid)
             self.projects.append(pid)
-        elif self.section == "VOTES":
-            if len(fields) != len(self.header):
-                raise ParseError(
-                    f"VOTES row has {len(fields)} fields, header has {len(self.header)}", lineno
-                )
-            self.votes.append((lineno, fields[self.vote_col].strip()))

@@ -229,6 +229,16 @@ def test_map_manifest_missing_file(tmp_path, capsys):
     assert code == 2 and "/entries/1/spec" in stderr and "needs parameter(s) k" in stderr
 
 
+def test_map_manifest_names_a_spec_the_sampler_refuses(tmp_path, capsys):
+    party = {"family": "k_party", "m": 5, "n": 6, "seed": 0, "params": {"k": 2}}
+    doc = {"seed": 1, "entries": [{"spec": party}, {"spec": {**party, "params": {"k": 9}}}]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert stderr.startswith("error: /entries/1/spec: ") and "party count must satisfy" in stderr
+
+
 def test_map_manifest_names_a_bad_file_and_its_pointer(tmp_path, capsys):
     party = {"family": "k_party", "m": 6, "n": 6, "seed": 0, "params": {"k": 2}}
     bad = DATA / "unknown_project.pb"

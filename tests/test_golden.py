@@ -2,7 +2,10 @@
 
 ``tests/data/golden/`` holds the ``index_table.csv`` of a four-culture
 ``table --manifest`` at 30x30 (2 samples, seed 18, every index), the
-``index --seed 0`` CSV of ``tests/data/city_small.pb`` (every index), and
+``index --seed 0`` CSVs of ``tests/data/city_small.pb`` and of
+``tests/data/district_utf8.pb`` (every index; the second file has
+non-ASCII project ids, extra non-ASCII columns and vote tokens padded
+with no-break and ideographic spaces), and
 the ``map_features.csv`` and ``map_embedding.csv`` of a three-entry
 ``map --manifest`` (seed 19), and the ``resampling_<index>.csv`` grids of
 ``resample --m 20 --n 20 --samples 1 --seed 5`` for ``pcc_pol`` and
@@ -61,6 +64,13 @@ def test_index_city_small_matches_golden(monkeypatch, capsys):
     monkeypatch.chdir(DATA)
     assert main(["index", "--seed", "0", "city_small.pb"]) == 0
     expected = (GOLDEN / "index_city_small.csv").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_index_district_utf8_matches_golden(monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert main(["index", "--seed", "0", "district_utf8.pb"]) == 0
+    expected = (GOLDEN / "index_district_utf8.csv").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
 
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from approvaldap import pabulib
 from approvaldap.core import Election
 from approvaldap.io import (
     ParseError,
@@ -289,11 +291,22 @@ def test_parse_matches_per_token_oracle(text):
 
 # -- the array parser against the line-by-line parser --------------------------
 
-# str.splitlines breaks besides "\n", blanks that str.strip() removes, and
-# lines that look like section names
+# str.splitlines breaks besides "\n", the characters str.strip() removes that
+# break no line, and lines that look like section names, or that are made of
+# A-Z and non-ASCII letters and are not
 _BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
-_BLANKS = [" ", "\t", "\x1f", "\xa0", "\u3000", "\u2007"]
-_NAMES = ["META", "PROJECTS", "VOTES", "VOTES  ", "VOTES\xa0", "XYZ", "Votes", "  VOTES", "ÉTÉ"]
+_WIDE_BLANKS = ["\xa0", "\u1680", *map(chr, range(0x2000, 0x200B)), "\u202f", "\u205f", "\u3000"]
+_BLANKS = [" ", "\t", "\x1f", *_WIDE_BLANKS]
+_NAMES = [
+    "META", "PROJECTS", "VOTES", "VOTES  ", "VOTES\xa0", "VOTES\u3000", "XYZ", "Votes", "  VOTES", "ÉTÉ",
+    "É中", "é", "Été", "中文", "ÉTÉ\u2003é",
+]
+
+
+def test_wide_blanks_are_the_non_ascii_blanks_of_str_strip():
+    chars = map(chr, range(0x80, sys.maxunicode + 1))
+    blanks = [c for c in chars if c.isspace() and len(f"a{c}b".splitlines()) == 1]
+    assert sorted(pabulib._WIDE_BLANKS) == blanks == _WIDE_BLANKS
 
 
 def _same_parse(doc):
@@ -311,6 +324,18 @@ def _same_parse(doc):
     assert got.matrix.shape == want.matrix.shape
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.label == want.label
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["é", "ü,\u2009é", "ÉTÉ", "É中\u3000", "Été", "中文", "ÉTÉ\u2003é", "\u3000\xa0", "VOTES\u2007", "é;ü"],
+)
+def test_parse_reads_non_ascii_lines_among_votes_as_the_line_reader_does(line):
+    # "é" and "ü" are project ids, so a row of them is a ballot; other lines
+    # of A-Z and non-ASCII letters are section names or undeclared ids
+    doc = f"PROJECTS\nproject_id\né\nü\nVOTES\nvote\n\u3000ü\xa0\n{line}\né\n"
+    _same_parse(doc)
+    _same_parse(doc.encode())
 
 
 @st.composite
