@@ -135,8 +135,8 @@ def pcc_agr(e: Election, labels=None) -> float:
     ballots is ``w_i w_j (m |u_i & u_j| - l_i l_j)``, so their pair sum is
     ``m ||X^T w||^2 - (sum_i l_i w_i)^2``; the ``n^2 - n_nc^2`` pairs that
     involve a constant ballot score 1.  The mean is within float residue
-    of ``pcc_matrix(e).mean()``; it is exactly 1 on identity elections and
-    is clamped to [0, 1].
+    of ``pcc_matrix(e.matrix).mean()``; it is exactly 1 on identity
+    elections and is clamped to [0, 1].
 
     With ``labels``, the cluster-size-weighted mean of each cluster's own
     value, as in :func:`cntr_agr`, from its rows of ``X``, ``w`` and ``l``.

@@ -238,7 +238,9 @@ def _require(doc, key, pointer, kind, type_name):
     return value
 
 
-def _parse_spec(entry, pointer: str) -> CultureSpec:
+def _draw_spec(entry, pointer: str) -> tuple[CultureSpec, Election]:
+    """The manifest spec at ``pointer`` and its election, every refusal,
+    the sampler's included, raised as a :class:`ManifestError` there."""
     if not isinstance(entry, dict):
         raise ManifestError(pointer, "must be an object")
     for key in ("family", "m", "n"):
@@ -247,10 +249,14 @@ def _parse_spec(entry, pointer: str) -> CultureSpec:
     if "seed" not in entry:
         raise ManifestError(f"{pointer}/seed", "manifests must pin an explicit seed")
     try:
-        return CultureSpec.from_dict(entry)
+        spec = CultureSpec.from_dict(entry)
     except SpecError as exc:
         raise ManifestError(f"{pointer}{exc.field}", exc.message) from None
     except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(pointer, str(exc)) from None
+    try:
+        return spec, sample(spec)
+    except ValueError as exc:  # parameters the sampler refuses
         raise ManifestError(pointer, str(exc)) from None
 
 
@@ -262,7 +268,9 @@ def _table_manifest(doc):
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ManifestError("/samples", "must be a positive integer")
     raw_specs = _require(doc, "specs", "/", list, "a list")
-    specs = [_parse_spec(entry, f"/specs/{i}") for i, entry in enumerate(raw_specs)]
+    # each spec is drawn once here, so that a value its sampler refuses
+    # gets its pointer; index_table draws its samples later
+    specs = [_draw_spec(entry, f"/specs/{i}")[0] for i, entry in enumerate(raw_specs)]
     if not specs:
         raise ManifestError("/specs", "must not be empty")
     indices = doc.get("indices", list(experiments.INDEX_NAMES))
@@ -328,11 +336,7 @@ def _map_manifest(doc):
         pointer = f"/entries/{i}"
         if not isinstance(raw, dict) or "spec" not in raw:
             raise ManifestError(pointer, "must be an object with a 'spec' field")
-        spec = _parse_spec(raw["spec"], f"{pointer}/spec")
-        try:
-            e = sample(spec)
-        except ValueError as exc:  # parameters the sampler refuses
-            raise ManifestError(f"{pointer}/spec", str(exc)) from None
+        spec, e = _draw_spec(raw["spec"], f"{pointer}/spec")
         items.append((spec.display_label(), raw.get("group", spec.family), e))
     files = doc.get("files", [])
     if not isinstance(files, list):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import Election, seeded_streams
-from .metrics import pcc_matrix, pcc_weights
+from .metrics import hamming_factors, pcc_matrix, pcc_weights
 
 __all__ = [
     "kmedoids_hamming",
@@ -89,11 +89,12 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     after 100 rounds).  The best of 10 seeded k-means++ style
     initializations, picked together (:func:`_plus_plus_picks`), is
     returned, the first one on ties.  Every distance comes from the two
-    ``n x (m + 2)`` Hamming factors of the election (see
-    :func:`_hamming_factors`), memoised so that every cluster count shares
-    them; no ``n x n`` matrix is formed.  The 10 restarts descend together
-    (see :func:`_kmedoids_descent`).  With fewer than ``k`` distinct
-    ballots seeding stops early, and each distinct ballot is one cluster.
+    ``n x (m + 2)`` Hamming factors of the ballots (see
+    :func:`~approvaldap.metrics.hamming_factors`), memoised on the election
+    so that every cluster count shares them; no ``n x n`` matrix is formed.
+    The 10 restarts descend together (see :func:`_kmedoids_descent`).  With
+    fewer than ``k`` distinct ballots seeding stops early, and each distinct
+    ballot is one cluster.
     """
     if k < 1:
         raise ValueError("cluster count must be positive")
@@ -103,7 +104,7 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     if k == 1:
         return np.zeros(n, dtype=np.intp)
 
-    left, right = _hamming_factors(e)
+    left, right = e._cache("hamming_factors", lambda: hamming_factors(e.matrix))
     # each start's stream: integers(n) for its first medoid, then one
     # uniform per later pick
     stream = seeded_streams(seed)
@@ -126,41 +127,14 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     return _first_appearance(labels[int(np.argmin(objs))])
 
 
-def _hamming_factors(e: Election) -> tuple[np.ndarray, np.ndarray]:
-    """``(left, right)``: two read-only ``n x (m + 2)`` float64 factors of the
-    Hamming matrix, memoised on the election.
-
-    With the ballot lengths ``l`` and the 0/1 ballots ``X``, ``left = [l, 1, X]``
-    and ``right = [1, l, -2X]``, so ``left[i] @ right[j] = l_i + l_j -
-    2 |x_i & x_j|``, the Hamming distance of ballots i and j.  Every entry
-    is a small integer, so every product and sum of them is exact in float64.
-    """
-
-    def compute():
-        n, m = e.num_voters, e.num_candidates
-        lengths = e.ballot_lengths()
-        left = np.empty((n, m + 2))
-        left[:, 0] = lengths
-        left[:, 1] = 1.0
-        left[:, 2:] = e.matrix
-        right = np.empty((n, m + 2))
-        right[:, 0] = 1.0
-        right[:, 1] = lengths
-        np.multiply(e.matrix, -2.0, out=right[:, 2:])
-        left.setflags(write=False)
-        right.setflags(write=False)
-        return left, right
-
-    return e._cache("hamming_factors", compute)
-
-
 def _kmedoids_descent(left: np.ndarray, right: np.ndarray, medoids: np.ndarray):
     """Descend from ``r`` starts of ``k`` medoids, shape ``(r, k)``; update
     them in place and return ``(r, n)`` labels and an int64 array of the
     ``r`` objectives.
 
     The distance from point i to candidate medoid j is ``left[i] @
-    right[j]``: the Hamming factors of :func:`_hamming_factors`, or any
+    right[j]``: the Hamming factors of
+    :func:`~approvaldap.metrics.hamming_factors`, or any
     ``n x n`` matrix ``dist`` as ``left = dist`` with ``right = I``.  Each
     start descends as it would alone.  The live starts share each round's
     ``(a k, n)`` distance product for the labels, one product ``Z @ left``
@@ -247,7 +221,7 @@ def _compute_spectral_groups(e: Election):
     if ballots.shape[0] > ballots.shape[1] + 2:
         basis = _factor_basis(ballots, weights)
     if basis is None:
-        affinity = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+        affinity = 0.5 * (1.0 + pcc_matrix(ballots))
         degree = affinity @ weights
         scale = np.sqrt(weights) / np.sqrt(degree)
         system = affinity * np.outer(scale, scale)

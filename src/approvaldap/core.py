@@ -85,10 +85,9 @@ class Election:
         order is significant and duplicate rows are kept with multiplicity.
     label
         Optional identifier carried through experiments and file output.
-        The label is metadata: it does not participate in equality.
     """
 
-    __slots__ = ("_mat", "label", "_hash", "_memo")
+    __slots__ = ("_mat", "label", "_memo")
 
     def __init__(self, ballots, label: Optional[str] = None):
         mat = np.asarray(ballots)
@@ -107,7 +106,6 @@ class Election:
         mat.setflags(write=False)
         self._mat = mat
         self.label = label
-        self._hash: Optional[int] = None
         self._memo: dict = {}
 
     @classmethod
@@ -157,13 +155,6 @@ class Election:
         """
         return self._mat
 
-    def ballot(self, i: int) -> np.ndarray:
-        """A copy of the ``i``-th ballot as a dense 0/1 vector."""
-        n = self.num_voters
-        if not -n <= i < n:
-            raise IndexError(f"voter index {i} out of range for {n} voters")
-        return self._mat[i].copy()
-
     def approval_counts(self) -> np.ndarray:
         """Per-candidate approval scores ``|A(c_j)|`` as a read-only int64 vector."""
         return self._cache(
@@ -201,18 +192,6 @@ class Election:
         """Drop the memoised derived artifacts (those listed at :meth:`_cache`);
         later calls recompute them."""
         self._memo.clear()
-
-    # -- identity ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Election):
-            return NotImplemented
-        return np.array_equal(self._mat, other._mat)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._mat.shape, self._mat.tobytes()))
-        return self._hash
 
     def __repr__(self) -> str:
         tag = f" {self.label!r}" if self.label else ""
@@ -280,19 +259,21 @@ def restrict_candidates(e: Election, indices: Sequence[int]) -> Election:
 def subsample(e: Election, max_candidates: int, max_voters: int, seed: int) -> Election:
     """Cap the election size by uniform sampling without replacement.
 
-    Candidates (if ``m > max_candidates``) and voters (if ``n > max_voters``)
+    Voters (if ``n > max_voters``) and candidates (if ``m > max_candidates``)
     are sampled independently with seeded streams; relative order is kept.
+    Voters are cut first, so the candidate cut copies only the kept rows;
+    the streams are independent, so the order does not change the result.
     Elections already within the caps are returned unchanged.
     """
     if max_candidates < 1 or max_voters < 1:
         raise ValueError("size caps must be positive")
     out = e
-    if e.num_candidates > max_candidates:
-        rng = seeded_rng(seed, 0xC0)
-        keep = np.sort(rng.choice(e.num_candidates, size=max_candidates, replace=False))
-        out = restrict_candidates(out, keep)
     if e.num_voters > max_voters:
         rng = seeded_rng(seed, 0xF0)
         keep = np.sort(rng.choice(e.num_voters, size=max_voters, replace=False))
         out = restrict_voters(out, keep)
+    if e.num_candidates > max_candidates:
+        rng = seeded_rng(seed, 0xC0)
+        keep = np.sort(rng.choice(e.num_candidates, size=max_candidates, replace=False))
+        out = restrict_candidates(out, keep)
     return out

@@ -202,7 +202,7 @@ def ham_to_universe(e: Election, seed: int = 0) -> float:
     sample_ballots, _, sample_counts = distinct_rows(samples)
     # integer supplies and demands give the transportation problem an
     # integral optimum: a one-to-one matching of the repeated ballots
-    cost = cross_hamming(Election(ballots), Election(sample_ballots))
+    cost = cross_hamming(ballots, sample_ballots)
     n_cells = n_samples * n_samples
     if 8 * n_cells > _MATCHING_MAX_BYTES or _LP_CELL_RATIO * cost.size <= n_cells:
         supply = (counts * _SAMPLES_PER_VOTER).astype(np.float64)

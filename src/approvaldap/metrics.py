@@ -4,21 +4,22 @@ Hamming distance, Jaccard similarity and the Pearson correlation
 coefficient of two binary ballots (the phi coefficient) each follow from
 the pair's intersection size and the two ballot lengths.  This module
 computes them over arrays of intersection sizes, which the local
-agreement indices, :func:`pcc_matrix` and :func:`cross_hamming` share;
-the per-pair definitions are kept as test oracles.  The sizes come from
-products ``A @ B.T`` of 0/1 ballot matrices, taken in float64 for BLAS
-and exact, as each entry is a sum of at most ``m`` ones.
+agreement indices and :func:`pcc_matrix` share, and gives Hamming
+distances as products of :func:`hamming_factors`, which k-medoids and
+:func:`cross_hamming` share; the per-pair definitions are kept as test
+oracles.  The matrix kernels take 0/1 ballot arrays, not elections;
+their products are taken in float64 for BLAS, and exact, as every entry
+is a sum of small integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Election
-
 __all__ = [
     "pcc_matrix",
     "pcc_weights",
+    "hamming_factors",
     "cross_hamming",
 ]
 
@@ -50,12 +51,13 @@ def _pcc_from_counts(n11: np.ndarray, la: np.ndarray, lb: np.ndarray, m: int) ->
     return out
 
 
-def pcc_matrix(e: Election) -> np.ndarray:
-    """``(n, n)`` matrix of pairwise PCC values, degenerate ballots scoring 1;
-    its library caller, the dense spectral path, passes distinct ballots."""
-    x = e.matrix.astype(np.float64)
-    lengths = e.ballot_lengths().astype(np.float64)
-    return _pcc_from_counts(x @ x.T, lengths[:, None], lengths, e.num_candidates)
+def pcc_matrix(ballots: np.ndarray) -> np.ndarray:
+    """``(n, n)`` matrix of pairwise PCC values of the rows of an ``(n, m)``
+    0/1 array, degenerate ballots scoring 1; its library caller, the dense
+    spectral path, passes distinct ballots."""
+    x = ballots.astype(np.float64)
+    lengths = x.sum(axis=1)
+    return _pcc_from_counts(x @ x.T, lengths[:, None], lengths, x.shape[1])
 
 
 def pcc_weights(lengths: np.ndarray, m: int) -> np.ndarray:
@@ -72,17 +74,36 @@ def pcc_weights(lengths: np.ndarray, m: int) -> np.ndarray:
     return w
 
 
-def cross_hamming(a: Election, b: Election) -> np.ndarray:
-    """float64 Hamming distances between the ballots of two elections, shape
-    ``(n_a, n_b)``: the cost matrix that the outer-diversity matching reads.
+def hamming_factors(ballots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, right)``: two read-only ``n x (m + 2)`` float64 factors of the
+    Hamming distances between the rows of an ``(n, m)`` 0/1 array.
+
+    With the ballot lengths ``l`` and the ballots ``X``, ``left = [l, 1, X]``
+    and ``right = [1, l, -2X]``, so ``left[i] @ right[j] = l_i + l_j -
+    2 |x_i & x_j|``, the Hamming distance of ballots i and j.  Every entry
+    is a small integer, so every product and sum of them is exact in float64.
+    """
+    n, m = ballots.shape
+    left = np.empty((n, m + 2))
+    right = np.empty((n, m + 2))
+    left[:, 2:] = ballots
+    left[:, 0] = left[:, 2:].sum(axis=1)
+    left[:, 1] = 1.0
+    right[:, 0] = 1.0
+    right[:, 1] = left[:, 0]
+    np.multiply(ballots, -2.0, out=right[:, 2:])
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
+def cross_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """float64 Hamming distances between the rows of two 0/1 ballot arrays,
+    shape ``(n_a, n_b)``: the cost matrix that the outer-diversity matching
+    reads, ``left(a) @ right(b).T`` of :func:`hamming_factors`.
 
     Every entry is an exact small integer.
     """
-    if a.num_candidates != b.num_candidates:
-        raise ValueError("elections have different candidate counts")
-    # |u| + |v| - 2|u & v|, in place so no second (n_a, n_b) matrix is made
-    out = a.matrix.astype(np.float64) @ b.matrix.astype(np.float64).T
-    out *= -2
-    out += a.ballot_lengths()[:, None]
-    out += b.ballot_lengths()
-    return out
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("ballot arrays have different candidate counts")
+    return hamming_factors(a)[0] @ hamming_factors(b)[1].T

@@ -8,7 +8,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from approvaldap import divpol
-from approvaldap.core import Election, distinct_rows, restrict_voters, seeded_rng
+from approvaldap.core import (
+    Election,
+    distinct_rows,
+    restrict_candidates,
+    restrict_voters,
+    seeded_rng,
+)
 from approvaldap.generators import (
     _check_prob,
     _check_sizes,
@@ -162,7 +168,7 @@ def exact_ham_to_universe(e: Election) -> float:
     weights = p**ones * (1.0 - p) ** (m - ones)
     supply = counts / n
     demand = weights * (supply.sum() / weights.sum())
-    cost = cross_hamming(Election(ballots), Election(universe))
+    cost = cross_hamming(ballots, universe)
     return divpol._transport(cost, supply, demand) / m
 
 
@@ -191,7 +197,7 @@ def assignment_ham_to_universe(e: Election, seed: int) -> float:
     samples = (rng.random((k * n, m)) < p).astype(np.uint8)
     ballots, _, counts = e.distinct_ballots()
     sample_ballots, _, sample_counts = distinct_rows(samples)
-    cost = cross_hamming(Election(ballots), Election(sample_ballots))
+    cost = cross_hamming(ballots, sample_ballots)
     rows = np.repeat(np.arange(len(ballots)), counts * k)
     cols = np.repeat(np.arange(len(sample_ballots)), sample_counts)
     cost = cost[rows[:, None], cols[None, :]]
@@ -480,3 +486,21 @@ def parse_pabulib_lines(text: str) -> Election:
     mat[rows[approved], cols[approved]] = 1  # repeated ids collapse
     label = meta.get("description") or meta.get("unit")
     return Election(mat, label=label)
+
+
+# -- core.subsample before voters were cut first ----------------------------
+
+
+def subsample_candidates_first(e: Election, max_candidates: int, max_voters: int, seed: int):
+    """``core.subsample`` cutting the candidates of every voter first, then the
+    voters, from the same two seeded streams."""
+    out = e
+    if e.num_candidates > max_candidates:
+        rng = seeded_rng(seed, 0xC0)
+        keep = np.sort(rng.choice(e.num_candidates, size=max_candidates, replace=False))
+        out = restrict_candidates(out, keep)
+    if e.num_voters > max_voters:
+        rng = seeded_rng(seed, 0xF0)
+        keep = np.sort(rng.choice(e.num_voters, size=max_voters, replace=False))
+        out = restrict_voters(out, keep)
+    return out

@@ -210,7 +210,7 @@ def pcc_elections(draw):
 def test_pcc_agr_matches_pair_mean(e):
     value = pcc_agr(e)
     assert 0.0 <= value <= 1.0
-    assert abs(value - float(pcc_matrix(e).mean())) <= 1e-12
+    assert abs(value - float(pcc_matrix(e.matrix).mean())) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +312,7 @@ def local_elections(draw):
 @example(Election(np.random.default_rng(11).random((3 * _PRODUCT_BLOCK_ROWS, 20)) < 0.5))
 def test_local_indices_match_square_oracles(e):
     assert abs(jacc_agr(e) - float(jaccard_similarity_matrix(e).mean())) <= 1e-12
-    assert abs(pccplus_agr(e) - float(np.maximum(pcc_matrix(e), 0.0).mean())) <= 1e-12
+    assert abs(pccplus_agr(e) - float(np.maximum(pcc_matrix(e.matrix), 0.0).mean())) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["jacc_agr", "pccplus_agr"])
@@ -370,7 +370,7 @@ def test_weighted_restriction_consistency(rng):
     e = make_random_election(rng, max_m=10, max_n=12)
     idx = rng.choice(e.num_voters, size=max(1, e.num_voters // 2), replace=False)
     sub = restrict_voters(e, idx)
-    block = pcc_matrix(e)[np.ix_(idx, idx)]
+    block = pcc_matrix(e.matrix)[np.ix_(idx, idx)]
     assert pcc_agr(sub) == pytest.approx(max(block.mean(), 0.0), abs=1e-12)
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from approvaldap.cli import main
@@ -182,6 +183,69 @@ def test_table_manifest_checks_spec_types(tmp_path, capsys, field, value, pointe
     code, _, stderr = run(capsys, "table", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and f"error: {pointer}: must be" in stderr
     assert not (tmp_path / "index_table.csv").exists()
+
+
+IC = {"family": "p_ic", "m": 5, "n": 5, "seed": 0, "params": {"p": 0.5}}
+PARTY = {"family": "k_party", "m": 5, "n": 6, "seed": 0, "params": {"k": 2}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, pointer",
+    [
+        ("table", "{", "/"),
+        ("table", [], "/"),
+        ("table", {"seed": "1", "specs": [IC]}, "/seed"),
+        ("table", {"seed": 1, "samples": 0, "specs": [IC]}, "/samples"),
+        ("table", {"seed": 1}, "/specs"),
+        ("table", {"seed": 1, "specs": {}}, "/specs"),
+        ("table", {"seed": 1, "specs": []}, "/specs"),
+        ("table", {"seed": 1, "specs": [IC, "p_ic"]}, "/specs/1"),
+        ("table", {"seed": 1, "specs": [{k: v for k, v in IC.items() if k != "seed"}]}, "/specs/0/seed"),
+        ("table", {"seed": 1, "specs": [{**IC, "family": "martian"}]}, "/specs/0"),
+        # the sampler refuses k > m; index_table would draw it only later
+        ("table", {"seed": 1, "specs": [IC, {**PARTY, "params": {"k": 9}}]}, "/specs/1"),
+        ("table", {"seed": 1, "specs": [IC], "indices": []}, "/indices"),
+        ("table", {"seed": 1, "specs": [IC], "indices": "satr"}, "/indices"),
+        ("table", {"seed": 1, "specs": [IC], "indices": ["satr", "bogus"]}, "/indices/1"),
+        ("map", [], "/"),
+        ("map", {"entries": [{"spec": IC}, {"spec": PARTY}]}, "/seed"),
+        ("map", {"seed": 1, "entries": {}}, "/entries"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"group": "x"}]}, "/entries/1"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**IC, "m": 0}}]}, "/entries/1/spec"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}], "files": "a.pb"}, "/files"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}], "files": [{"file": "a.pb"}]}, "/files/0"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}]}, "/"),
+        ("map", {"seed": 1}, "/"),
+    ],
+)
+def test_manifest_refusals_name_their_pointer(tmp_path, capsys, command, doc, pointer):
+    path = tmp_path / "m.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, stdout, stderr = run(capsys, command, "--manifest", str(path), "--out-dir", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith(f"error: {pointer}: ") and stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_generate_noisy_from_a_base_file(tmp_path, capsys):
+    from approvaldap.generators import gen_noisy
+
+    base, out = tmp_path / "base.json", tmp_path / "noisy.json"
+    run(capsys, "generate", "--family", "k_party", "--k", "3", "--m", "12", "--n", "20",
+        "--seed", "0", "--out", str(base))
+    argv = ["generate", "--family", "noisy", "--base", str(base), "--m", "12", "--seed", "4"]
+    code, stdout, _ = run(capsys, *argv, "--phi", "0.4", "--out", str(out), "--label", "n")
+    assert code == 0 and f"-> {out}" in stdout
+    want = gen_noisy(read_native(base.read_text()), 0.4, seed=4)
+    got = read_native(out.read_text())
+    assert np.array_equal(got.matrix, want.matrix) and got.label == "n"
+    code, _, _ = run(capsys, *argv, "--phi", "0", "--out", str(out))
+    assert code == 0
+    assert np.array_equal(read_native(out.read_text()).matrix, read_native(base.read_text()).matrix)
+    code, _, stderr = run(capsys, *argv, "--out", str(out))  # no --phi
+    assert code == 2 and "needs --base" in stderr
+    code, _, stderr = run(capsys, *argv[:3], *argv[5:], "--phi", "0.4", "--out", str(out))
+    assert code == 2 and "needs --base" in stderr
 
 
 def test_generate_iam_refuses_nan_probability(tmp_path, capsys):

@@ -18,7 +18,7 @@ from approvaldap.generators import (
     gen_xy_two_party,
     sample,
 )
-from approvaldap.metrics import pcc_matrix
+from approvaldap.metrics import hamming_factors, pcc_matrix
 
 from conftest import make_random_election
 from oracles import hamming_matrix
@@ -583,7 +583,7 @@ def test_kmedoids_descent_matches_oracle(case):
     dist = hamming_matrix(e)
     medoids = np.random.default_rng(seed).choice(e.num_voters, size=k, replace=False)
     fast_medoids, slow_medoids = medoids.copy(), medoids.copy()
-    left, right = clustering._hamming_factors(e)
+    left, right = hamming_factors(e.matrix)
     labels, objs = clustering._kmedoids_descent(left, right, fast_medoids[None])
     want_labels, want_obj = kmedoids_descent_oracle(dist, slow_medoids)
     assert np.array_equal(fast_medoids, slow_medoids)
@@ -630,7 +630,7 @@ def test_kmedoids_matches_oracle_on_edge_elections(case):
 def test_hamming_factors_reproduce_hamming_matrix(m, n, seed):
     rng = np.random.default_rng(seed)
     e = Election((rng.random((n, m)) < rng.uniform(0.05, 0.95)).astype(np.uint8))
-    left, right = clustering._hamming_factors(e)
+    left, right = hamming_factors(e.matrix)
     assert left.shape == right.shape == (n, m + 2)
     assert not left.flags.writeable and not right.flags.writeable
     assert np.array_equal(left @ right.T, hamming_matrix(e))
@@ -694,7 +694,7 @@ def descent_starts(draw):
     if draw(st.booleans()):
         e, _, _ = draw(repeated_elections())
         dist = hamming_matrix(e)
-        left, right = clustering._hamming_factors(e)
+        left, right = hamming_factors(e.matrix)
     else:
         n = draw(st.integers(3, 30))
         dist = rng.integers(1, 10, size=(n, n)).astype(np.float64)
@@ -802,7 +802,7 @@ def dense_spectral_system(e):
     ballots, inverse, counts = np.unique(
         e.matrix, axis=0, return_inverse=True, return_counts=True
     )
-    affinity = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+    affinity = 0.5 * (1.0 + pcc_matrix(ballots))
     weights = counts.astype(np.float64)
     scale = np.sqrt(weights) / np.sqrt(affinity @ weights)
     system = affinity * np.outer(scale, scale)
@@ -832,7 +832,7 @@ def test_affinity_factor_reproduces_pcc_affinity(m, num, seed):
     e = distinct_ballot_election(m, num, seed)
     ballots = np.unique(e.matrix, axis=0)
     factor, signs = clustering._affinity_factor(ballots)
-    want = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+    want = 0.5 * (1.0 + pcc_matrix(ballots))
     assert np.abs((factor * signs) @ factor.T - want).max() <= 1e-12
 
 
@@ -841,7 +841,7 @@ def test_affinity_factor_past_uint8_candidate_counts():
     rng = np.random.default_rng(3)
     ballots = np.unique((rng.random((12, 300)) < 0.4).astype(np.uint8), axis=0)
     factor, signs = clustering._affinity_factor(ballots)
-    want = 0.5 * (1.0 + pcc_matrix(Election(ballots)))
+    want = 0.5 * (1.0 + pcc_matrix(ballots))
     assert np.abs((factor * signs) @ factor.T - want).max() <= 1e-12
     e = Election((rng.random((400, 260)) < 0.3).astype(np.uint8))
     assert spectral_pcc(e, 3, seed=0).shape == (400,)

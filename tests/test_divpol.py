@@ -192,7 +192,7 @@ def _transport_ham_to_universe(e: Election, seed: int) -> float:
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
     ballots, counts = np.unique(e.matrix, axis=0, return_counts=True)
     sample_ballots, sample_counts = np.unique(samples, axis=0, return_counts=True)
-    cost = cross_hamming(Election(ballots), Election(sample_ballots)).astype(np.float64)
+    cost = cross_hamming(ballots, sample_ballots)
     supply = (counts * divpol._SAMPLES_PER_VOTER).astype(np.float64)
     value = divpol._transport(cost, supply, sample_counts.astype(np.float64))
     return value / (n_samples * m)

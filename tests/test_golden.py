@@ -5,13 +5,17 @@
 ``index --seed 0`` CSVs of ``tests/data/city_small.pb`` and of
 ``tests/data/district_utf8.pb`` (every index; the second file has
 non-ASCII project ids, extra non-ASCII columns and vote tokens padded
-with no-break and ideographic spaces), and
+with no-break and ideographic spaces), the ``index --seed 0`` CSV of
+``tests/data/city_over_caps.pb`` (1200 seeded voters in three groups,
+each approving up to 8 projects of its own third of 240 and up to 2
+others, so ``index`` subsamples it to 1000x200; every index but
+``out_div``), and
 the ``map_features.csv`` and ``map_embedding.csv`` of a three-entry
 ``map --manifest`` (seed 19), and the ``resampling_<index>.csv`` grids of
 ``resample --m 20 --n 20 --samples 1 --seed 5`` for ``pcc_pol`` and
 ``cntr_div``.  The map entries have 956-1000 distinct ballots, so their
-spectral k-means runs up to its 50-round cap; the other goldens never
-cluster more than about 60 points, and the grids' phi = 0 column holds
+spectral k-means runs up to its 50-round cap; the subsampled file
+clusters 1000 voters, the other goldens never more than about 60, and the grids' phi = 0 column holds
 identity elections, whose one distinct ballot stops k-means++ seeding
 after its first pick.  A rewrite that moves any printed digit of any index
 fails here.
@@ -26,7 +30,12 @@ from pathlib import Path
 import pytest
 
 from approvaldap.cli import main
-from approvaldap.experiments import SYNTHETIC_MAP_SEED, compass_specs, synthetic_map_entries
+from approvaldap.experiments import (
+    INDEX_NAMES,
+    SYNTHETIC_MAP_SEED,
+    compass_specs,
+    synthetic_map_entries,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -72,6 +81,15 @@ def test_index_district_utf8_matches_golden(monkeypatch, capsys):
     assert main(["index", "--seed", "0", "district_utf8.pb"]) == 0
     expected = (GOLDEN / "index_district_utf8.csv").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_index_over_both_caps_matches_golden(monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    indices = ",".join(name for name in INDEX_NAMES if name != "out_div")
+    assert main(["index", "--seed", "0", "--indices", indices, "city_over_caps.pb"]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode("utf-8") == (GOLDEN / "index_city_over_caps.csv").read_bytes()
+    assert err == "notice: city_over_caps.pb: subsampled 1200x240 -> 1000x200 (use --full to keep all)\n"
 
 
 def test_map_manifest_matches_golden(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_matrices_match_per_pair_calls(rng):
         lengths = e.ballot_lengths().astype(np.float64)
         n11 = intersection_matrix(e).astype(np.float64)
         sim = _jaccard_similarity(n11, lengths[:, None], lengths)
-        pcm = pcc_matrix(e)
+        pcm = pcc_matrix(mat)
         for i in range(e.num_voters):
             for j in range(e.num_voters):
                 assert ham[i, j] == hamming(mat[i], mat[j])
@@ -111,13 +111,25 @@ def test_matrices_match_per_pair_calls(rng):
 def test_cross_hamming(rng):
     for m in (None, *BOUNDARY_WIDTHS):
         a = make_random_election(rng, max_m=9, max_n=7, m=m)
-        b = Election((rng.random((5, a.num_candidates)) < 0.5).astype(np.uint8))
-        table = cross_hamming(a, b)
+        b = (rng.random((5, a.num_candidates)) < 0.5).astype(np.uint8)
+        table = cross_hamming(a.matrix, b)
         assert table.dtype == np.float64
-        want = [[hamming(u, v) for v in b.matrix] for u in a.matrix]
+        want = [[hamming(u, v) for v in b] for u in a.matrix]
         assert np.array_equal(table, np.array(want, dtype=np.float64))
     with pytest.raises(ValueError):
-        cross_hamming(a, Election([[1] * (a.num_candidates + 1)]))
+        cross_hamming(a.matrix, np.ones((1, a.num_candidates + 1), dtype=np.uint8))
+
+
+def test_cross_hamming_is_bitwise_the_length_sum_form(rng):
+    # the factor product against -2 A B^T + l_a + l_b, the form it replaced
+    for m in (1, 3, 60, 200, 300):
+        a = (rng.random((40, m)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+        b = (rng.random((70, m)) < rng.uniform(0.05, 0.95)).astype(np.uint8)
+        want = -2.0 * (a.astype(np.float64) @ b.astype(np.float64).T)
+        want += a.sum(axis=1)[:, None]
+        want += b.sum(axis=1)
+        got = cross_hamming(a, b)
+        assert np.array_equal(got, want) and not np.signbit(got).any()
 
 
 @settings(max_examples=80, deadline=None)
