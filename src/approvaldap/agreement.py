@@ -83,8 +83,11 @@ def _clusters(e: Election, labels):
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError("labels do not cover the election's voters")
-    for c in np.unique(labels):
-        rows = np.flatnonzero(labels == c)
+    # with return_inverse, np.unique sorts; the bare call takes numpy's hash
+    # path, whose masked-array check imports numpy.ma
+    ids, inverse = np.unique(labels, return_inverse=True)
+    for c in range(ids.size):
+        rows = np.flatnonzero(inverse == c)
         yield rows.size / n, rows, rows.size
 
 

@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="sample one election and write it as JSON")
     gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    gen.add_argument("--m", type=int, required=True, help="number of candidates")
-    gen.add_argument("--n", type=int, help="number of voters (defaults to m)")
+    gen.add_argument("--m", type=int, help="number of candidates (noisy: the base's)")
+    gen.add_argument("--n", type=int, help="number of voters (defaults to m; noisy: the base's)")
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--p", type=float, help="approval probability / identity fraction")
     gen.add_argument("--phi", type=float, help="resampling noise")
@@ -133,13 +133,22 @@ def _ad_hoc_seed(seed: Optional[int]) -> int:
 
 def _cmd_generate(args) -> int:
     seed = _ad_hoc_seed(args.seed)
-    n = args.n if args.n is not None else args.m
     if args.family == "noisy":
         if not args.base or args.phi is None:
             raise ValueError("the noisy family needs --base <native election file> and --phi")
         base = _read_election(Path(args.base))
+        shape = (base.num_candidates, base.num_voters)
+        asked = (shape[0] if args.m is None else args.m, shape[1] if args.n is None else args.n)
+        if asked != shape:
+            raise ValueError(
+                f"the noisy family keeps the base's shape m={shape[0]} n={shape[1]}, "
+                f"not m={asked[0]} n={asked[1]}"
+            )
         e = gen_noisy(base, args.phi, seed)
     else:
+        if args.m is None:
+            raise ValueError(f"the {args.family} family needs --m")
+        n = args.n if args.n is not None else args.m
         params = _collect_params(args)
         spec = CultureSpec(family=args.family, m=args.m, n=n, seed=seed, params=params)
         e = sample(spec)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
+from ._solvers import eigh
 from .core import Election, seeded_streams
 from .metrics import hamming_factors, pcc_matrix, pcc_weights
 
@@ -226,7 +226,7 @@ def _compute_spectral_groups(e: Election):
         scale = np.sqrt(weights) / np.sqrt(degree)
         system = affinity * np.outer(scale, scale)
         system = 0.5 * (system + system.T)
-        _, vecs = scipy.linalg.eigh(system)
+        _, vecs = eigh(system)
         basis = vecs[:, ::-1].copy()
     return inverse, weights, basis
 
@@ -241,7 +241,7 @@ def _factor_basis(ballots: np.ndarray, weights: np.ndarray) -> np.ndarray | None
     q, r = np.linalg.qr(scale[:, None] * factor)
     small = (r * signs) @ r.T
     small = 0.5 * (small + small.T)
-    vals, vecs = scipy.linalg.eigh(small)
+    vals, vecs = eigh(small)
     if (vals > _NULL_EIGENVALUE * vals[-1]).sum() < _SPECTRAL_FACTOR_DIMS:
         return None
     return q @ vecs[:, ::-1]

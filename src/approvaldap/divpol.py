@@ -15,9 +15,8 @@ import math
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linear_sum_assignment, linprog
 
+from ._solvers import linear_sum_assignment
 from .agreement import cntr_agr, pcc_agr
 from .clustering import kmedoids_hamming, spectral_pcc
 from .core import Election, distinct_rows, seeded_rng
@@ -151,6 +150,10 @@ def ham_single_to_unc(p: float, q: float) -> float:
 
 def _transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray) -> float:
     """Optimal value of the transportation problem (min-cost coupling)."""
+    # slow to import, and only this rare path needs them
+    import scipy.sparse
+    from scipy.optimize import linprog
+
     r, c = cost.shape
     if supply.shape != (r,) or demand.shape != (c,):
         raise ValueError("supply/demand shapes do not match the cost matrix")

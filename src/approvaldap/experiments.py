@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
+from ._solvers import eigh
 from .agreement import AGREEMENT_INDICES
 from .core import Election, seeded_rng, stats, subsample
 from .divpol import cntr_div, cntr_pol, out_div, pair_pol, pcc_div, pcc_pol
@@ -297,7 +297,7 @@ def _classical_init(d: np.ndarray) -> np.ndarray:
     n = d.shape[0]
     center = np.eye(n) - 1.0 / n
     b = -0.5 * center @ (d**2) @ center
-    vals, vecs = scipy.linalg.eigh(b)
+    vals, vecs = eigh(b)
     top = np.clip(vals[-2:][::-1], 0.0, None)
     return vecs[:, -2:][:, ::-1] * np.sqrt(top)
 

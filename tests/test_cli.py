@@ -248,6 +248,38 @@ def test_generate_noisy_from_a_base_file(tmp_path, capsys):
     assert code == 2 and "needs --base" in stderr
 
 
+@pytest.mark.parametrize(
+    "shape, refusal",
+    [
+        ([], None),
+        (["--m", "12"], None),
+        (["--n", "20"], None),
+        (["--m", "12", "--n", "20"], None),
+        (["--m", "99", "--n", "5"], "not m=99 n=5"),
+        (["--m", "20"], "not m=20 n=20"),
+        (["--n", "12"], "not m=12 n=12"),
+    ],
+)
+def test_generate_noisy_keeps_the_base_shape(tmp_path, capsys, shape, refusal):
+    base, out = tmp_path / "base.json", tmp_path / "noisy.json"
+    run(capsys, "generate", "--family", "k_party", "--k", "3", "--m", "12", "--n", "20",
+        "--seed", "0", "--out", str(base))
+    code, _, stderr = run(capsys, "generate", "--family", "noisy", "--base", str(base), *shape,
+                          "--phi", "0.4", "--seed", "4", "--out", str(out))
+    if refusal is None:
+        assert code == 0 and read_native(out.read_text()).matrix.shape == (20, 12)
+    else:
+        assert code == 2 and not out.exists()
+        assert stderr == f"error: the noisy family keeps the base's shape m=12 n=20, {refusal}\n"
+
+
+def test_generate_requires_m_except_for_noisy(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    code, _, stderr = run(capsys, "generate", "--family", "p_ic", "--p", "0.5", "--n", "10",
+                          "--seed", "0", "--out", str(out))
+    assert code == 2 and stderr == "error: the p_ic family needs --m\n" and not out.exists()
+
+
 def test_generate_iam_refuses_nan_probability(tmp_path, capsys):
     out = tmp_path / "e.json"
     code, _, stderr = run(
@@ -461,11 +493,43 @@ def test_manifest_commands_repeat_their_outputs(tmp_path, capsys):
         assert first == second, command
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 0.4 s and 20 MB to import, and no
-    # command uses it; only experiments.correlations imports it, when called
+# Importing these costs the CLI's start-up about 0.3 s (scipy.stats alone
+# 0.4 s more): the two compiled solvers come from their extension files,
+# scipy.stats only from experiments.correlations, the LP's packages only
+# from divpol._transport, and numpy.ma from no numpy call the commands make
+HEAVY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse", "numpy.ma")
+SMALL_SPECS = [
+    {"family": "k_party", "m": 12, "n": 12, "seed": 0, "params": {"k": 2}},
+    {"family": "p_ic", "m": 12, "n": 12, "seed": 1, "params": {"p": 0.5}},
+]
+
+
+@pytest.mark.parametrize("command", ["import", "table", "map", "index"])
+def test_cli_leaves_heavy_modules_unloaded(tmp_path, command):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, approvaldap.cli; print('scipy.stats' in sys.modules)"
+    manifest = tmp_path / "manifest.json"
+    if command == "table":
+        manifest.write_text(json.dumps({"seed": 1, "samples": 1, "specs": SMALL_SPECS}))
+    elif command == "map":
+        entries = [{"group": f"g{i}", "spec": spec} for i, spec in enumerate(SMALL_SPECS)]
+        manifest.write_text(json.dumps({"seed": 1, "entries": entries}))
+    argv = {
+        "import": None,
+        "table": ["table", "--manifest", str(manifest), "--out-dir", str(tmp_path)],
+        "map": ["map", "--manifest", str(manifest), "--out-dir", str(tmp_path)],
+        # every valid file but the 1200-voter one, whose 6000x6000 matching
+        # takes seconds; out_div solves each as an assignment
+        "index": ["index", "--seed", "0", "--indices", "out_div,pcc_div,cntr_div"]
+        + [str(p) for p in sorted(DATA.glob("*.pb")) if p.name != "city_over_caps.pb"],
+    }[command]
+    code = (
+        "import sys, approvaldap.cli\n"
+        f"argv = {argv!r}\n"
+        "code = None if argv is None else approvaldap.cli.main(argv)\n"
+        f"print(code, [m for m in {HEAVY_MODULES!r} if m in sys.modules])\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # index exits 1: four of the files are refused, and the others still run
+    want = {"import": "None", "table": "0", "map": "0", "index": "1"}[command]
+    assert out.stdout.splitlines()[-1] == f"{want} []"

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -291,6 +296,40 @@ def test_sampled_matching_refuses_when_neither_solver_fits(monkeypatch):
         ham_to_universe(e, 0)
     monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80)
     assert ham_to_universe(e, 0) > 0.0
+
+
+LP_IN_A_FRESH_PROCESS = """
+import json, sys
+from approvaldap import divpol
+from approvaldap.core import Election
+loaded = []
+transport = divpol._transport
+def traced(*args):
+    loaded.append("scipy.optimize" in sys.modules)
+    value = transport(*args)
+    loaded.append("scipy.optimize" in sys.modules)
+    return value
+divpol._transport = traced
+e = Election([[1, 0, 1]] * 20)
+print(json.dumps({"value": divpol.out_div(e, 3), "loaded": loaded}))
+"""
+
+
+def test_lp_path_imports_scipy_optimize_only_when_it_runs():
+    # one distinct ballot among 20 voters: the LP has at most 8 variables
+    # against the assignment's 100 x 100 cells, so the ratio rule picks it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", LP_IN_A_FRESH_PROCESS],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    result = json.loads(out.stdout)
+    assert result["loaded"] == [False, True]
+    e = Election([[1, 0, 1]] * 20)
+    p = 2 / 3
+    want = 1.0 - assignment_ham_to_universe(e, 3) / (2.0 * p * (1.0 - p))
+    assert result["value"] == min(1.0, max(0.0, want))
 
 
 def test_ham_to_universe_single_ballot_closed_form():

@@ -18,7 +18,8 @@ spectral k-means runs up to its 50-round cap; the subsampled file
 clusters 1000 voters, the other goldens never more than about 60, and the grids' phi = 0 column holds
 identity elections, whose one distinct ballot stops k-means++ seeding
 after its first pick.  A rewrite that moves any printed digit of any index
-fails here.
+fails here.  The two manifests also run under both BLAS thread counts and
+with ``approvaldap._solvers`` falling back to the public scipy functions.
 """
 
 import json
@@ -57,6 +58,13 @@ def write_map_manifest(path: Path) -> None:
     entries = [corpus[i].to_dict() for i in MAP_ENTRIES]
     assert [en["spec"]["n"] for en in entries] == [1000, 1000, 1000]
     path.write_text(json.dumps({"seed": 19, "entries": entries}))
+
+
+# (command, manifest writer, golden files) of the runs that subprocess tests repeat
+MANIFEST_RUNS = (
+    ("table", write_table_manifest, ("index_table.csv",)),
+    ("map", write_map_manifest, MAP_FILES),
+)
 
 
 def test_table_manifest_matches_golden(tmp_path, capsys):
@@ -113,14 +121,10 @@ def test_resample_matches_golden(tmp_path, capsys, index):
 def test_goldens_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS reads its thread count when it loads, so each setting runs
     # the CLI in a fresh process
-    runs = (
-        ("table", write_table_manifest, ("index_table.csv",)),
-        ("map", write_map_manifest, MAP_FILES),
-    )
     pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pythonpath}
-        for command, write_manifest, names in runs:
+        for command, write_manifest, names in MANIFEST_RUNS:
             path = tmp_path / f"{command}.json"
             write_manifest(path)
             out_dir = tmp_path / f"{command}-{threads}"
@@ -132,3 +136,31 @@ def test_goldens_do_not_depend_on_blas_threads(tmp_path):
             for name in names:
                 got = (out_dir / name).read_bytes()
                 assert got == (GOLDEN / name).read_bytes(), (threads, name)
+
+
+# Run in a fresh process: with no extension suffix to try, _solvers finds
+# neither compiled module's file and imports the public scipy functions
+FALLBACK_RUN = """
+import importlib.machinery, sys
+importlib.machinery.EXTENSION_SUFFIXES[:] = []
+from approvaldap import _solvers, cli
+import scipy.linalg, scipy.optimize
+assert _solvers.eigh is scipy.linalg.eigh
+assert _solvers.linear_sum_assignment is scipy.optimize.linear_sum_assignment
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_goldens_from_the_public_scipy_solvers(tmp_path):
+    pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    for command, write_manifest, names in MANIFEST_RUNS:
+        path = tmp_path / f"{command}.json"
+        write_manifest(path)
+        argv = [command, "--manifest", str(path), "--out-dir", str(tmp_path)]
+        subprocess.run(
+            [sys.executable, "-c", FALLBACK_RUN, *argv],
+            env=env, capture_output=True, check=True, timeout=300,
+        )
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
