@@ -5,6 +5,7 @@ corpus is computed once (module fixture) and shared by the criteria that
 need it.
 """
 
+import hashlib
 import io as _stdio
 import itertools
 import json
@@ -386,6 +387,7 @@ def synthetic_map(tmp_path_factory):
         "svg": svg,
         "elapsed": elapsed,
         "reported_distortion": reported,
+        "out_dir": out_dir,
     }
 
 
@@ -438,6 +440,18 @@ def test_criterion_10_complementarity(synthetic_map):
     ok = value > 0.85
     report(10, ok, f"identity 0, constant-sum 1; corpus triple complementarity {value:.4f} (> 0.85)")
     assert value > 0.85
+
+
+# map_distances.csv (545 KB) is a function of the features, so a digest pins it
+MAP_DISTANCES_SHA256 = "c1b9c8bf4fc987ee7ffa6652d60d127664af1de16b8b6d5c832ffbad5657ed4d"
+
+
+def test_synthetic_map_matches_golden(synthetic_map):
+    out_dir = synthetic_map["out_dir"]
+    for name in ("map_features.csv", "map_embedding.csv", "map.svg"):
+        assert (out_dir / name).read_bytes() == (DATA / "golden" / "paper" / name).read_bytes(), name
+    digest = hashlib.sha256((out_dir / "map_distances.csv").read_bytes()).hexdigest()
+    assert digest == MAP_DISTANCES_SHA256
 
 
 def test_criterion_11_kendall_tau_brute_force():

@@ -20,6 +20,21 @@ identity elections, whose one distinct ballot stops k-means++ seeding
 after its first pick.  A rewrite that moves any printed digit of any index
 fails here.  The two manifests also run under both BLAS thread counts and
 with ``approvaldap._solvers`` falling back to the public scipy functions.
+
+``tests/data/golden/paper/`` pins the paper's own commands at full size:
+the ``index_table.csv`` of ``table --compass`` (14 cultures at 60x60), the
+``resampling_pair_agr.csv`` of ``resample --index pair_agr --seed 0``, and
+the ``index --seed 0`` CSV of every index on the 1000-voter election of
+``generate --family p_ic --m 100 --n 1000 --p 0.3 --seed 0``, which covers
+``out_div``'s 5000-draw matching.  ``map --synthetic`` is pinned from
+acceptance criterion 09's run (``tests/test_acceptance.py::
+test_synthetic_map_matches_golden``): ``map_features.csv``,
+``map_embedding.csv`` and ``map.svg`` byte for byte, and a SHA-256 of
+``map_distances.csv``.
+
+Every golden pins the floating-point kernels of numpy 2.4.6 and scipy
+1.17.1 (their bundled OpenBLAS and LAPACK); another release may move a
+last digit without any change here.
 """
 
 import json
@@ -116,6 +131,35 @@ def test_resample_matches_golden(tmp_path, capsys, index):
     capsys.readouterr()
     name = f"resampling_{index}.csv"
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# -- the paper's own commands, at full size (tests/data/golden/paper/) -------
+PAPER = GOLDEN / "paper"
+
+
+def test_compass_table_matches_golden(tmp_path, capsys):
+    assert main(["table", "--compass", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "index_table.csv").read_bytes() == (PAPER / "index_table.csv").read_bytes()
+
+
+def test_resample_pair_agr_matches_golden(tmp_path, capsys):
+    assert main(["resample", "--index", "pair_agr", "--seed", "0", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    name = "resampling_pair_agr.csv"
+    assert (tmp_path / name).read_bytes() == (PAPER / name).read_bytes()
+
+
+def test_index_every_index_at_the_voter_cap_matches_golden(tmp_path, monkeypatch, capsys):
+    # 1000 voters: out_div matches 5000 draws; dense ballots keep it cheap
+    monkeypatch.chdir(tmp_path)
+    argv = ["--family", "p_ic", "--m", "100", "--n", "1000", "--p", "0.3", "--seed", "0"]
+    assert main(["generate", *argv, "--out", "p_ic.json"]) == 0
+    capsys.readouterr()
+    assert main(["index", "--seed", "0", "p_ic.json"]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode("utf-8") == (PAPER / "index_p_ic_1000.csv").read_bytes()
+    assert err == ""
 
 
 def test_goldens_do_not_depend_on_blas_threads(tmp_path):
