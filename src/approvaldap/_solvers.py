@@ -9,10 +9,16 @@ this module loads the extension modules ``scipy/linalg/_flapack`` and
 ``scipy/optimize/_lsap`` straight from their files.  Where a file or a
 routine is missing, it imports the public scipy functions instead; the
 choice is made once, on import, from the installed files.
+
+:func:`one_blas_thread` runs a block with the OpenBLAS builds bundled with
+numpy and scipy on one thread each; the CLI runs every command in it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import os
@@ -20,7 +26,58 @@ import sys
 
 import numpy as np
 
-__all__ = ["eigh", "linear_sum_assignment"]
+__all__ = ["eigh", "linear_sum_assignment", "one_blas_thread"]
+
+# environment variables that set OpenBLAS's thread count when it loads
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# (package, library file pattern in <package>.libs, symbol suffix) of each
+# bundled OpenBLAS: numpy's is the 64-bit-integer build, scipy's is not
+_BUNDLED_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "64_"),
+    ("scipy", "libscipy_openblas*.so", ""),
+)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """``(get, set)`` thread-count functions of each OpenBLAS bundled with
+    numpy or scipy (the wheel layout), found next to the package without
+    importing it; none for a library or symbol that is absent."""
+    controls = []
+    for package, pattern, suffix in _BUNDLED_OPENBLAS:
+        spec = importlib.util.find_spec(package)
+        for root in spec.submodule_search_locations if spec is not None else ():
+            for path in glob.glob(os.path.join(root + ".libs", pattern)):
+                lib = ctypes.CDLL(path)
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                set_ = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is None or set_ is None:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with each bundled OpenBLAS on one thread, and restore
+    the previous counts after it.
+
+    The products here are at most about 1000 x 200, where a second thread
+    costs more than it gives; every output is bitwise the same at any thread
+    count.  An ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` in the
+    environment wins: then no library is looked up or changed.
+    """
+    overridden = any(name in os.environ for name in _BLAS_THREAD_VARIABLES)
+    controls = [] if overridden else _openblas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
 
 
 def _extension(package: str, name: str):

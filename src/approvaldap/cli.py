@@ -7,7 +7,9 @@ grid), and ``map`` (feature-distance map with MDS embedding).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error or
 too little memory.  Manifests must carry an explicit seed; ad-hoc commands
-default to seed 0 with a printed notice.
+default to seed 0 with a printed notice.  Each command runs with the
+OpenBLAS of numpy and of scipy on one thread, unless ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS`` is set (see :func:`approvaldap._solvers.one_blas_thread`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional
 
 from . import experiments
 from . import io as eio
+from ._solvers import one_blas_thread
 from .core import Election, stats, subsample
 from .divpol import check_out_div_size
 from .generators import FAMILIES, CultureSpec, SpecError, gen_noisy, sample
@@ -37,7 +40,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        with one_blas_thread():
+            return args.handler(args)
     except ValueError as exc:  # a ManifestError is one
         print(f"error: {exc}", file=sys.stderr)
         return 2

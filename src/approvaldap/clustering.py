@@ -47,36 +47,54 @@ def _first_appearance(labels: np.ndarray) -> np.ndarray:
     return rank[inverse]
 
 
-def _plus_plus_picks(
-    dist_to_chosen: np.ndarray, chosen: np.ndarray, c: int, draws: np.ndarray
-) -> bool:
-    """Fill column ``c`` of the ``(r, k)`` picks ``chosen`` of ``r`` starts
-    with one k-means++ style draw each, from the ``(r, n)`` distances to
-    their first ``c`` picks: probability proportional to squared distance.
-    Return ``False``, drawing nothing, when a start's distances are all 0.
+def _trivial_labels(n: int, k: int) -> np.ndarray | None:
+    """Labels of ``n`` voters for the cluster counts that need no
+    clustering, or ``None``: ``k >= n`` gives each voter its own cluster
+    (requests with k > n run with k = n), ``k == 1`` one cluster."""
+    if k < 1:
+        raise ValueError("cluster count must be positive")
+    if k >= n:
+        return np.arange(n)
+    return np.zeros(n, dtype=np.intp) if k == 1 else None
 
-    ``draws`` holds each start's uniform for this pick, drawn up front from
-    its stream.  ``Generator.choice(n, p=p)`` draws
-    ``cdf.searchsorted(random(), side="right")`` for ``cdf = p.cumsum();
-    cdf /= cdf[-1]``.  Every start's cumulative weights come from one call
-    each, and the row sums and row-wise cumulative sums are bitwise those of
-    each row alone.  A cdf row is nondecreasing, so its ``searchsorted(u,
-    side="right")`` is the count of its entries ``<= u``: one comparison
-    draws every start's point, the draw it would make alone.
+
+def _plus_plus_seeding(picks: np.ndarray, uniforms: np.ndarray, distance_to) -> int:
+    """Fill columns ``1, 2, ...`` of the ``(r, k)`` picks of ``r`` starts,
+    whose column 0 is drawn, with k-means++ style draws: probability
+    proportional to the squared distance to the start's nearest pick.
+    Return the number of columns filled.
+
+    ``distance_to(cols)`` gives the ``(r, n)`` distances from every point to
+    each start's pick in ``cols``, each start keeping their running
+    minimum.  They may be scaled by a nonnegative weight per point:
+    rounding is monotone, so ``min(w a, w b)`` is ``w min(a, b)`` bitwise.
+    ``uniforms[:, c - 1]`` holds each start's uniform for pick ``c``, drawn
+    up front from its stream.  ``Generator.choice(n, p=p)`` draws ``cdf.searchsorted(random(),
+    side="right")`` for ``cdf = p.cumsum(); cdf /= cdf[-1]``.  Every start's
+    cumulative weights come from one call each, and the row sums and
+    row-wise cumulative sums are bitwise those of each row alone.  A cdf
+    row is nondecreasing, so its ``searchsorted(u, side="right")`` is the
+    count of its entries ``<= u``: one comparison draws every start's
+    point, the draw it would make alone.
 
     A drawn point is at a positive distance, so each start's ``c`` picks
     are ``c`` distinct points.  So the distances of one start are all 0
-    exactly when those of every start are: when the points have at most
-    ``c`` distinct rows, each of them among every start's picks.
+    exactly when those of every start are: when the points have only ``c``
+    distinct rows, each of them among every start's picks.  Seeding then
+    stops and returns ``c < k``.
     """
-    weights = dist_to_chosen**2
-    s = weights.sum(axis=1)
-    if not s.all():
-        return False
-    cdf = (weights / s[:, None]).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    chosen[:, c] = (cdf <= draws[:, None]).sum(axis=1)
-    return True
+    k = picks.shape[1]
+    closest = math.inf
+    for c in range(1, k):
+        closest = np.minimum(closest, distance_to(picks[:, c - 1]))
+        weights = closest**2
+        s = weights.sum(axis=1)
+        if not s.all():
+            return c
+        cdf = (weights / s[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        picks[:, c] = (cdf <= uniforms[:, c - 1, None]).sum(axis=1)
+    return k
 
 
 def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
@@ -87,7 +105,7 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     lowest cluster id, updates pick the lowest-index minimizer, and the
     loop stops once the total intra-cluster distance stops decreasing (or
     after 100 rounds).  The best of 10 seeded k-means++ style
-    initializations, picked together (:func:`_plus_plus_picks`), is
+    initializations, picked together (:func:`_plus_plus_seeding`), is
     returned, the first one on ties.  Every distance comes from the two
     ``n x (m + 2)`` Hamming factors of the ballots (see
     :func:`~approvaldap.metrics.hamming_factors`), memoised on the election
@@ -96,13 +114,9 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
     fewer than ``k`` distinct ballots seeding stops early, and each distinct
     ballot is one cluster.
     """
-    if k < 1:
-        raise ValueError("cluster count must be positive")
     n = e.num_voters
-    if k >= n:  # requests with k > n run with k = n
-        return np.arange(n)
-    if k == 1:
-        return np.zeros(n, dtype=np.intp)
+    if (labels := _trivial_labels(n, k)) is not None:
+        return labels
 
     left, right = e._cache("hamming_factors", lambda: hamming_factors(e.matrix))
     # each start's stream: integers(n) for its first medoid, then one
@@ -115,14 +129,11 @@ def kmedoids_hamming(e: Election, k: int, seed: int) -> np.ndarray:
         medoids[start, 0] = rng.integers(n)
         rng.random(out=uniforms[start])
 
-    closest = np.full((_KMEDOIDS_RESTARTS, n), math.inf)
-    for c in range(1, k):
-        # each start's distances to its latest pick: one (r, n) product
-        np.minimum(closest, right[medoids[:, c - 1]] @ left.T, out=closest)
-        if not _plus_plus_picks(closest, medoids, c, uniforms[:, c - 1]):
-            # c distinct ballots, each a medoid of start 0: one cluster each
-            dist = _medoid_distances(left, right, medoids[:1, :c])
-            return _first_appearance(_nearest_centre(dist)[0])
+    # each start's distances to a pick: one (r, n) product
+    c = _plus_plus_seeding(medoids, uniforms, lambda cols: right[cols] @ left.T)
+    if c < k:  # c distinct ballots, each a medoid of start 0: one cluster each
+        dist = _medoid_distances(left, right, medoids[:1, :c])
+        return _first_appearance(_nearest_centre(dist)[0])
     labels, objs = _kmedoids_descent(left, right, medoids)
     return _first_appearance(labels[int(np.argmin(objs))])
 
@@ -278,13 +289,8 @@ def spectral_pcc(e: Election, k: int, seed: int) -> np.ndarray:
     are length-normalized and clustered with seeded k-means; identical
     ballots always land in the same cluster.
     """
-    if k < 1:
-        raise ValueError("cluster count must be positive")
-    n = e.num_voters
-    if k >= n:  # requests with k > n run with k = n
-        return np.arange(n)
-    if k == 1:
-        return np.zeros(n, dtype=np.intp)
+    if (labels := _trivial_labels(e.num_voters, k)) is not None:
+        return labels
 
     inverse, weights, basis = e._cache("spectral_groups", lambda: _compute_spectral_groups(e))
     dims = min(k, basis.shape[1])
@@ -301,7 +307,7 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
 
     ``weights`` are ballot multiplicities; see :func:`_update_centers`.
     Each init draws its k-means++ centres from its own seeded stream, all
-    inits pick together (:func:`_plus_plus_picks`), and the inits still
+    inits pick together (:func:`_plus_plus_seeding`), and the inits still
     moving share each Lloyd round: one product of centre scores labels
     every point of every live init (:func:`_label_points`; lowest id on
     ties, as ``np.argmin`` of the squared distances gives on finite
@@ -322,22 +328,23 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
         stream(_KMEANS_STREAM + init).random(out=uniforms[init])
 
     # the first draw of Generator.choice(n, p=weights / weights.sum()), with
-    # one cdf for every init; see _plus_plus_picks
+    # one cdf for every init; see _plus_plus_seeding
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     chosen = np.empty((_KMEANS_INITS, k), dtype=np.int64)
     chosen[:, 0] = cdf.searchsorted(uniforms[:, 0], side="right")
-    # np.linalg.norm(points - centre, axis=1) for every init's centre, bitwise
-    # below 8 coordinates (see _centre_sq_distances)
-    closest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, :1, None]])[:, 0])
     root_weights = np.sqrt(weights)
-    for c in range(1, k):
-        if not _plus_plus_picks(root_weights * closest, chosen, c, uniforms[:, c]):
-            # c distinct points, each a centre of init 0: one cluster each
-            sq = _centre_sq_distances(coords, points[chosen[:1, :c, None]])
-            return _first_appearance(_nearest_centre(sq)[0])
-        latest = np.sqrt(_centre_sq_distances(coords, points[chosen[:, c : c + 1, None]])[:, 0])
-        np.minimum(closest, latest, out=closest)
+
+    def distance_to(cols: np.ndarray) -> np.ndarray:
+        # sqrt(weights) * np.linalg.norm(points - centre, axis=1) for every
+        # init's centre, bitwise below 8 coordinates (see _centre_sq_distances)
+        sq = _centre_sq_distances(coords, points[cols[:, None, None]])[:, 0]
+        return root_weights * np.sqrt(sq)
+
+    c = _plus_plus_seeding(chosen, uniforms[:, 1:], distance_to)
+    if c < k:  # c distinct points, each a centre of init 0: one cluster each
+        sq = _centre_sq_distances(coords, points[chosen[:1, :c, None]])
+        return _first_appearance(_nearest_centre(sq)[0])
     centers = points[chosen]
 
     aug, margin = _score_operands(coords)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from approvaldap import _solvers
 from approvaldap.core import Election
 
 settings.register_profile("deterministic", derandomize=True)
@@ -34,6 +35,24 @@ def make_random_election(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xA11CE)
+
+
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """The ``(get, set)`` thread-count controls of numpy's and scipy's
+    bundled OpenBLAS, each set to 2 threads for the test and restored after
+    it, with no thread variable in the environment."""
+    for name in _solvers._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    controls = _solvers._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS with thread controls")
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), count in zip(controls, previous):
+        set_(count)
 
 
 def pytest_terminal_summary(terminalreporter):

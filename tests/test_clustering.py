@@ -203,17 +203,17 @@ def test_choice_is_one_draw_against_the_normalised_cdf():
 
 
 def record_seeds(monkeypatch):
-    """Record the ``(r, k)`` k-means++ picks of every start after each pick;
-    the last record holds every pick a call made."""
+    """Record the ``(r, k)`` k-means++ picks of every start and the number of
+    columns filled, once per seeding; the last record is a call's."""
     seeds = []
-    picks = clustering._plus_plus_picks
+    seeding = clustering._plus_plus_seeding
 
-    def recorded(dist_to_chosen, chosen, *args):
-        drawn = picks(dist_to_chosen, chosen, *args)
-        seeds.append(chosen.copy())
-        return drawn
+    def recorded(picks, *args):
+        filled = seeding(picks, *args)
+        seeds.append((picks.copy(), filled))
+        return filled
 
-    monkeypatch.setattr(clustering, "_plus_plus_picks", recorded)
+    monkeypatch.setattr(clustering, "_plus_plus_seeding", recorded)
     return seeds
 
 
@@ -240,7 +240,8 @@ def test_kmedoids_fallback_draws_match_oracle(monkeypatch):
                 monkeypatch.undo()
                 assert np.array_equal(labels, rows), (k, c, seed)
                 assert np.array_equal(labels, kmedoids_oracle(e, k, seed))
-                assert np.array_equal(got[-1][:, :c], seeds)
+                assert got[-1][1] == c
+                assert np.array_equal(got[-1][0][:, :c], seeds)
 
 
 def test_kmeans_fallback_draws_match_oracle(monkeypatch):
@@ -266,7 +267,51 @@ def test_kmeans_fallback_draws_match_oracle(monkeypatch):
                 assert np.array_equal(labels, rows), (k, c, seed)
                 want = kmeans_oracle(points, k, weights, seed)
                 assert np.array_equal(labels, clustering._first_appearance(want))
-                assert np.array_equal(got[-1][:, :c], seeds)
+                assert got[-1][1] == c
+                assert np.array_equal(got[-1][0][:, :c], seeds)
+
+
+@st.composite
+def fully_seeded_cases(draw):
+    """Repeated rows of a small pool, as ballots and as weighted points, and a
+    cluster count from 2 up to the number of distinct rows (below n for the
+    ballots), so every start draws all its picks; the weights are ballot
+    multiplicities or positive non-integers."""
+    n = draw(st.integers(3, 40))
+    pool_size = draw(st.integers(2, 10))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(pool_size, size=n)
+    ballots = (rng.random((pool_size, draw(st.integers(3, 9)))) < 0.5).astype(np.uint8)[rows]
+    points = rng.normal(size=(pool_size, draw(st.integers(1, 5))))[rows]
+    if draw(st.booleans()):
+        weights = rng.integers(1, 6, size=n).astype(np.float64)
+    else:
+        weights = rng.uniform(0.1, 5.0, size=n)
+    distinct = min(np.unique(ballots, axis=0).shape[0], n - 1)
+    assume(distinct >= 2)
+    k_ballots = draw(st.integers(2, distinct))
+    k_points = draw(st.integers(2, np.unique(points, axis=0).shape[0]))
+    return Election(ballots), k_ballots, points, k_points, weights, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(fully_seeded_cases())
+def test_full_seeding_matches_oracles_pick_for_pick(case):
+    e, k_ballots, points, k_points, weights, seed = case
+    dist = hamming_matrix(e)
+    with pytest.MonkeyPatch.context() as patch:
+        got = record_seeds(patch)
+        kmedoids_hamming(e, k_ballots, seed)
+        clustering._kmeans(points, k_points, weights, seed)
+    (medoids, filled), (centres, filled_centres) = got
+    assert filled == k_ballots and filled_centres == k_points
+    for start in range(clustering._KMEDOIDS_RESTARTS):
+        rng = seeded_rng(seed, clustering._MEDOID_STREAM + start)
+        assert medoids[start].tolist() == kmedoids_seeds_oracle(dist, k_ballots, rng)
+    for init in range(clustering._KMEANS_INITS):
+        rng = seeded_rng(seed, clustering._KMEANS_STREAM + init)
+        assert centres[init].tolist() == kmeans_seeds_oracle(points, k_points, weights, rng)
 
 
 def test_clusterers_build_one_bit_generator_per_call(monkeypatch):

@@ -18,8 +18,10 @@ spectral k-means runs up to its 50-round cap; the subsampled file
 clusters 1000 voters, the other goldens never more than about 60, and the grids' phi = 0 column holds
 identity elections, whose one distinct ballot stops k-means++ seeding
 after its first pick.  A rewrite that moves any printed digit of any index
-fails here.  The two manifests also run under both BLAS thread counts and
-with ``approvaldap._solvers`` falling back to the public scipy functions.
+fails here.  The two manifests also run under both BLAS thread counts, in
+process (the CLI's one-thread block and a thread variable that overrides
+it) and in fresh processes, and with ``approvaldap._solvers`` falling
+back to the public scipy functions.
 
 ``tests/data/golden/paper/`` pins the paper's own commands at full size:
 the ``index_table.csv`` of ``table --compass`` (14 cultures at 60x60), the
@@ -75,7 +77,7 @@ def write_map_manifest(path: Path) -> None:
     path.write_text(json.dumps({"seed": 19, "entries": entries}))
 
 
-# (command, manifest writer, golden files) of the runs that subprocess tests repeat
+# (command, manifest writer, golden files) of the runs repeated under other BLAS settings
 MANIFEST_RUNS = (
     ("table", write_table_manifest, ("index_table.csv",)),
     ("map", write_map_manifest, MAP_FILES),
@@ -160,6 +162,19 @@ def test_index_every_index_at_the_voter_cap_matches_golden(tmp_path, monkeypatch
     out, err = capsys.readouterr()
     assert out.encode("utf-8") == (PAPER / "index_p_ic_1000.csv").read_bytes()
     assert err == ""
+
+
+def test_manifest_goldens_in_process_at_two_blas_threads(blas_threads, tmp_path, monkeypatch, capsys):
+    # a thread variable leaves the libraries at the two threads the fixture
+    # set; the tests above run the same manifests on the CLI's one thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    for command, write_manifest, names in MANIFEST_RUNS:
+        path = tmp_path / f"{command}.json"
+        write_manifest(path)
+        assert main([command, "--manifest", str(path), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_goldens_do_not_depend_on_blas_threads(tmp_path):

@@ -1,4 +1,7 @@
-"""``approvaldap._solvers`` against the public scipy functions it stands in for."""
+"""``approvaldap._solvers`` against the public scipy functions it stands in
+for, and the CLI's one-thread BLAS block."""
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approvaldap import _solvers
+from approvaldap import _solvers, cli
 
 
 @st.composite
@@ -74,3 +77,40 @@ def test_linear_sum_assignment_is_scipys(rows, cols, spread, seed):
     got = _solvers.linear_sum_assignment(cost)
     want = scipy.optimize.linear_sum_assignment(cost)
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def blas_counts(controls) -> list[int]:
+    return [get() for get, _ in controls]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_cli_runs_each_command_on_one_blas_thread(blas_threads, monkeypatch, tmp_path, fails):
+    seen = []
+
+    def handler(args):
+        seen.append(blas_counts(blas_threads))
+        if fails:
+            raise ValueError("refused")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_generate", handler)
+    code = cli.main(["generate", "--family", "p_ic", "--out", str(tmp_path / "e.json")])
+    assert code == (2 if fails else 0)
+    assert seen == [[1] * len(blas_threads)]
+    assert blas_counts(blas_threads) == [2] * len(blas_threads)  # restored after the command
+
+
+@pytest.mark.parametrize("variable", _solvers._BLAS_THREAD_VARIABLES)
+def test_a_blas_thread_variable_leaves_the_libraries_alone(blas_threads, monkeypatch, tmp_path, variable):
+    monkeypatch.setenv(variable, "2")
+    loaded, seen = [], []
+
+    def handler(args):
+        seen.append(blas_counts(blas_threads))
+        return 0
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: loaded.append(args))
+    monkeypatch.setattr(cli, "_cmd_generate", handler)
+    assert cli.main(["generate", "--family", "p_ic", "--out", str(tmp_path / "e.json")]) == 0
+    assert loaded == []
+    assert seen == [[2] * len(blas_threads)]
