@@ -336,6 +336,11 @@ def _cmd_resample(args) -> int:
     return 0
 
 
+def _check_group(raw: dict, pointer: str) -> None:
+    if not isinstance(raw.get("group", ""), str):
+        raise ManifestError(f"{pointer}/group", "must be a string")
+
+
 def _map_manifest(doc):
     if not isinstance(doc, dict):
         raise ManifestError("/", "manifest must be a JSON object")
@@ -349,6 +354,7 @@ def _map_manifest(doc):
         pointer = f"/entries/{i}"
         if not isinstance(raw, dict) or "spec" not in raw:
             raise ManifestError(pointer, "must be an object with a 'spec' field")
+        _check_group(raw, pointer)
         spec, e = _draw_spec(raw["spec"], f"{pointer}/spec")
         items.append((spec.display_label(), raw.get("group", spec.family), e))
     files = doc.get("files", [])
@@ -360,6 +366,9 @@ def _map_manifest(doc):
             raw = {"path": raw}
         if not isinstance(raw, dict) or "path" not in raw:
             raise ManifestError(pointer, "must be a path or an object with a 'path' field")
+        if not isinstance(raw["path"], str):
+            raise ManifestError(f"{pointer}/path", "must be a string")
+        _check_group(raw, pointer)
         path = Path(raw["path"])
         try:
             e = _read_election(path)

@@ -58,42 +58,43 @@ def _trivial_labels(n: int, k: int) -> np.ndarray | None:
     return np.zeros(n, dtype=np.intp) if k == 1 else None
 
 
+def _weighted_picks(weights: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each start's ``Generator.choice(n, p=row / row.sum())`` for its row of
+    ``(r, n)`` nonnegative weights (one row may serve every start) and its
+    uniform ``u``: ``choice`` draws ``cdf.searchsorted(u, side="right")`` for
+    ``cdf = p.cumsum(); cdf /= cdf[-1]``, the count of the nondecreasing
+    cdf's entries ``<= u``, and row-wise sums and cumulative sums are
+    bitwise those of each row alone."""
+    cdf = (weights / weights.sum(axis=1)[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= uniforms[:, None]).sum(axis=1)
+
+
 def _plus_plus_seeding(picks: np.ndarray, uniforms: np.ndarray, distance_to) -> int:
     """Fill columns ``1, 2, ...`` of the ``(r, k)`` picks of ``r`` starts,
-    whose column 0 is drawn, with k-means++ style draws: probability
-    proportional to the squared distance to the start's nearest pick.
-    Return the number of columns filled.
+    whose column 0 is drawn, with k-means++ style draws (probability
+    proportional to the squared distance to the start's nearest pick; see
+    :func:`_weighted_picks`) and return the number of columns filled.
 
     ``distance_to(cols)`` gives the ``(r, n)`` distances from every point to
     each start's pick in ``cols``, each start keeping their running
     minimum.  They may be scaled by a nonnegative weight per point:
     rounding is monotone, so ``min(w a, w b)`` is ``w min(a, b)`` bitwise.
-    ``uniforms[:, c - 1]`` holds each start's uniform for pick ``c``, drawn
-    up front from its stream.  ``Generator.choice(n, p=p)`` draws ``cdf.searchsorted(random(),
-    side="right")`` for ``cdf = p.cumsum(); cdf /= cdf[-1]``.  Every start's
-    cumulative weights come from one call each, and the row sums and
-    row-wise cumulative sums are bitwise those of each row alone.  A cdf
-    row is nondecreasing, so its ``searchsorted(u, side="right")`` is the
-    count of its entries ``<= u``: one comparison draws every start's
-    point, the draw it would make alone.
+    ``uniforms[:, c - 1]`` holds each start's uniform for pick ``c``.
 
     A drawn point is at a positive distance, so each start's ``c`` picks
-    are ``c`` distinct points.  So the distances of one start are all 0
+    are ``c`` distinct points, and the distances of one start are all 0
     exactly when those of every start are: when the points have only ``c``
-    distinct rows, each of them among every start's picks.  Seeding then
-    stops and returns ``c < k``.
+    distinct rows.  Seeding then stops and returns ``c < k``.
     """
     k = picks.shape[1]
     closest = math.inf
     for c in range(1, k):
         closest = np.minimum(closest, distance_to(picks[:, c - 1]))
         weights = closest**2
-        s = weights.sum(axis=1)
-        if not s.all():
+        if not weights.any(axis=1).all():
             return c
-        cdf = (weights / s[:, None]).cumsum(axis=1)
-        cdf /= cdf[:, -1:]
-        picks[:, c] = (cdf <= uniforms[:, c - 1, None]).sum(axis=1)
+        picks[:, c] = _weighted_picks(weights, uniforms[:, c - 1])
     return k
 
 
@@ -327,12 +328,8 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     for init in range(_KMEANS_INITS):
         stream(_KMEANS_STREAM + init).random(out=uniforms[init])
 
-    # the first draw of Generator.choice(n, p=weights / weights.sum()), with
-    # one cdf for every init; see _plus_plus_seeding
-    cdf = (weights / weights.sum()).cumsum()
-    cdf /= cdf[-1]
     chosen = np.empty((_KMEANS_INITS, k), dtype=np.int64)
-    chosen[:, 0] = cdf.searchsorted(uniforms[:, 0], side="right")
+    chosen[:, 0] = _weighted_picks(weights[None], uniforms[:, 0])
     root_weights = np.sqrt(weights)
 
     def distance_to(cols: np.ndarray) -> np.ndarray:

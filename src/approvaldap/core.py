@@ -11,7 +11,7 @@ and returns fresh objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -22,29 +22,19 @@ __all__ = [
     "distinct_rows",
     "stats",
     "subsample",
-    "restrict_voters",
-    "restrict_candidates",
 ]
 
 _KEY_MASK = 0xFFFFFFFFFFFFFFFF
 
 
-def seeded_rng(seed: int, substream: int = 0) -> Generator:
-    """Counter-based RNG stream, reproducible across platforms and threads.
-
-    Philox streams with distinct ``(seed, substream)`` keys are independent,
-    so callers may draw from several substreams in any order and still
-    obtain identical results.
-    """
-    key = np.array([seed & _KEY_MASK, substream & _KEY_MASK], dtype=np.uint64)
-    return Generator(Philox(key=key))
-
-
 def seeded_streams(seed: int) -> Callable[[int], Generator]:
-    """``stream(substream)``: a ``Generator`` in the state of a new
-    ``seeded_rng(seed, substream)``, the same object on every call, so each
-    stream is valid until the next call.
+    """``stream(substream)``: the counter-based Philox stream keyed by
+    ``(seed, substream)``, reproducible across platforms and threads, as a
+    ``Generator`` that is the same object on every call, so each stream is
+    valid until the next call.
 
+    Streams with distinct keys are independent, so callers may draw from
+    several substreams in any order and still obtain identical results.
     One ``Philox`` serves every call: its state is reset to the substream's
     key with a zero counter and empty buffers, which is the state a new
     ``Philox(key=...)`` starts from, so no generator (and no OS entropy for
@@ -64,9 +54,8 @@ def seeded_streams(seed: int) -> Callable[[int], Generator]:
 
 
 def stream_uniforms(seed: int, substreams: Iterable[int], count: int) -> np.ndarray:
-    """``(len(substreams), count)`` float64 array whose row ``i`` is bitwise
-    ``seeded_rng(seed, substreams[i]).random(count)``, through one ``Philox``
-    (see :func:`seeded_streams`)."""
+    """``(len(substreams), count)`` float64 array whose row ``i`` is the first
+    ``count`` uniforms of stream ``seeded_streams(seed)(substreams[i])``."""
     subs = list(substreams)
     out = np.empty((len(subs), count))
     stream = seeded_streams(seed)
@@ -240,40 +229,25 @@ def stats(e: Election) -> ElectionStats:
     return ElectionStats(avl=avl, rev_avl=(n * m - total) / n, satr=total / (n * m))
 
 
-def restrict_voters(e: Election, indices: Sequence[int]) -> Election:
-    """Sub-election on the given voters (order preserved, duplicates allowed)."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("sub-election needs at least one voter")
-    return Election(e.matrix[idx], label=e.label)
-
-
-def restrict_candidates(e: Election, indices: Sequence[int]) -> Election:
-    """Sub-election on the given candidates (order preserved)."""
-    idx = list(indices)
-    if not idx:
-        raise ValueError("sub-election needs at least one candidate")
-    return Election(e.matrix[:, idx], label=e.label)
-
-
 def subsample(e: Election, max_candidates: int, max_voters: int, seed: int) -> Election:
     """Cap the election size by uniform sampling without replacement.
 
     Voters (if ``n > max_voters``) and candidates (if ``m > max_candidates``)
-    are sampled independently with seeded streams; relative order is kept.
-    Voters are cut first, so the candidate cut copies only the kept rows;
-    the streams are independent, so the order does not change the result.
-    Elections already within the caps are returned unchanged.
+    are sampled independently, each by one sorted draw from its own seeded
+    stream, so relative order is kept; the kept rows and columns make one
+    new election.  Elections already within the caps are returned unchanged.
     """
     if max_candidates < 1 or max_voters < 1:
         raise ValueError("size caps must be positive")
-    out = e
-    if e.num_voters > max_voters:
-        rng = seeded_rng(seed, 0xF0)
-        keep = np.sort(rng.choice(e.num_voters, size=max_voters, replace=False))
-        out = restrict_voters(out, keep)
-    if e.num_candidates > max_candidates:
-        rng = seeded_rng(seed, 0xC0)
-        keep = np.sort(rng.choice(e.num_candidates, size=max_candidates, replace=False))
-        out = restrict_candidates(out, keep)
-    return out
+    n, m = e.num_voters, e.num_candidates
+    if n <= max_voters and m <= max_candidates:
+        return e
+    stream = seeded_streams(seed)
+
+    def keep(size: int, cap: int, substream: int):
+        if size <= cap:
+            return slice(None)
+        return np.sort(stream(substream).choice(size, size=cap, replace=False))
+
+    rows, cols = keep(n, max_voters, 0xF0), keep(m, max_candidates, 0xC0)
+    return Election(e.matrix[rows][:, cols], label=e.label)

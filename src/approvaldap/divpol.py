@@ -19,7 +19,7 @@ import numpy as np
 from ._solvers import linear_sum_assignment
 from .agreement import cntr_agr, pcc_agr
 from .clustering import kmedoids_hamming, spectral_pcc
-from .core import Election, distinct_rows, seeded_rng
+from .core import Election, distinct_rows, seeded_streams
 from .metrics import cross_hamming
 
 __all__ = [
@@ -200,7 +200,7 @@ def ham_to_universe(e: Election, seed: int = 0) -> float:
     check_out_div_size(e)
     ballots, _, counts = e.distinct_ballots()
     n_samples = _SAMPLES_PER_VOTER * n
-    rng = seeded_rng(seed, _SAMPLE_STREAM)
+    rng = seeded_streams(seed)(_SAMPLE_STREAM)
     samples = (rng.random((n_samples, m)) < p).astype(np.uint8)
     sample_ballots, _, sample_counts = distinct_rows(samples)
     # integer supplies and demands give the transportation problem an
@@ -219,29 +219,39 @@ def ham_to_universe(e: Election, seed: int = 0) -> float:
 
 
 def check_out_div_size(e: Election) -> None:
-    """Raise ``ValueError`` if the sampled matching of :func:`out_div` would
-    need more than ``_MATCHING_MAX_BYTES`` with either solver.
+    """Raise ``ValueError`` if :func:`out_div` would need more than
+    ``_MATCHING_MAX_BYTES`` at any of its stages.
 
-    With ``k = _SAMPLES_PER_VOTER`` the assignment holds ``(k*n)^2``
-    float64 costs for ``k*n`` draws; the transportation LP has one variable
-    per pair of a distinct ballot and a distinct draw, of which there are
-    at most ``min(k*n, 2^m)``.
+    With ``k = _SAMPLES_PER_VOTER``, ``N`` distinct ballots and at most
+    ``S = min(k*n, 2^m)`` distinct draws: the assignment holds ``(k*n)^2``
+    float64 costs; the transportation LP, which runs when those are over
+    the limit, has ``N*S`` variables.  Before either runs, the ``k*n x m``
+    draws take 9 bytes a cell (a float64 uniform and its 0/1 comparison),
+    and :func:`~approvaldap.metrics.cross_hamming` holds ``N + 2S`` rows of
+    float64 Hamming factors, ``m + 2`` wide (the ballots' left factor and
+    both of the draws').
     """
     n, m = e.num_voters, e.num_candidates
     if e.total_approvals() in (0, n * m):
         return
     n_samples = _SAMPLES_PER_VOTER * n
-    dense = 8 * n_samples * n_samples
-    if dense <= _MATCHING_MAX_BYTES:
-        return
     n_distinct = len(e.distinct_ballots()[0])
-    lp = _LP_BYTES_PER_VARIABLE * n_distinct * min(n_samples, 2**m)
-    if lp > _MATCHING_MAX_BYTES:
-        gib = 2**30
+    n_draws = min(n_samples, 2**m)
+    gib = 2**30
+    limit = f"over the {_MATCHING_MAX_BYTES / gib:.1f} GiB limit"
+    dense = 8 * n_samples * n_samples
+    lp = _LP_BYTES_PER_VARIABLE * n_distinct * n_draws
+    if min(dense, lp) > _MATCHING_MAX_BYTES:
         raise ValueError(
             f"out_div of {n} voters needs a {n_samples}x{n_samples} cost matrix "
             f"({dense / gib:.1f} GiB) or a transportation LP of up to {lp / gib:.1f} GiB, "
-            f"over the {_MATCHING_MAX_BYTES / gib:.1f} GiB limit; use fewer voters"
+            f"{limit}; use fewer voters"
+        )
+    setup = max(9 * n_samples * m, 8 * (n_distinct + 2 * n_draws) * (m + 2))
+    if setup > _MATCHING_MAX_BYTES:
+        raise ValueError(
+            f"out_div of {n} voters needs {setup / gib:.1f} GiB for its {n_samples} draws "
+            f"of {m} candidates, {limit}; use fewer voters or candidates"
         )
 
 

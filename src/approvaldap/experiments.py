@@ -18,7 +18,7 @@ import numpy as np
 
 from ._solvers import eigh
 from .agreement import AGREEMENT_INDICES
-from .core import Election, seeded_rng, stats, subsample
+from .core import Election, seeded_streams, stats, subsample
 from .divpol import cntr_div, cntr_pol, out_div, pair_pol, pcc_div, pcc_pol
 from .generators import CultureSpec, sample
 from .io import write_csv_matrix
@@ -423,7 +423,7 @@ def synthetic_map_entries(seed: int = 0) -> list[MapEntry]:
     Euclidean families at their standard sizes.  Randomized family
     parameters are drawn here so the corpus is fully declarative.
     """
-    rng = seeded_rng(derive_seed(seed, "synthetic-map"), 0)
+    rng = seeded_streams(derive_seed(seed, "synthetic-map"))(0)
     entries = [MapEntry("compass", spec) for spec in compass_specs()]
 
     def add(group: str, spec: CultureSpec):
@@ -510,9 +510,8 @@ def map_of_elections(items: Iterable[tuple[str, str, Election]], seed: int = 0) 
     for idx, (_, _, e) in enumerate(items):
         features[idx] = feature_vector(e, derive_seed(seed, "map", idx))
         e.clear_cache()  # its spectral system is not needed past this point
+    # exactly symmetric with a zero diagonal: (a - b)^2 is (b - a)^2, a - a is 0
     distances = _pairwise(features)
-    distances = 0.5 * (distances + distances.T)
-    np.fill_diagonal(distances, 0.0)
     embedding = mds_embed(distances)
     return MapResult(
         labels=tuple(label for label, _, _ in items),

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import Election, seeded_rng, stream_uniforms
+from .core import Election, seeded_streams, stream_uniforms
 
 __all__ = [
     "CultureSpec",
@@ -57,10 +57,6 @@ _BLOCK_DRAWS = 1 << 18
 def _master(family: str, seed: int) -> int:
     digest = hashlib.blake2b(f"{family}:{seed}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
-
-
-def _election_rng(master: int, slot: int = 0):
-    return seeded_rng(master, _ELECTION_STREAM + slot)
 
 
 def _voter_rows(master: int, voters: range, m: int, draws: int, approve) -> np.ndarray:
@@ -222,7 +218,7 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
     _check_sizes(m, n)
     if variant not in (1, 2, 3, 4, 5):
         raise ValueError(f"euclidean variant must be 1..5, got {variant}")
-    rng = _election_rng(_master("euclidean", seed))
+    rng = seeded_streams(_master("euclidean", seed))(_ELECTION_STREAM)
     cand_pts = rng.random((m, 2))
     voter_pts = rng.random((n, 2))
     # bitwise np.linalg.norm(voter_pts[:, None] - cand_pts, axis=2), without
@@ -301,7 +297,7 @@ def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
     if k < 1:
         raise ValueError("group count must be positive")
     master = _master("id_mixture", seed)
-    groups = _election_rng(master).integers(0, k, size=n)
+    groups = seeded_streams(master)(_ELECTION_STREAM).integers(0, k, size=n)
     ballots = _group_uniforms(master, k, m) < p
     return Election(ballots.astype(np.uint8)[groups])
 
@@ -313,7 +309,7 @@ def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
     if k < 1:
         raise ValueError("group count must be positive")
     master = _master("iam_mixture", seed)
-    groups = _election_rng(master).integers(0, k, size=n)
+    groups = seeded_streams(master)(_ELECTION_STREAM).integers(0, k, size=n)
     probs = _group_uniforms(master, k, m)
     return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < probs[groups[rows]]))
 
@@ -331,7 +327,7 @@ def gen_uneven_party_list(m: int, n: int, seed: int) -> Election:
     """Party-list election with a Poisson(1)+3 number of parties and
     uniformly random (composition) block sizes for candidates and voters."""
     _check_sizes(m, n)
-    rng = _election_rng(_master("uneven_party_list", seed))
+    rng = seeded_streams(_master("uneven_party_list", seed))(_ELECTION_STREAM)
     k = 3 + int(rng.poisson(1.0))
     k = min(k, m, n)
     cand_sizes = _random_composition(m, k, rng)
@@ -463,6 +459,8 @@ class CultureSpec:
             raise ValueError(f"unknown family {self.family!r}")
         for name in ("m", "n", "seed"):
             _check_integer(getattr(self, name), f"/{name}")
+        if self.label is not None and not isinstance(self.label, str):
+            raise SpecError("/label", f"must be a string, got {self.label!r}")
         missing = [name for name in family.params if name not in self.params]
         if missing:
             raise ValueError(f"family {self.family!r} needs parameter(s) {', '.join(missing)}")

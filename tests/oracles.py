@@ -5,25 +5,48 @@ from itertools import repeat
 from typing import Sequence
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy.optimize import linear_sum_assignment
 
 from approvaldap import divpol
-from approvaldap.core import (
-    Election,
-    distinct_rows,
-    restrict_candidates,
-    restrict_voters,
-    seeded_rng,
-)
+from approvaldap.core import _KEY_MASK, Election, distinct_rows
 from approvaldap.generators import (
+    _ELECTION_STREAM,
     _check_prob,
     _check_sizes,
-    _election_rng,
     _id_prefix,
     _master,
 )
 from approvaldap.io import ParseError
 from approvaldap.metrics import cross_hamming
+
+
+# -- one new Generator per stream and one Election per cut, before the
+# library re-keyed one bit generator (core.seeded_streams) and cut each
+# subsample in one step --------------------------------------------------
+
+
+def seeded_rng(seed: int, substream: int = 0) -> Generator:
+    """A new ``Generator`` on the Philox stream keyed by ``(seed, substream)``:
+    the reference for ``core.seeded_streams`` and ``core.stream_uniforms``."""
+    key = np.array([seed & _KEY_MASK, substream & _KEY_MASK], dtype=np.uint64)
+    return Generator(Philox(key=key))
+
+
+def restrict_voters(e: Election, indices: Sequence[int]) -> Election:
+    """Sub-election on the given voters (order preserved, duplicates allowed)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size == 0:
+        raise ValueError("sub-election needs at least one voter")
+    return Election(e.matrix[idx], label=e.label)
+
+
+def restrict_candidates(e: Election, indices: Sequence[int]) -> Election:
+    """Sub-election on the given candidates (order preserved)."""
+    idx = list(indices)
+    if not idx:
+        raise ValueError("sub-election needs at least one candidate")
+    return Election(e.matrix[:, idx], label=e.label)
 
 
 # -- per-pair measures: the definitions behind the library's array forms
@@ -211,6 +234,10 @@ def assignment_ham_to_universe(e: Election, seed: int) -> float:
 
 def _voter_rng(master: int, voter: int):
     return seeded_rng(master, voter)
+
+
+def _election_rng(master: int, slot: int = 0):
+    return seeded_rng(master, _ELECTION_STREAM + slot)
 
 
 def gen_cyclic(m: int) -> Election:

@@ -17,7 +17,7 @@ from approvaldap.agreement import (
     pcc_agr,
     pccplus_agr,
 )
-from approvaldap.core import Election, restrict_voters, stats
+from approvaldap.core import Election, stats
 from approvaldap.generators import (
     gen_cyclic,
     gen_diagonal,
@@ -35,6 +35,7 @@ from oracles import (
     hamming,
     jaccard_similarity_matrix,
     pair_agr_naive,
+    restrict_voters,
 )
 
 

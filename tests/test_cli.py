@@ -216,6 +216,13 @@ PARTY = {"family": "k_party", "m": 5, "n": 6, "seed": 0, "params": {"k": 2}}
         ("map", {"seed": 1, "entries": [{"spec": IC}], "files": [{"file": "a.pb"}]}, "/files/0"),
         ("map", {"seed": 1, "entries": [{"spec": IC}]}, "/"),
         ("map", {"seed": 1}, "/"),
+        # field types: a group or a path that is not a string, a spec label
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": PARTY, "group": ["x"]}]}, "/entries/1/group"),
+        ("map", {"seed": 1, "entries": [{"spec": IC, "group": 3}, {"spec": PARTY}]}, "/entries/0/group"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}], "files": [{"path": 3}]}, "/files/0/path"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}], "files": [{"path": "a.pb", "group": None}]}, "/files/0/group"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**PARTY, "label": ["x"]}}]}, "/entries/1/spec/label"),
+        ("table", {"seed": 1, "specs": [{**IC, "label": ["x"]}]}, "/specs/0/label"),
     ],
 )
 def test_manifest_refusals_name_their_pointer(tmp_path, capsys, command, doc, pointer):
@@ -410,6 +417,32 @@ def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
     assert [line.split(",")[0] for line in stdout.strip().splitlines()] == ["file", str(small)]
     assert f"error: {big}: out_div of 40 voters needs a 200x200 cost matrix" in stderr
     assert evaluated == [4, 4]  # nothing was computed on the refused file
+
+
+def test_index_refuses_out_div_draws_beyond_memory_cap(tmp_path, capsys, monkeypatch):
+    from approvaldap import divpol
+    from approvaldap.generators import gen_k_party
+    from approvaldap.io import write_native
+
+    wide = gen_k_party(200, 4, 2)
+    path = tmp_path / "wide.json"
+    path.write_text(write_native(wide))
+    # 20 draws fit densely (3200 bytes), but not their 20 x 200 uniforms
+    # (9 * 4000 bytes) nor the Hamming factors (8 * (2 + 2 * 20) * 202 bytes)
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 1 << 14)
+    drawn = []
+    monkeypatch.setattr(divpol, "seeded_streams", drawn.append)
+    code, stdout, stderr = run(
+        capsys, "index", "--full", str(path), "--indices", "out_div", "--seed", "1"
+    )
+    assert code == 2 and stdout.strip() == "file,label,out_div"
+    assert stderr == (
+        f"error: {path}: out_div of 4 voters needs 0.0 GiB for its 20 draws of 200 "
+        "candidates, over the 0.0 GiB limit; use fewer voters or candidates\n"
+    )
+    with pytest.raises(ValueError, match="for its 20 draws of 200 candidates"):
+        divpol.out_div(wide, seed=1)
+    assert drawn == []  # refused before any draw
 
 
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

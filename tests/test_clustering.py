@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from approvaldap import clustering, core
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import kmedoids_hamming, spectral_pcc
-from approvaldap.core import Election, seeded_rng
+from approvaldap.core import Election
 from approvaldap.generators import (
     CultureSpec,
     gen_k_party,
@@ -21,7 +21,7 @@ from approvaldap.generators import (
 from approvaldap.metrics import hamming_factors, pcc_matrix
 
 from conftest import make_random_election
-from oracles import hamming_matrix
+from oracles import hamming_matrix, seeded_rng
 
 
 def as_blocks(labels: np.ndarray) -> set[frozenset]:

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import approvaldap
-from approvaldap.core import Election, distinct_rows, restrict_voters, stats, subsample
+from approvaldap.core import Election, distinct_rows, seeded_streams, stats, subsample
 from approvaldap.generators import gen_diagonal, gen_k_party, gen_p_id, gen_triangle
 
 from conftest import make_random_election
-from oracles import subsample_candidates_first
+from oracles import seeded_rng, subsample_candidates_first
 
 
 @pytest.mark.parametrize(
@@ -55,6 +57,10 @@ REMOVED_NAMES = (
     ("experiments", "FeatureVector"),
     ("experiments", "feature_distance"),
     ("divpol", "_EXACT_UNIVERSE_MAX_M"),
+    ("core", "seeded_rng"),
+    ("core", "restrict_voters"),
+    ("core", "restrict_candidates"),
+    ("generators", "_election_rng"),
 )
 
 
@@ -201,12 +207,54 @@ def test_clear_cache_recomputes_memoised_matrix():
     assert all(np.array_equal(a, b) for a, b in zip(again, first))
 
 
-def test_restrict_voters_keeps_order():
-    e = Election([[1, 0], [0, 1], [1, 1]])
-    sub = restrict_voters(e, [2, 0])
-    assert sub.matrix.tolist() == [[1, 1], [1, 0]]
-    with pytest.raises(ValueError):
-        restrict_voters(e, [])
+# the Generator calls of the library's streams: the samplers' and
+# out_div's draws, subsample's cuts (both choice algorithms: Floyd's for
+# few of many, a partial shuffle otherwise), k-medoids' first pick and the
+# party count of uneven_party_list
+_STREAM_DRAWS = (
+    lambda g: g.random(7),
+    lambda g: g.random((3, 4)),
+    lambda g: g.integers(0, 5, size=9),
+    lambda g: np.array(g.integers(1000)),
+    lambda g: g.choice(30, size=12, replace=False),
+    lambda g: g.choice(20_000, size=300, replace=False),
+    lambda g: np.array(g.poisson(1.0)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    substreams=st.lists(
+        st.one_of(st.integers(0, 2**16), st.integers(2**32, 2**64 - 1)), min_size=1, max_size=5
+    ),
+)
+@example(seed=0, substreams=[0xF0, 0xC0, 0xF0])
+def test_seeded_streams_are_new_generators(seed, substreams):
+    stream = seeded_streams(seed)
+    for sub in substreams:
+        for draw in _STREAM_DRAWS:
+            assert draw(stream(sub)).tobytes() == draw(seeded_rng(seed, sub)).tobytes()
+        # the draws in sequence on one stream, as the samplers make them
+        rng, reference = stream(sub), seeded_rng(seed, sub)
+        for draw in _STREAM_DRAWS:
+            assert draw(rng).tobytes() == draw(reference).tobytes()
+
+
+def test_only_seeded_streams_builds_a_bit_generator():
+    package = Path(approvaldap.__file__).parent
+    core_source = (package / "core.py").read_text(encoding="utf-8")
+    fn = next(
+        node
+        for node in ast.parse(core_source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "seeded_streams"
+    )
+    for path in sorted(package.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            if "Philox(" in line or "Generator(" in line:
+                where = f"{path.name}:{number}"
+                assert path.name == "core.py" and fn.lineno <= number <= fn.end_lineno, where
 
 
 @settings(max_examples=60, deadline=None)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from approvaldap import core, divpol
 from approvaldap.agreement import cntr_agr, pcc_agr
 from approvaldap.clustering import spectral_pcc
-from approvaldap.core import Election, seeded_rng, stats
+from approvaldap.core import Election, stats
 from approvaldap.divpol import (
     a_div,
     a_pol,
@@ -38,6 +38,7 @@ from oracles import (
     exact_ham_to_universe,
     exact_out_div,
     hamming_matrix,
+    seeded_rng,
 )
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from approvaldap import core, generators
 from approvaldap.agreement import AGREEMENT_INDICES
-from approvaldap.core import seeded_rng, stats, stream_uniforms
+from approvaldap.core import stats, stream_uniforms
 from approvaldap.experiments import compass_specs
 from approvaldap.generators import (
     FAMILIES,
@@ -296,7 +296,7 @@ def test_stream_uniforms_rows_are_fresh_generators(seed, substreams, count):
     got = stream_uniforms(seed, substreams, count)
     assert got.shape == (len(substreams), count) and got.dtype == np.float64
     for row, sub in zip(got, substreams):
-        assert row.tobytes() == seeded_rng(seed, sub).random(count).tobytes()
+        assert row.tobytes() == oracles.seeded_rng(seed, sub).random(count).tobytes()
 
 
 # the ends, where every draw or none is approved, and values between them
