@@ -10,17 +10,26 @@ too little memory.  Manifests must carry an explicit seed; ad-hoc commands
 default to seed 0 with a printed notice.  Each command runs with the
 OpenBLAS of numpy and of scipy on one thread, unless ``OPENBLAS_NUM_THREADS``
 or ``OMP_NUM_THREADS`` is set (see :func:`approvaldap._solvers.one_blas_thread`).
+``table``, ``resample``, ``map`` and ``index`` score their independent
+items (samples, grid cells, map elections, files) in one process per CPU
+that this process may run on, within its cgroup's CPU quota, and fewer
+for ``out_div`` where its matrices would not fit in its 1 GiB limit
+together; the items are handed out one at a time, and the outputs,
+messages and exit codes are the same at any count.  On a system without
+``os.fork`` and ``os.sched_getaffinity`` they run as a plain loop.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from . import experiments
+from . import divpol, experiments
 from . import io as eio
 from ._solvers import one_blas_thread
 from .core import Election, stats, subsample
@@ -34,11 +43,40 @@ class ManifestError(ValueError):
 
     def __init__(self, pointer: str, message: str):
         super().__init__(f"{pointer}: {message}")
+        self.pointer, self.message = pointer, message
+
+    def __reduce__(self):  # so that it crosses from a worker process intact
+        return type(self), (self.pointer, self.message)
+
+
+def _worker_count() -> int:
+    """Processes that score a command's items: one per CPU this process may
+    run on, no more than its cgroup's CPU quota, and one on a system
+    without ``os.fork`` and ``os.sched_getaffinity``."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _cpu_quota())
+
+
+def _cpu_quota(root: str = "/sys/fs/cgroup") -> float:
+    """The CPUs' worth of run time that this process's cgroup allows
+    (cgroup v2 ``cpu.max``, v1 ``cpu.cfs_quota_us``), rounded up; infinite
+    where no quota is set or none can be read."""
+    v2 = Path(root, "cpu.max")
+    v1 = [Path(root, "cpu", f"cpu.cfs_{name}_us") for name in ("quota", "period")]
+    try:
+        quota, period = v2.read_text().split() if v2.exists() else (f.read_text() for f in v1)
+        if quota.strip() in ("max", "-1"):
+            return math.inf
+        return max(1, math.ceil(int(quota) / int(period)))
+    except (OSError, ValueError):
+        return math.inf
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.workers = _worker_count()
     try:
         with one_blas_thread():
             return args.handler(args)
@@ -188,6 +226,46 @@ def _read_election(path: Path) -> Election:
     return eio.read_native(data.decode("utf-8"))
 
 
+class _FileFailure(Exception):
+    """An unforeseen failure of one ``index`` file: the stderr lines that
+    the file printed before it, and the exception."""
+
+    def __init__(self, lines: list, cause: Exception):
+        super().__init__(lines, cause)
+        self.lines, self.cause = lines, cause
+
+
+def _index_file(path: Path, names: list, seed: int, full: bool) -> tuple:
+    """One file of ``index``: its CSV row or None, its stderr lines, and
+    how it failed: None, "unreadable" (exit 1) or "refused" (exit 2).  Any
+    other failure raises :class:`_FileFailure`."""
+    lines = []
+    try:
+        try:
+            e = _read_election(path)
+        except (OSError, ParseError, UnicodeDecodeError) as exc:  # missing, unreadable, malformed
+            lines.append(f"error: {path}: {getattr(exc, 'strerror', None) or exc}")
+            return None, lines, "unreadable"
+        if not full:
+            whole = e
+            e = subsample(e, experiments.SUBSAMPLE_CANDIDATES, experiments.SUBSAMPLE_VOTERS, seed)
+            if e is not whole:
+                lines.append(
+                    f"notice: {path}: subsampled {whole.num_voters}x{whole.num_candidates} -> "
+                    f"{e.num_voters}x{e.num_candidates} (use --full to keep all)"
+                )
+        if "out_div" in names:
+            try:
+                check_out_div_size(e)
+            except ValueError as exc:
+                lines.append(f"error: {path}: {exc}")
+                return None, lines, "refused"
+        values = [experiments.evaluate_index(name, e, seed) for name in names]
+    except Exception as exc:
+        raise _FileFailure(lines, exc) from exc
+    return [str(path), e.label or "", *values], lines, None
+
+
 def _cmd_index(args) -> int:
     seed = _ad_hoc_seed(args.seed)
     names = [tok.strip() for tok in args.indices.split(",") if tok.strip()]
@@ -196,40 +274,30 @@ def _cmd_index(args) -> int:
     for name in names:
         if name not in experiments.INDEX_NAMES:
             raise ValueError(f"unknown index {name!r}")
-    rows = []
-    failures = refused = 0
-    for i, raw in enumerate(args.paths):
-        path = Path(raw)
-        try:
-            e = _read_election(path)
-        except (OSError, ParseError, UnicodeDecodeError) as exc:  # missing, unreadable, malformed
-            print(f"error: {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
-            failures += 1
-            continue
+
+    def index_file(i: int) -> tuple:
         run_seed = experiments.derive_seed(seed, "index", i)
-        if not args.full:
-            full = e
-            e = subsample(
-                e, experiments.SUBSAMPLE_CANDIDATES, experiments.SUBSAMPLE_VOTERS, run_seed
-            )
-            if e is not full:
-                print(
-                    f"notice: {path}: subsampled {full.num_voters}x{full.num_candidates} -> "
-                    f"{e.num_voters}x{e.num_candidates} (use --full to keep all)",
-                    file=sys.stderr,
-                )
-        if "out_div" in names:
-            try:
-                check_out_div_size(e)
-            except ValueError as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                refused += 1
-                continue
-        values = [experiments.evaluate_index(name, e, run_seed) for name in names]
-        rows.append([str(path), e.label or "", *values])
+        return _index_file(Path(args.paths[i]), names, run_seed, args.full)
+
+    workers = args.workers
+    if "out_div" in names:  # under --full, one file's matrices may fill the limit
+        largest = (experiments.SUBSAMPLE_VOTERS, experiments.SUBSAMPLE_CANDIDATES)
+        workers = min(workers, 1 if args.full else divpol._out_div_fit([largest]))
+    rows, failures = [], []
+    try:
+        for row, lines, failure in experiments._map_items(index_file, len(args.paths), workers):
+            for line in lines:
+                print(line, file=sys.stderr)
+            if row is not None:
+                rows.append(row)
+            failures.append(failure)
+    except _FileFailure as exc:
+        for line in exc.lines:
+            print(line, file=sys.stderr)
+        raise exc.cause from None
     sys.stdout.write(eio.write_csv_matrix(rows, ["file", "label", *names]))
     # too large for out_div: validation error (2); unreadable: runtime failure (1)
-    return 2 if refused else 1 if failures else 0
+    return 2 if "refused" in failures else 1 if "unreadable" in failures else 0
 
 
 # -- manifests ----------------------------------------------------------
@@ -302,7 +370,9 @@ def _cmd_table(args) -> int:
         indices = list(experiments.INDEX_NAMES)
     else:
         specs, samples, seed, indices = _table_manifest(_load_json(args.manifest))
-    table = experiments.index_table(specs, samples=samples, seed=seed, indices=indices)
+    table = experiments.index_table(
+        specs, samples=samples, seed=seed, indices=indices, workers=args.workers
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / "index_table.csv"
@@ -316,7 +386,7 @@ def _cmd_resample(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     matrix = experiments.resampling_experiment(
-        args.index, m=args.m, n=args.n, samples=args.samples, seed=seed
+        args.index, m=args.m, n=args.n, samples=args.samples, seed=seed, workers=args.workers
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -391,7 +461,7 @@ def _cmd_map(args) -> int:
         ]
     else:
         seed, items = _map_manifest(_load_json(args.manifest))
-    result = experiments.map_of_elections(items, seed=seed)
+    result = experiments.map_of_elections(items, seed=seed, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "map_features.csv").write_text(result.feature_csv(), encoding="utf-8")

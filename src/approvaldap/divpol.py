@@ -207,7 +207,8 @@ def ham_to_universe(e: Election, seed: int = 0) -> float:
     # integral optimum: a one-to-one matching of the repeated ballots
     cost = cross_hamming(ballots, sample_ballots)
     n_cells = n_samples * n_samples
-    if 8 * n_cells > _MATCHING_MAX_BYTES or _LP_CELL_RATIO * cost.size <= n_cells:
+    dense = _dense_bytes(n_samples, len(ballots))
+    if dense > _MATCHING_MAX_BYTES or _LP_CELL_RATIO * cost.size <= n_cells:
         supply = (counts * _SAMPLES_PER_VOTER).astype(np.float64)
         value = round(_transport(cost, supply, sample_counts.astype(np.float64)))
     else:
@@ -218,14 +219,44 @@ def ham_to_universe(e: Election, seed: int = 0) -> float:
     return value / (n_samples * m)
 
 
+def _dense_bytes(n_samples: int, n_distinct: int) -> int:
+    """Peak float64 bytes of the assignment's cost: the ``(k*n)^2`` matrix
+    and, while it is built, the ``k*n x N`` first repeat."""
+    return 8 * n_samples * (n_samples + n_distinct)
+
+
+def _stage_bytes(n: int, m: int, n_distinct: int) -> tuple[int, int, int]:
+    """Peak bytes of :func:`out_div`'s assignment, of its transportation LP
+    and of its draws, on ``n`` voters, ``m`` candidates and ``n_distinct``
+    distinct ballots (see :func:`check_out_div_size`)."""
+    n_samples = _SAMPLES_PER_VOTER * n
+    n_draws = min(n_samples, 2**m)
+    lp = _LP_BYTES_PER_VARIABLE * n_distinct * n_draws
+    setup = max(9 * n_samples * m, 8 * (n_distinct + 2 * n_draws) * (m + 2))
+    return _dense_bytes(n_samples, n_distinct), lp, setup
+
+
+def _out_div_fit(shapes) -> int:
+    """How many :func:`out_div` calls, on elections of the largest of the
+    ``(voters, candidates)`` shapes, fit in ``_MATCHING_MAX_BYTES``
+    together: at least 1.  A call counts as its assignment and draws, or as
+    the whole limit when the assignment alone is over it."""
+    peak = 1
+    for n, m in shapes:
+        dense, _, setup = _stage_bytes(n, m, min(n, 2**m))
+        peak = max(peak, min(_MATCHING_MAX_BYTES, max(dense, setup)))
+    return max(1, _MATCHING_MAX_BYTES // peak)
+
+
 def check_out_div_size(e: Election) -> None:
     """Raise ``ValueError`` if :func:`out_div` would need more than
     ``_MATCHING_MAX_BYTES`` at any of its stages.
 
     With ``k = _SAMPLES_PER_VOTER``, ``N`` distinct ballots and at most
     ``S = min(k*n, 2^m)`` distinct draws: the assignment holds ``(k*n)^2``
-    float64 costs; the transportation LP, which runs when those are over
-    the limit, has ``N*S`` variables.  Before either runs, the ``k*n x m``
+    float64 costs, built from a ``k*n x N`` repeat that is alive until
+    they are; the transportation LP, which runs when those are over the
+    limit, has ``N*S`` variables.  Before either runs, the ``k*n x m``
     draws take 9 bytes a cell (a float64 uniform and its 0/1 comparison),
     and :func:`~approvaldap.metrics.cross_hamming` holds ``N + 2S`` rows of
     float64 Hamming factors, ``m + 2`` wide (the ballots' left factor and
@@ -235,19 +266,15 @@ def check_out_div_size(e: Election) -> None:
     if e.total_approvals() in (0, n * m):
         return
     n_samples = _SAMPLES_PER_VOTER * n
-    n_distinct = len(e.distinct_ballots()[0])
-    n_draws = min(n_samples, 2**m)
+    dense, lp, setup = _stage_bytes(n, m, len(e.distinct_ballots()[0]))
     gib = 2**30
     limit = f"over the {_MATCHING_MAX_BYTES / gib:.1f} GiB limit"
-    dense = 8 * n_samples * n_samples
-    lp = _LP_BYTES_PER_VARIABLE * n_distinct * n_draws
     if min(dense, lp) > _MATCHING_MAX_BYTES:
         raise ValueError(
             f"out_div of {n} voters needs a {n_samples}x{n_samples} cost matrix "
             f"({dense / gib:.1f} GiB) or a transportation LP of up to {lp / gib:.1f} GiB, "
             f"{limit}; use fewer voters"
         )
-    setup = max(9 * n_samples * m, 8 * (n_distinct + 2 * n_draws) * (m + 2))
     if setup > _MATCHING_MAX_BYTES:
         raise ValueError(
             f"out_div of {n} voters needs {setup / gib:.1f} GiB for its {n_samples} draws "

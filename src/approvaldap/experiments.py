@@ -2,20 +2,27 @@
 
 The map places each election at its (agreement, diversity, polarization)
 feature vector, measures pairwise Euclidean feature distances, and embeds
-the distance matrix in the plane with stress-majorization MDS.  All
-protocols run their items as a plain loop, each item under a seed derived
-from the experiment seed, so results follow from the seed alone.
+the distance matrix in the plane with stress-majorization MDS.  Every
+protocol scores independent items (table samples, grid cells, map
+elections), each under a seed derived from the experiment seed, so
+results follow from the seed alone.  Given ``workers > 1`` the items are
+shared out over forked processes, one per CPU (:func:`_map_items`); the
+results are the same bytes at any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import divpol
 from ._solvers import eigh
 from .agreement import AGREEMENT_INDICES
 from .core import Election, seeded_streams, stats, subsample
@@ -81,6 +88,145 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
+# -- independent items on every core ------------------------------------
+
+# one item index in the task pipe
+_ITEM = struct.Struct("<I")
+# item indices written to the task pipe before a round forks: a pipe holds
+# at least one 4096-byte page, so that write never waits for a reader
+_ROUND_ITEMS = 4096 // _ITEM.size
+
+
+def _map_items(fn: Callable[[int], object], count: int, workers: int = 1) -> Iterator:
+    """Yield ``fn(0), ..., fn(count - 1)`` in item order, scored by up to
+    ``workers`` processes.
+
+    With more than one worker, ``workers - 1`` forked children and this
+    process each take item indices one at a time from a pipe, so a slow
+    item holds up only the process that took it.  Where the kernel does
+    not balance load over this process's CPUs (:func:`_cpus_unbalanced`),
+    forked processes can share one CPU while another idles, so each is
+    pinned to its own.  The children are forked, so they inherit ``fn``
+    and the data it reads and only results are pickled; call this from a
+    process that runs no threads of its own, on a system with
+    ``os.fork``.  ``fn`` must not depend on which process calls it.  If
+    items raise, the results before the lowest failing index are yielded
+    and its exception is raised, as the plain loop would raise it; a child
+    that dies without returning its items raises ``RuntimeError``.  No
+    child outlives a round of up to ``_ROUND_ITEMS`` items, and every
+    round ends before its results are yielded.
+    """
+    if workers <= 1 or count <= 1:
+        yield from map(fn, range(count))
+        return
+    cpus = sorted(os.sched_getaffinity(0)) if _cpus_unbalanced() else None
+    for start in range(0, count, _ROUND_ITEMS):
+        items = range(start, min(count, start + _ROUND_ITEMS))
+        outcomes = _fork_round(fn, items, min(workers, len(items)), cpus)
+        # every item below the lowest failure was taken, and finished, first
+        for i in items:
+            ok, result = outcomes[i]
+            if not ok:
+                raise result
+            yield result
+
+
+def _cpus_unbalanced(
+    cgroups: str = "/proc/self/cgroup", cpusets: str = "/sys/fs/cgroup/cpuset"
+) -> bool:
+    """Whether the kernel leaves this process's CPUs unbalanced: on cgroup
+    v1, every cpuset from the root down to this process's own has
+    ``sched_load_balance`` 0.  False wherever that cannot be read."""
+    try:
+        with open(cgroups, encoding="ascii") as table:
+            entries = [line.rstrip("\n").split(":", 2) for line in table]
+        path = next(p for _, controllers, p in entries if "cpuset" in controllers.split(","))
+        parts = [part for part in path.split("/") if part]
+        flags = []
+        for depth in range(len(parts) + 1):
+            flag = os.path.join(cpusets, *parts[:depth], "cpuset.sched_load_balance")
+            with open(flag, encoding="ascii") as f:
+                flags.append(f.read().strip())
+    except (OSError, ValueError, StopIteration):
+        return False
+    return all(flag == "0" for flag in flags)
+
+
+def _fork_round(
+    fn: Callable[[int], object], items: range, workers: int, cpus: list | None
+) -> dict:
+    """``{index: (ok, result or exception)}`` of the items that this process
+    and ``workers - 1`` forked children took before the pipe ran dry or one
+    of them raised.  Given ``cpus``, each process runs on its own of them."""
+    import signal  # only a forking call needs it
+
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(_ITEM.pack(i) for i in items))
+    os.close(feed)  # a drained pipe now reads as its end
+    children: dict = {}  # pid -> the child's result pipe, open for reading
+    try:
+        for k in range(1, workers):
+            receive, send = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: scores, sends its outcomes, and exits
+                code = 1
+                try:
+                    os.close(receive)
+                    for sibling in children.values():
+                        sibling.close()
+                    if cpus:
+                        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+                    with os.fdopen(send, "wb") as out:
+                        pickle.dump(_take_items(fn, tasks), out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(send)
+            children[pid] = os.fdopen(receive, "rb")
+        if cpus:
+            os.sched_setaffinity(0, {cpus[0]})
+        outcomes = _take_items(fn, tasks)
+        for pid, received in list(children.items()):
+            payload = received.read()
+            received.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code:
+                how = f"exited with code {code}"
+                if code < 0:
+                    how = f"was killed by {signal.Signals(-code).name}"
+                raise RuntimeError(f"a worker process {how} before returning its items")
+            outcomes.update(pickle.loads(payload))
+        return outcomes
+    finally:
+        os.close(tasks)
+        for pid, received in children.items():  # a zombie until reaped, so the pid is still ours
+            received.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+
+
+def _take_items(fn: Callable[[int], object], tasks: int) -> dict:
+    """Score the items this process reads from the task pipe, until the
+    pipe is drained or an item raises."""
+    outcomes = {}
+    while len(raw := os.read(tasks, _ITEM.size)) == _ITEM.size:
+        (i,) = _ITEM.unpack(raw)
+        try:
+            outcomes[i] = (True, fn(i))
+        except Exception as exc:
+            outcomes[i] = (False, exc)
+            # every item still in the pipe is above this one: drain it, so
+            # that the other processes stop after their current items too
+            while os.read(tasks, 4096):
+                pass
+            break
+    return outcomes
+
+
 # -- resampling experiment ----------------------------------------------
 
 P_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -113,27 +259,35 @@ def resampling_experiment(
     n: int = 60,
     samples: int = 10,
     seed: int = 0,
+    workers: int = 1,
 ) -> ResamplingMatrix:
     """Mean of an index over seeded resampling elections for each grid cell.
 
     Rows fix the expected saturation ``p`` and columns fix the resampling
     noise ``phi``; an index whose columns are far from constant depends on
-    saturation rather than on election structure.
+    saturation rather than on election structure.  The cells are scored
+    by up to ``workers`` processes, fewer for ``out_div`` where its
+    matrices would not fit in its memory limit together.
     """
     if samples < 1:
         raise ValueError("need at least one sample per cell")
     if index not in INDEX_NAMES:
         raise ValueError(f"unknown index {index!r}")
 
-    values = np.empty((len(P_GRID), len(PHI_GRID)))
-    for i, p in enumerate(P_GRID):
-        for j, phi in enumerate(PHI_GRID):
-            total = 0.0
-            for t in range(samples):
-                cell_seed = derive_seed(seed, "resampling", i, j, t)
-                spec = CultureSpec("resampling", m, n, seed=cell_seed, params={"p": p, "phi": phi})
-                total += evaluate_index(index, sample(spec), cell_seed)
-            values[i, j] = total / samples
+    def cell_mean(cell: int) -> float:
+        i, j = divmod(cell, len(PHI_GRID))
+        params = {"p": P_GRID[i], "phi": PHI_GRID[j]}
+        total = 0.0
+        for t in range(samples):
+            cell_seed = derive_seed(seed, "resampling", i, j, t)
+            spec = CultureSpec("resampling", m, n, seed=cell_seed, params=params)
+            total += evaluate_index(index, sample(spec), cell_seed)
+        return total / samples
+
+    if index == "out_div":
+        workers = min(workers, divpol._out_div_fit([(n, m)]))
+    shape = (len(P_GRID), len(PHI_GRID))
+    values = np.array(list(_map_items(cell_mean, shape[0] * shape[1], workers))).reshape(shape)
     values.setflags(write=False)
     return ResamplingMatrix(
         index=index,
@@ -181,6 +335,7 @@ def index_table(
     samples: int = 10,
     seed: int = 0,
     indices: Sequence[str] = INDEX_NAMES,
+    workers: int = 1,
 ) -> IndexTable:
     """Sample each culture and tabulate mean/std of the selected indices.
 
@@ -189,7 +344,10 @@ def index_table(
     reproducible from ``(specs, samples, seed)`` alone.  Standard
     deviations are population standard deviations over the sampled
     elections; deterministic cultures yield identical elections, but
-    clustering-backed indices still vary with the per-sample seeds.
+    clustering-backed indices still vary with the per-sample seeds.  The
+    samples are drawn and scored by up to ``workers`` processes, fewer for
+    ``out_div`` where its matrices would not fit in its memory limit
+    together.
     """
     if samples < 1:
         raise ValueError("need at least one sample per culture")
@@ -197,12 +355,17 @@ def index_table(
         if name not in INDEX_NAMES:
             raise ValueError(f"unknown index {name!r}")
 
-    cube = np.empty((len(specs), samples, len(indices)))
-    for r, spec in enumerate(specs):
-        for t in range(samples):
-            run_seed = derive_seed(seed, "table", r, t)
-            e = sample(spec.with_seed(run_seed))
-            cube[r, t] = [evaluate_index(name, e, run_seed) for name in indices]
+    def scores(item: int) -> list:
+        r, t = divmod(item, samples)
+        run_seed = derive_seed(seed, "table", r, t)
+        e = sample(specs[r].with_seed(run_seed))
+        return [evaluate_index(name, e, run_seed) for name in indices]
+
+    if "out_div" in indices:
+        workers = min(workers, divpol._out_div_fit(map(_shape, specs)))
+    shape = (len(specs), samples, len(indices))
+    cube = np.array(list(_map_items(scores, shape[0] * samples, workers)), dtype=np.float64)
+    cube = cube.reshape(shape)
     stds = cube.std(axis=1)
     stds[stds < 1e-12] = 0.0  # identical samples should report exactly zero spread
     return IndexTable(
@@ -211,6 +374,15 @@ def index_table(
         means=cube.mean(axis=1),
         stds=stds,
     )
+
+
+def _shape(spec: CultureSpec) -> tuple[int, int]:
+    """``(voters, candidates)`` of the elections a spec draws; a noisy
+    spec draws its base's."""
+    while spec.family == "noisy":
+        base = spec.params["base"]
+        spec = base if isinstance(base, CultureSpec) else CultureSpec.from_dict(base)
+    return spec.n, spec.m
 
 
 # -- features and the map -------------------------------------------------
@@ -499,17 +671,22 @@ class MapResult:
         return write_csv_matrix(rows, ["label", "group", "x", "y"])
 
 
-def map_of_elections(items: Iterable[tuple[str, str, Election]], seed: int = 0) -> MapResult:
-    """Compute feature vectors for ``(label, group, election)`` items and
-    embed their pairwise feature distances."""
+def map_of_elections(
+    items: Iterable[tuple[str, str, Election]], seed: int = 0, workers: int = 1
+) -> MapResult:
+    """Compute feature vectors for ``(label, group, election)`` items, by
+    up to ``workers`` processes, and embed their pairwise feature distances."""
     items = list(items)
     if len(items) < 2:
         raise ValueError("a map needs at least two elections")
 
-    features = np.empty((len(items), 3))
-    for idx, (_, _, e) in enumerate(items):
-        features[idx] = feature_vector(e, derive_seed(seed, "map", idx))
+    def features_of(idx: int) -> np.ndarray:
+        e = items[idx][2]
+        vector = feature_vector(e, derive_seed(seed, "map", idx))
         e.clear_cache()  # its spectral system is not needed past this point
+        return vector
+
+    features = np.array(list(_map_items(features_of, len(items), workers)))
     # exactly symmetric with a zero diagonal: (a - b)^2 is (b - a)^2, a - a is 0
     distances = _pairwise(features)
     embedding = mds_embed(distances)

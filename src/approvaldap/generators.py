@@ -398,6 +398,9 @@ class SpecError(ValueError):
         self.field = field
         self.message = message
 
+    def __reduce__(self):  # so that it crosses from a worker process intact
+        return type(self), (self.field, self.message)
+
 
 def _check_integer(value, field: str) -> None:
     # a JSON integer or a numpy one: bool is an int subclass, and int()

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from approvaldap import cli
 from approvaldap.cli import main
 from approvaldap.io import read_native
 
@@ -391,17 +392,37 @@ def test_index_subsamples_oversized_files(tmp_path, capsys):
     assert abs(sampled - full) < 0.05  # statistics agree, computed on 1000 of 1500 ballots
 
 
-def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
-    from approvaldap import divpol, experiments
+def use_workers(monkeypatch, count):
+    """Run the CLI's commands in ``count`` processes, whatever the CPU count."""
+    monkeypatch.setattr(cli, "_worker_count", lambda: count)
+
+
+def k_party_files(tmp_path, monkeypatch):
+    """A 4-voter and a 40-voter file, and a cap that refuses out_div of the second."""
+    from approvaldap import divpol
     from approvaldap.generators import gen_k_party
     from approvaldap.io import write_native
 
     small, big = tmp_path / "small.json", tmp_path / "big.json"
     small.write_text(write_native(gen_k_party(10, 4, 2)))
     big.write_text(write_native(gen_k_party(10, 40, 2)))
-    # 20 draws fit densely (3200 bytes); 200 draws fit neither densely
-    # (320000 bytes) nor as an LP (1200 * 2 * 200 bytes)
+    # 20 draws fit densely (8 * 20 * (20 + 2) = 3520 bytes); 200 draws fit
+    # neither densely (323200 bytes) nor as an LP (1200 * 2 * 200 bytes)
     monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 1 << 12)
+    return small, big
+
+
+def assert_out_div_refusal(code, stdout, stderr, small, big):
+    assert code == 2
+    assert [line.split(",")[0] for line in stdout.strip().splitlines()] == ["file", str(small)]
+    assert f"error: {big}: out_div of 40 voters needs a 200x200 cost matrix" in stderr
+
+
+def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
+    from approvaldap import experiments
+
+    small, big = k_party_files(tmp_path, monkeypatch)
+    use_workers(monkeypatch, 1)  # the spy sees every call
     evaluated = []
     evaluate = experiments.evaluate_index
 
@@ -410,13 +431,21 @@ def test_index_refuses_out_div_beyond_memory_cap(tmp_path, capsys, monkeypatch):
         return evaluate(name, e, seed)
 
     monkeypatch.setattr(experiments, "evaluate_index", recording)
-    code, stdout, stderr = run(
-        capsys, "index", str(big), str(small), "--indices", "satr,out_div", "--seed", "1"
-    )
-    assert code == 2
-    assert [line.split(",")[0] for line in stdout.strip().splitlines()] == ["file", str(small)]
-    assert f"error: {big}: out_div of 40 voters needs a 200x200 cost matrix" in stderr
+    argv = ["index", str(big), str(small), "--indices", "satr,out_div", "--seed", "1"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert_out_div_refusal(code, stdout, stderr, small, big)
     assert evaluated == [4, 4]  # nothing was computed on the refused file
+
+
+def test_index_refuses_out_div_beyond_memory_cap_in_two_workers(tmp_path, capsys, monkeypatch):
+    small, big = k_party_files(tmp_path, monkeypatch)
+    argv = ["index", str(big), str(small), "--indices", "satr,out_div", "--seed", "1"]
+    runs = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        runs.append(run(capsys, *argv))
+    assert_out_div_refusal(*runs[1], small, big)
+    assert runs[1] == runs[0]
 
 
 def test_index_refuses_out_div_draws_beyond_memory_cap(tmp_path, capsys, monkeypatch):
@@ -529,8 +558,12 @@ def test_manifest_commands_repeat_their_outputs(tmp_path, capsys):
 # Importing these costs the CLI's start-up about 0.3 s (scipy.stats alone
 # 0.4 s more): the two compiled solvers come from their extension files,
 # scipy.stats only from experiments.correlations, the LP's packages only
-# from divpol._transport, and numpy.ma from no numpy call the commands make
-HEAVY_MODULES = ("scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse", "numpy.ma")
+# from divpol._transport, and numpy.ma from no numpy call the commands make;
+# worker processes are forked with os.fork, not from multiprocessing (about
+# 30 ms to import and start a pool)
+HEAVY_MODULES = (
+    "scipy.stats", "scipy.linalg", "scipy.optimize", "scipy.sparse", "numpy.ma", "multiprocessing"
+)
 SMALL_SPECS = [
     {"family": "k_party", "m": 12, "n": 12, "seed": 0, "params": {"k": 2}},
     {"family": "p_ic", "m": 12, "n": 12, "seed": 1, "params": {"p": 0.5}},
@@ -556,8 +589,10 @@ def test_cli_leaves_heavy_modules_unloaded(tmp_path, command):
         "index": ["index", "--seed", "0", "--indices", "out_div,pcc_div,cntr_div"]
         + [str(p) for p in sorted(DATA.glob("*.pb")) if p.name != "city_over_caps.pb"],
     }[command]
+    # at one worker: this process's modules are then all that the command loaded
     code = (
         "import sys, approvaldap.cli\n"
+        "approvaldap.cli._worker_count = lambda: 1\n"
         f"argv = {argv!r}\n"
         "code = None if argv is None else approvaldap.cli.main(argv)\n"
         f"print(code, [m for m in {HEAVY_MODULES!r} if m in sys.modules])\n"
@@ -566,3 +601,200 @@ def test_cli_leaves_heavy_modules_unloaded(tmp_path, command):
     # index exits 1: four of the files are refused, and the others still run
     want = {"import": "None", "table": "0", "map": "0", "index": "1"}[command]
     assert out.stdout.splitlines()[-1] == f"{want} []"
+
+
+# -- items scored in worker processes ------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_and_two_workers_write_the_same_bytes(tmp_path, capsys, monkeypatch):
+    small, big = k_party_files(tmp_path, monkeypatch)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"seed": 1, "samples": 2, "specs": SMALL_SPECS}))
+    entries = [{"group": f"g{i}", "spec": spec} for i, spec in enumerate(SMALL_SPECS * 2)]
+    map_manifest = tmp_path / "map.json"
+    map_manifest.write_text(json.dumps({"seed": 1, "entries": entries}))
+    # good, refused (out_div over the cap; the 1200-voter file is subsampled
+    # first), unreadable and missing files
+    paths = [small, big, DATA / "city_over_caps.pb", DATA / "malformed_row.pb", tmp_path / "none.pb", small]
+    commands = {
+        "table": ["table", "--manifest", str(table)],
+        "map": ["map", "--manifest", str(map_manifest)],
+        "resample": ["resample", "--index", "pcc_pol", "--m", "12", "--n", "12", "--samples", "2"],
+        "index": ["index", "--indices", "satr,pcc_agr,out_div", *map(str, paths)],
+    }
+    outputs = {}
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        for command, argv in commands.items():
+            out_dir = tmp_path / f"{command}-{workers}"
+            extra = [] if command == "index" else ["--out-dir", str(out_dir)]
+            code, stdout, stderr = run(capsys, *argv, *extra)
+            files = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+            outputs.setdefault(command, []).append(
+                (code, stdout.replace(str(out_dir), "OUT"), stderr, files)
+            )
+        assert_no_child_left()
+    assert outputs["index"][0][0] == 2 and outputs["index"][0][2].count("error:") == 4
+    assert len(outputs["map"][0][3]) == 4
+    for command, (one, two) in outputs.items():
+        assert one == two, command
+
+
+def table_with_refusals(tmp_path, monkeypatch, refuse):
+    """A four-culture table manifest whose index evaluation calls
+    ``refuse(r, t)`` on every sample t of the cultures r >= 1."""
+    from approvaldap import experiments
+
+    table = tmp_path / "table.json"
+    manifest = {"seed": 3, "samples": 2, "specs": SMALL_SPECS * 2, "indices": ["satr", "pcc_div"]}
+    table.write_text(json.dumps(manifest))
+    cells = {experiments.derive_seed(3, "table", r, t): (r, t) for r in range(4) for t in range(2)}
+    evaluate = experiments.evaluate_index
+
+    def refusing(name, e, seed):
+        r, t = cells[seed]
+        if r >= 1:
+            refuse(r, t)
+        return evaluate(name, e, seed)
+
+    monkeypatch.setattr(experiments, "evaluate_index", refusing)
+    return ["table", "--manifest", str(table), "--out-dir", str(tmp_path)]
+
+
+def test_workers_raise_the_lowest_failing_item_like_one_worker(tmp_path, capsys, monkeypatch):
+    def refuse(r, t):
+        raise cli.ManifestError(f"/specs/{r}", f"sample {t} refused")
+
+    argv = table_with_refusals(tmp_path, monkeypatch, refuse)
+    runs = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        runs.append(run(capsys, *argv))
+        assert_no_child_left()
+    assert runs[0] == (2, "", "error: /specs/1: sample 0 refused\n")
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "how, message",
+    [
+        ("exit", "exited with code 3"),
+        ("kill", "was killed by SIGKILL"),
+    ],
+)
+def test_a_worker_that_dies_fails_the_command(tmp_path, capsys, monkeypatch, how, message):
+    import signal
+    import time
+
+    parent = os.getpid()
+
+    def die(r, t):
+        if os.getpid() == parent:
+            time.sleep(0.1)  # so that the child takes an item
+        elif how == "exit":
+            os._exit(3)
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    argv = table_with_refusals(tmp_path, monkeypatch, die)
+    use_workers(monkeypatch, 2)
+    affinity = os.sched_getaffinity(0)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: a worker process {message} before returning its items\n"
+    assert os.sched_getaffinity(0) == affinity
+    assert_no_child_left()
+
+
+def test_index_prints_a_failing_file_lines_before_its_error(tmp_path, capsys, monkeypatch):
+    # the subsampled file's notice, the failing file's own notice, then the error
+    from approvaldap import experiments
+    from approvaldap.generators import gen_k_party
+    from approvaldap.io import write_native
+
+    small, wide = tmp_path / "small.json", tmp_path / "wide.json"
+    small.write_text(write_native(gen_k_party(10, 4, 2)))
+    wide.write_text(write_native(gen_k_party(210, 4, 2)))
+    evaluate = experiments.evaluate_index
+
+    def failing(name, e, seed):
+        if e.num_voters == 4 and e.num_candidates == 200:
+            raise RuntimeError("scoring failed")
+        return evaluate(name, e, seed)
+
+    monkeypatch.setattr(experiments, "evaluate_index", failing)
+    paths = [small, DATA / "city_over_caps.pb", wide, small]
+    argv = ["index", "--seed", "0", "--indices", "satr", *map(str, paths)]
+    runs = []
+    for workers in (1, 2):
+        use_workers(monkeypatch, workers)
+        runs.append(run(capsys, *argv))
+        assert_no_child_left()
+    assert runs[0] == (
+        1,
+        "",
+        f"notice: {paths[1]}: subsampled 1200x240 -> 1000x200 (use --full to keep all)\n"
+        f"notice: {wide}: subsampled 4x210 -> 4x200 (use --full to keep all)\n"
+        "error: scoring failed\n",
+    )
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize(
+    "indices, full, want",
+    [("satr,out_div", False, 4), ("satr,out_div", True, 1), ("satr,pcc_div", True, 6)],
+)
+def test_index_runs_out_div_in_as_many_workers_as_fit_its_memory_limit(
+    tmp_path, capsys, monkeypatch, indices, full, want
+):
+    # subsampled to at most 1000 voters, out_div needs up to 240 MB a file;
+    # under --full one file may take the whole 1 GiB
+    from approvaldap import experiments
+
+    seen = []
+    map_items = experiments._map_items
+
+    def spy(fn, count, workers=1):
+        seen.append(workers)
+        return map_items(fn, count, workers)
+
+    monkeypatch.setattr(experiments, "_map_items", spy)
+    use_workers(monkeypatch, 6)
+    argv = ["index", "--seed", "0", "--indices", indices, str(DATA / "city_small.pb")]
+    code, _, _ = run(capsys, *argv, *(["--full"] if full else []))
+    assert code == 0 and seen == [want]
+
+
+@pytest.mark.parametrize("call", ["sched_getaffinity", "fork"])
+def test_commands_run_as_a_plain_loop_without_fork_or_affinity(tmp_path, capsys, monkeypatch, call):
+    monkeypatch.delattr(os, call)
+    assert cli._worker_count() == 1
+    out = tmp_path / "e.json"
+    argv = ["--family", "p_ic", "--p", "0.5", "--m", "12", "--n", "12", "--seed", "1"]
+    assert run(capsys, "generate", *argv, "--out", str(out))[0] == 0
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"seed": 1, "samples": 2, "specs": SMALL_SPECS}))
+    code, _, _ = run(capsys, "table", "--manifest", str(table), "--out-dir", str(tmp_path))
+    assert code == 0 and (tmp_path / "index_table.csv").exists()
+
+
+def test_worker_count_keeps_to_the_cgroup_cpu_quota(tmp_path, monkeypatch):
+    import math
+
+    assert cli._cpu_quota(str(tmp_path)) == math.inf  # no cgroup files
+    v1 = tmp_path / "cpu"
+    v1.mkdir()
+    (v1 / "cpu.cfs_period_us").write_text("100000\n")
+    for quota, want in (("-1\n", math.inf), ("50000\n", 1), ("150000\n", 2)):
+        (v1 / "cpu.cfs_quota_us").write_text(quota)
+        assert cli._cpu_quota(str(tmp_path)) == want
+    for line, want in (("max 100000\n", math.inf), ("200000 100000\n", 2), ("bad\n", math.inf)):
+        (tmp_path / "cpu.max").write_text(line)  # cgroup v2, read first
+        assert cli._cpu_quota(str(tmp_path)) == want
+    monkeypatch.setattr(cli, "_cpu_quota", lambda: 1)
+    assert cli._worker_count() == 1

@@ -291,12 +291,44 @@ def test_sampled_matching_over_dense_cap_runs_lp(monkeypatch):
 def test_sampled_matching_refuses_when_neither_solver_fits(monkeypatch):
     e = gen_k_party(10, 40, 2)
     monkeypatch.setattr(divpol, "_SAMPLES_PER_VOTER", 2)
-    # dense: 8 * 80^2 = 51200 bytes; LP: 1200 * 2 distinct ballots * 80 draws = 192000
-    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80 - 1)
+    # dense: 8 * 80 * (80 + 2 distinct ballots) = 52480 bytes;
+    # LP: 1200 * 2 distinct ballots * 80 draws = 192000
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 82 - 1)
     with pytest.raises(ValueError, match=r"out_div of 40 voters needs a 80x80 cost matrix"):
         ham_to_universe(e, 0)
-    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80)
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 82)
     assert ham_to_universe(e, 0) > 0.0
+
+
+def test_dense_estimate_counts_the_first_repeat(monkeypatch):
+    # the 80 x 2 first repeat is alive while the 80 x 80 cost is built, so a
+    # cap that holds the cost alone (and not the LP) is too small
+    e = gen_k_party(10, 40, 2)
+    monkeypatch.setattr(divpol, "_SAMPLES_PER_VOTER", 2)
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 8 * 80 * 80)
+    with pytest.raises(ValueError, match=r"needs a 80x80 cost matrix \(0\.0 GiB\)"):
+        divpol.check_out_div_size(e)
+    # the assignment's traced peak holds both arrays
+    import tracemalloc
+
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 1 << 30)
+    monkeypatch.setattr(divpol, "_LP_CELL_RATIO", math.inf)  # always the assignment
+    repeat = np.repeat
+
+    def traced_repeat(*args, **kwargs):
+        out = repeat(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    peaks: list = []
+    monkeypatch.setattr(divpol.np, "repeat", traced_repeat)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ham_to_universe(e, 0)
+    finally:
+        tracemalloc.stop()
+    assert peaks[-1] - base >= 8 * 80 * 82
 
 
 LP_IN_A_FRESH_PROCESS = """

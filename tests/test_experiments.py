@@ -1,13 +1,21 @@
 import math
+import os
+import pickle
+import time
 
 import numpy as np
 import pytest
 
 from approvaldap.agreement import av_agr, cntr_agr, jacc_agr, pair_agr, pcc_agr, pccplus_agr
+from approvaldap.cli import ManifestError
 from approvaldap.core import Election, stats
 from approvaldap.divpol import cntr_div, cntr_pol, out_div, pair_pol, pcc_div, pcc_pol
+from approvaldap import experiments
 from approvaldap.experiments import (
+    _ROUND_ITEMS,
     INDEX_NAMES,
+    _cpus_unbalanced,
+    _map_items,
     MapEntry,
     complementarity,
     compass_specs,
@@ -20,7 +28,7 @@ from approvaldap.experiments import (
     resampling_experiment,
     synthetic_map_entries,
 )
-from approvaldap.generators import CultureSpec, gen_k_party, gen_p_id, sample
+from approvaldap.generators import CultureSpec, SpecError, gen_k_party, gen_p_id, sample
 
 from conftest import make_random_election
 
@@ -236,3 +244,161 @@ def test_map_of_elections_small():
     assert "label,group,agr,div,pol" in result.feature_csv().splitlines()[0]
     with pytest.raises(ValueError):
         map_of_elections(items[:1], seed=4)
+
+
+# -- items scored in worker processes ------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_map_items_keeps_item_order_over_rounds():
+    affinity = os.sched_getaffinity(0)
+    count = 2 * _ROUND_ITEMS + 5
+    assert list(_map_items(lambda i: i * i, count, 2)) == [i * i for i in range(count)]
+    assert os.sched_getaffinity(0) == affinity
+    assert_no_child_left()
+
+
+def test_map_items_shares_items_over_every_worker():
+    # more workers than cores; 0.9 s of items leaves each child time to start
+    def pid_of(i):
+        time.sleep(0.03)
+        return os.getpid()
+
+    pids = list(_map_items(pid_of, 30, 3))
+    assert os.getpid() in pids and len(set(pids)) == 3
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin apart")
+@pytest.mark.parametrize("unbalanced", [True, False])
+def test_map_items_pins_only_where_the_cpus_are_unbalanced(monkeypatch, unbalanced):
+    affinity = os.sched_getaffinity(0)
+    monkeypatch.setattr(experiments, "_cpus_unbalanced", lambda: unbalanced)
+
+    def cpus_of(i):
+        time.sleep(0.03)
+        return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+    placements = dict(_map_items(cpus_of, 20, 2))
+    assert len(placements) == 2
+    if unbalanced:
+        assert all(len(cpus) == 1 for cpus in placements.values())
+        assert len(set(placements.values())) == 2
+    else:
+        assert set(placements.values()) == {frozenset(affinity)}
+    assert os.sched_getaffinity(0) == affinity
+    assert_no_child_left()
+
+
+def test_cpus_unbalanced_reads_every_cpuset_down_to_its_own(tmp_path):
+    cgroups = tmp_path / "cgroup"
+    cgroups.write_text("4:memory:/box\n3:cpuset:/jobs\n0::/\n")
+    root = tmp_path / "cpuset"
+    (root / "jobs").mkdir(parents=True)
+    (root / "cpuset.sched_load_balance").write_text("0\n")
+    (root / "jobs" / "cpuset.sched_load_balance").write_text("0\n")
+    assert _cpus_unbalanced(str(cgroups), str(root))
+    (root / "cpuset.sched_load_balance").write_text("1\n")  # the root balances its children
+    assert not _cpus_unbalanced(str(cgroups), str(root))
+    (root / "jobs" / "cpuset.sched_load_balance").unlink()
+    assert not _cpus_unbalanced(str(cgroups), str(root))
+    cgroups.write_text("0::/\n")  # cgroup v2 alone
+    assert not _cpus_unbalanced(str(cgroups), str(root))
+    assert not _cpus_unbalanced(str(tmp_path / "none"), str(root))
+
+
+def test_map_items_raises_the_lowest_failing_item():
+    def fn(i):
+        if i in (1, 2):
+            raise ValueError(f"item {i}")
+        time.sleep(0.05)
+        return i
+
+    for workers in (1, 2, 3):
+        got = []
+        with pytest.raises(ValueError, match="^item 1$"):
+            for result in _map_items(fn, 6, workers):
+                got.append(result)
+        assert got == [0]  # the results before it, as the plain loop yields them
+        assert_no_child_left()
+
+
+def test_map_items_stops_every_worker_after_a_failure(tmp_path):
+    # the other process finishes the item it holds and takes no more
+    scored = tmp_path / "scored"
+
+    def fn(i):
+        if i == 2:
+            raise ValueError("item 2")
+        time.sleep(0.02)
+        with open(scored, "a") as f:
+            f.write(f"{i}\n")
+
+    with pytest.raises(ValueError, match="^item 2$"):
+        list(_map_items(fn, 60, 2))
+    assert len(scored.read_text().split()) < 10
+    assert_no_child_left()
+
+
+def test_map_items_brings_a_child_exception_back_intact():
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() != parent:
+            raise ManifestError(f"/items/{i}", "refused in a child")
+        time.sleep(0.05)
+        return i
+
+    with pytest.raises(ManifestError) as info:
+        list(_map_items(fn, 6, 2))
+    assert info.value.pointer != "" and info.value.message == "refused in a child"
+    assert str(info.value) == f"{info.value.pointer}: refused in a child"
+    spec_error = pickle.loads(pickle.dumps(SpecError("/params/p", "must be a number")))
+    assert (spec_error.field, str(spec_error)) == ("/params/p", "/params/p: must be a number")
+    assert_no_child_left()
+
+
+def test_map_items_kills_the_children_when_its_own_share_is_interrupted():
+    parent = os.getpid()
+
+    def fn(i):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    affinity = os.sched_getaffinity(0)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        list(_map_items(fn, 4, 2))
+    assert time.perf_counter() - start < 30
+    assert os.sched_getaffinity(0) == affinity
+    assert_no_child_left()
+
+
+def test_out_div_runs_in_as_many_workers_as_fit_its_memory_limit(monkeypatch):
+    from approvaldap import divpol
+
+    # 1000 voters: 5000 draws against 1000 ballots, 8 * 5000 * 6000 bytes
+    assert divpol._out_div_fit([(60, 60), (1000, 200)]) == (1 << 30) // 240_000_000 == 4
+    assert divpol._out_div_fit([(2500, 100)]) == 1  # over the limit: the LP, or refused
+    seen = []
+    map_items = experiments._map_items
+
+    def spy(fn, count, workers=1):
+        seen.append(workers)
+        return map_items(fn, count, workers)
+
+    monkeypatch.setattr(experiments, "_map_items", spy)
+    # the table's noisy culture draws its 12x20 base: 8 * 60 * (60 + 12) bytes
+    base = CultureSpec("p_ic", 20, 12, params={"p": 0.5})
+    noisy = CultureSpec("noisy", 5, 5, params={"phi": 0.5, "base": base})
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 2 * 8 * 60 * 72)
+    index_table([noisy], samples=2, seed=0, indices=["satr", "out_div"], workers=3)
+    index_table([noisy], samples=2, seed=0, indices=["satr"], workers=3)
+    resampling_experiment("out_div", m=12, n=12, samples=1, seed=0, workers=3)
+    assert seen == [2, 3, 2]
+    assert_no_child_left()

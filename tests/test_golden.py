@@ -21,7 +21,11 @@ after its first pick.  A rewrite that moves any printed digit of any index
 fails here.  The two manifests also run under both BLAS thread counts, in
 process (the CLI's one-thread block and a thread variable that overrides
 it) and in fresh processes, and with ``approvaldap._solvers`` falling
-back to the public scipy functions.
+back to the public scipy functions.  In process, every command scores its
+items in two worker processes, and the goldens of many items run again
+in one, the plain loop; an ``index`` of one file takes the plain loop at
+any count (``tests/test_cli.py`` also compares one and two workers byte
+for byte on small inputs).
 
 ``tests/data/golden/paper/`` pins the paper's own commands at full size:
 the ``index_table.csv`` of ``table --compass`` (14 cultures at 60x60), the
@@ -39,6 +43,8 @@ Every golden pins the floating-point kernels of numpy 2.4.6 and scipy
 last digit without any change here.
 """
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -47,6 +53,7 @@ from pathlib import Path
 
 import pytest
 
+from approvaldap import cli
 from approvaldap.cli import main
 from approvaldap.experiments import (
     INDEX_NAMES,
@@ -75,6 +82,11 @@ def write_map_manifest(path: Path) -> None:
     entries = [corpus[i].to_dict() for i in MAP_ENTRIES]
     assert [en["spec"]["n"] for en in entries] == [1000, 1000, 1000]
     path.write_text(json.dumps({"seed": 19, "entries": entries}))
+
+
+@pytest.fixture(autouse=True)
+def two_workers(monkeypatch):
+    monkeypatch.setattr(cli, "_worker_count", lambda: 2)
 
 
 # (command, manifest writer, golden files) of the runs repeated under other BLAS settings
@@ -195,6 +207,26 @@ def test_goldens_do_not_depend_on_blas_threads(tmp_path):
             for name in names:
                 got = (out_dir / name).read_bytes()
                 assert got == (GOLDEN / name).read_bytes(), (threads, name)
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        test_table_manifest_matches_golden,
+        test_map_manifest_matches_golden,
+        functools.partial(test_resample_matches_golden, index="pcc_pol"),
+        functools.partial(test_resample_matches_golden, index="cntr_div"),
+        test_compass_table_matches_golden,
+        test_resample_pair_agr_matches_golden,
+    ],
+    ids=["table", "map", "resample_pcc_pol", "resample_cntr_div", "compass", "resample_pair_agr"],
+)
+def test_goldens_at_one_worker(golden, tmp_path, monkeypatch, capsys):
+    # the plain loop: the library's default, and the path on a one-CPU host
+    monkeypatch.setattr(cli, "_worker_count", lambda: 1)
+    fixtures = {"tmp_path": tmp_path, "monkeypatch": monkeypatch, "capsys": capsys}
+    wanted = inspect.signature(golden).parameters
+    golden(**{name: fixture for name, fixture in fixtures.items() if name in wanted})
 
 
 # Run in a fresh process: with no extension suffix to try, _solvers finds
