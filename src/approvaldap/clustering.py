@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ._solvers import eigh
-from .core import Election, seeded_streams
+from .core import Election, seeded_streams, stream_uniforms
 from .metrics import hamming_factors, pcc_matrix, pcc_weights
 
 __all__ = [
@@ -323,10 +323,7 @@ def _kmeans(points: np.ndarray, k: int, weights: np.ndarray, seed: int) -> np.nd
     k = min(k, n)
     coords = np.ascontiguousarray(points.T)
     # each init's stream: one uniform per pick
-    stream = seeded_streams(seed)
-    uniforms = np.empty((_KMEANS_INITS, k))
-    for init in range(_KMEANS_INITS):
-        stream(_KMEANS_STREAM + init).random(out=uniforms[init])
+    uniforms = stream_uniforms(seed, range(_KMEANS_STREAM, _KMEANS_STREAM + _KMEANS_INITS), k)
 
     chosen = np.empty((_KMEANS_INITS, k), dtype=np.int64)
     chosen[:, 0] = _weighted_picks(weights[None], uniforms[:, 0])

@@ -3,11 +3,11 @@
 The map places each election at its (agreement, diversity, polarization)
 feature vector, measures pairwise Euclidean feature distances, and embeds
 the distance matrix in the plane with stress-majorization MDS.  Every
-protocol scores independent items (table samples, grid cells, map
-elections), each under a seed derived from the experiment seed, so
-results follow from the seed alone.  Given ``workers > 1`` the items are
-shared out over forked processes, one per CPU (:func:`_map_items`); the
-results are the same bytes at any worker count.
+protocol scores independent items (the samples of table cultures and of
+grid cells, map elections), each under a seed derived from the experiment
+seed, so results follow from the seed alone.  Given ``workers > 1`` the
+items are shared out over forked processes, one per CPU
+(:func:`_map_items`); the results are the same bytes at any worker count.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import pickle
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -265,29 +266,28 @@ def resampling_experiment(
 
     Rows fix the expected saturation ``p`` and columns fix the resampling
     noise ``phi``; an index whose columns are far from constant depends on
-    saturation rather than on election structure.  The cells are scored
-    by up to ``workers`` processes, fewer for ``out_div`` where its
-    matrices would not fit in its memory limit together.
+    saturation rather than on election structure.  Sample ``t`` of cell
+    ``(i, j)`` is drawn and scored under ``derive_seed(seed, "resampling",
+    i, j, t)``, by up to ``workers`` processes (see
+    :func:`_sample_scores`), and each cell's mean sums its samples in
+    sample order.
     """
     if samples < 1:
         raise ValueError("need at least one sample per cell")
     if index not in INDEX_NAMES:
         raise ValueError(f"unknown index {index!r}")
+    specs = [
+        CultureSpec("resampling", m, n, params={"p": p, "phi": phi})
+        for p in P_GRID
+        for phi in PHI_GRID
+    ]
 
-    def cell_mean(cell: int) -> float:
-        i, j = divmod(cell, len(PHI_GRID))
-        params = {"p": P_GRID[i], "phi": PHI_GRID[j]}
-        total = 0.0
-        for t in range(samples):
-            cell_seed = derive_seed(seed, "resampling", i, j, t)
-            spec = CultureSpec("resampling", m, n, seed=cell_seed, params=params)
-            total += evaluate_index(index, sample(spec), cell_seed)
-        return total / samples
+    def seed_of(cell: int, t: int) -> int:
+        return derive_seed(seed, "resampling", *divmod(cell, len(PHI_GRID)), t)
 
-    if index == "out_div":
-        workers = min(workers, divpol._out_div_fit([(n, m)]))
-    shape = (len(P_GRID), len(PHI_GRID))
-    values = np.array(list(_map_items(cell_mean, shape[0] * shape[1], workers))).reshape(shape)
+    cube = _sample_scores(specs, samples, [index], seed_of, workers)
+    # sample order, as a running total: a mean over axis 1 rounds some cells apart
+    values = (sum(cube[:, t, 0] for t in range(samples)) / samples).reshape(len(P_GRID), -1)
     values.setflags(write=False)
     return ResamplingMatrix(
         index=index,
@@ -339,33 +339,21 @@ def index_table(
 ) -> IndexTable:
     """Sample each culture and tabulate mean/std of the selected indices.
 
-    Each spec is drawn ``samples`` times under seeds derived from the
-    experiment seed (overriding the spec's own seed field), so a table is
-    reproducible from ``(specs, samples, seed)`` alone.  Standard
-    deviations are population standard deviations over the sampled
-    elections; deterministic cultures yield identical elections, but
-    clustering-backed indices still vary with the per-sample seeds.  The
-    samples are drawn and scored by up to ``workers`` processes, fewer for
-    ``out_div`` where its matrices would not fit in its memory limit
-    together.
+    Sample ``t`` of spec ``r`` is drawn and scored under
+    ``derive_seed(seed, "table", r, t)``, which overrides the spec's own
+    seed field, by up to ``workers`` processes (see
+    :func:`_sample_scores`), so a table is reproducible from ``(specs,
+    samples, seed)`` alone.  Standard deviations are
+    population standard deviations over the sampled elections;
+    deterministic cultures yield identical elections, but
+    clustering-backed indices still vary with the per-sample seeds.
     """
     if samples < 1:
         raise ValueError("need at least one sample per culture")
     for name in indices:
         if name not in INDEX_NAMES:
             raise ValueError(f"unknown index {name!r}")
-
-    def scores(item: int) -> list:
-        r, t = divmod(item, samples)
-        run_seed = derive_seed(seed, "table", r, t)
-        e = sample(specs[r].with_seed(run_seed))
-        return [evaluate_index(name, e, run_seed) for name in indices]
-
-    if "out_div" in indices:
-        workers = min(workers, divpol._out_div_fit(map(_shape, specs)))
-    shape = (len(specs), samples, len(indices))
-    cube = np.array(list(_map_items(scores, shape[0] * samples, workers)), dtype=np.float64)
-    cube = cube.reshape(shape)
+    cube = _sample_scores(specs, samples, indices, partial(derive_seed, seed, "table"), workers)
     stds = cube.std(axis=1)
     stds[stds < 1e-12] = 0.0  # identical samples should report exactly zero spread
     return IndexTable(
@@ -376,13 +364,29 @@ def index_table(
     )
 
 
-def _shape(spec: CultureSpec) -> tuple[int, int]:
-    """``(voters, candidates)`` of the elections a spec draws; a noisy
-    spec draws its base's."""
-    while spec.family == "noisy":
-        base = spec.params["base"]
-        spec = base if isinstance(base, CultureSpec) else CultureSpec.from_dict(base)
-    return spec.n, spec.m
+def _sample_scores(
+    specs: Sequence[CultureSpec], samples: int, indices: Sequence[str],
+    seed_of: Callable[[int, int], int], workers: int,
+) -> np.ndarray:
+    """The ``(len(specs), samples, len(indices))`` float64 cube whose
+    ``[r, t]`` row scores ``indices`` on sample ``t`` of ``specs[r]``, drawn
+    and scored under ``seed_of(r, t)``.
+
+    The samples are drawn and scored by up to ``workers`` processes, fewer
+    for ``out_div`` where its matrices, on ``spec.n`` voters and ``spec.m``
+    candidates, would not fit in its memory limit together.
+    """
+
+    def scores(item: int) -> list:
+        r, t = divmod(item, samples)
+        run_seed = seed_of(r, t)
+        e = sample(specs[r].with_seed(run_seed))
+        return [evaluate_index(name, e, run_seed) for name in indices]
+
+    if "out_div" in indices:
+        workers = min(workers, divpol._out_div_fit((spec.n, spec.m) for spec in specs))
+    cube = np.array(list(_map_items(scores, len(specs) * samples, workers)), dtype=np.float64)
+    return cube.reshape(len(specs), samples, len(indices))
 
 
 # -- features and the map -------------------------------------------------

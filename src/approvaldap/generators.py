@@ -349,11 +349,7 @@ class Family:
 
 
 def _draw_noisy(m: int, n: int, params: Mapping, seed: int) -> Election:
-    base_spec = params["base"]
-    if not isinstance(base_spec, CultureSpec):
-        base_spec = CultureSpec.from_dict(base_spec)
-    base = sample(base_spec.with_seed(seed))
-    return gen_noisy(base, params["phi"], seed)
+    return gen_noisy(sample(params["base"].with_seed(seed)), params["phi"], seed)
 
 
 FAMILIES: dict[str, Family] = {
@@ -441,12 +437,15 @@ _PARAM_CHECKS = {
 
 @dataclass(frozen=True)
 class CultureSpec:
-    """Declarative description of one election draw.
+    """Declarative description of one election draw: an ``n x m``
+    election of ``family``, for every family.
 
-    ``params`` carries the family-specific parameters; for the ``noisy``
-    family it holds ``phi`` plus a nested ``base`` spec whose own seed is
-    superseded by the outer spec's seed when sampling.  Specs serialize to
-    plain dicts so experiment manifests can be stored as JSON.
+    ``params`` carries the family-specific parameters, copied into a dict
+    of the spec's own; for the ``noisy`` family it holds ``phi`` plus a
+    nested ``base`` spec (a dict is read with :meth:`from_dict`) of the
+    same ``m`` and ``n``, whose own seed is superseded by the outer spec's
+    seed when sampling.  Specs serialize to plain dicts so experiment
+    manifests can be stored as JSON.
     """
 
     family: str
@@ -457,6 +456,8 @@ class CultureSpec:
     label: Optional[str] = None
 
     def __post_init__(self):
+        params = dict(self.params)
+        object.__setattr__(self, "params", params)  # later changes to the caller's dict stay out
         family = FAMILIES.get(self.family)
         if family is None:
             raise ValueError(f"unknown family {self.family!r}")
@@ -464,11 +465,22 @@ class CultureSpec:
             _check_integer(getattr(self, name), f"/{name}")
         if self.label is not None and not isinstance(self.label, str):
             raise SpecError("/label", f"must be a string, got {self.label!r}")
-        missing = [name for name in family.params if name not in self.params]
+        missing = [name for name in family.params if name not in params]
         if missing:
             raise ValueError(f"family {self.family!r} needs parameter(s) {', '.join(missing)}")
         for name in family.params:
-            _PARAM_CHECKS[name](self.params[name], f"/params/{name}")
+            _PARAM_CHECKS[name](params[name], f"/params/{name}")
+        if "base" in family.params:
+            base = params["base"]
+            if not isinstance(base, CultureSpec):
+                try:
+                    base = params["base"] = CultureSpec.from_dict(base)
+                except SpecError as exc:
+                    raise SpecError(f"/params/base{exc.field}", exc.message) from None
+            for name in ("m", "n"):
+                if getattr(self, name) != getattr(base, name):
+                    shape = f"m={base.m} n={base.n}, not m={self.m} n={self.n}"
+                    raise SpecError(f"/{name}", f"the noisy family keeps the base's shape {shape}")
         if family.square and self.m != self.n:
             raise ValueError(f"{self.family} elections require n = m, got m={self.m}, n={self.n}")
 
@@ -483,7 +495,7 @@ class CultureSpec:
 
     def to_dict(self) -> dict:
         params = dict(self.params)
-        if "base" in params and isinstance(params["base"], CultureSpec):
+        if "base" in FAMILIES[self.family].params:
             params["base"] = params["base"].to_dict()
         out = {"family": self.family, "m": self.m, "n": self.n, "seed": self.seed, "params": params}
         if self.label is not None:
@@ -492,18 +504,12 @@ class CultureSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CultureSpec":
-        params = dict(data.get("params", {}))
-        if "base" in params and isinstance(params["base"], Mapping):
-            try:
-                params["base"] = cls.from_dict(params["base"])
-            except SpecError as exc:
-                raise SpecError(f"/params/base{exc.field}", exc.message) from None
         return cls(
             family=data["family"],
             m=data["m"],
             n=data["n"],
             seed=data.get("seed", 0),
-            params=params,
+            params=data.get("params", {}),
             label=data.get("label"),
         )
 

@@ -10,12 +10,15 @@ from scipy.optimize import linear_sum_assignment
 
 from approvaldap import divpol
 from approvaldap.core import _KEY_MASK, Election, distinct_rows
+from approvaldap.experiments import P_GRID, PHI_GRID, derive_seed, evaluate_index
 from approvaldap.generators import (
     _ELECTION_STREAM,
+    CultureSpec,
     _check_prob,
     _check_sizes,
     _id_prefix,
     _master,
+    sample,
 )
 from approvaldap.io import ParseError
 from approvaldap.metrics import cross_hamming
@@ -531,3 +534,22 @@ def subsample_candidates_first(e: Election, max_candidates: int, max_voters: int
         keep = np.sort(rng.choice(e.num_voters, size=max_voters, replace=False))
         out = restrict_voters(out, keep)
     return out
+
+
+# -- the resampling grid scored cell by cell, before each sample became one
+# item of experiments._sample_scores ----------------------------------------
+
+
+def resampling_values(index: str, m: int, n: int, samples: int, seed: int) -> np.ndarray:
+    """The ``(p, phi)`` grid of ``resampling_experiment``: each cell's mean
+    of the index over its samples, summed in a running total."""
+    values = np.empty((len(P_GRID), len(PHI_GRID)))
+    for i, p in enumerate(P_GRID):
+        for j, phi in enumerate(PHI_GRID):
+            total = 0.0
+            for t in range(samples):
+                cell_seed = derive_seed(seed, "resampling", i, j, t)
+                spec = CultureSpec("resampling", m, n, seed=cell_seed, params={"p": p, "phi": phi})
+                total += evaluate_index(index, sample(spec), cell_seed)
+            values[i, j] = total / samples
+    return values

@@ -188,6 +188,8 @@ def test_table_manifest_checks_spec_types(tmp_path, capsys, field, value, pointe
 
 IC = {"family": "p_ic", "m": 5, "n": 5, "seed": 0, "params": {"p": 0.5}}
 PARTY = {"family": "k_party", "m": 5, "n": 6, "seed": 0, "params": {"k": 2}}
+# a noisy spec draws its base's shape, so it must state that shape
+NOISY = {"family": "noisy", "m": 5, "n": 5, "seed": 0, "params": {"phi": 0.5, "base": {**IC, "m": 20, "n": 12}}}
 
 
 @pytest.mark.parametrize(
@@ -224,6 +226,10 @@ PARTY = {"family": "k_party", "m": 5, "n": 6, "seed": 0, "params": {"k": 2}}
         ("map", {"seed": 1, "entries": [{"spec": IC}], "files": [{"path": "a.pb", "group": None}]}, "/files/0/group"),
         ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**PARTY, "label": ["x"]}}]}, "/entries/1/spec/label"),
         ("table", {"seed": 1, "specs": [{**IC, "label": ["x"]}]}, "/specs/0/label"),
+        ("table", {"seed": 1, "specs": [NOISY]}, "/specs/0/m"),
+        ("table", {"seed": 1, "specs": [IC, {**NOISY, "m": 20}]}, "/specs/1/n"),
+        ("table", {"seed": 1, "specs": [{**NOISY, "params": {"phi": 0.5, "base": {**IC, "n": 5.5}}}]}, "/specs/0/params/base/n"),
+        ("map", {"seed": 1, "entries": [{"spec": NOISY}, {"spec": IC}]}, "/entries/0/spec/m"),
     ],
 )
 def test_manifest_refusals_name_their_pointer(tmp_path, capsys, command, doc, pointer):

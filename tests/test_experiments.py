@@ -30,6 +30,7 @@ from approvaldap.experiments import (
 )
 from approvaldap.generators import CultureSpec, SpecError, gen_k_party, gen_p_id, sample
 
+import oracles
 from conftest import make_random_election
 
 
@@ -97,6 +98,18 @@ def test_resampling_experiment_shape_and_identity_column():
     assert np.array_equal(mat.values, again.values)
     csv = mat.to_csv()
     assert csv.splitlines()[0].startswith("p\\phi,phi=0,")
+
+
+@pytest.mark.parametrize("samples", [1, 3, 9])
+@pytest.mark.parametrize("index", ["pair_agr", "pcc_div"])
+def test_resampling_experiment_matches_the_cell_by_cell_loop(index, samples):
+    # each cell sums its samples in sample order: at 9 samples a mean over
+    # the samples' axis rounds some cells differently
+    want = oracles.resampling_values(index, 8, 8, samples, seed=4)
+    for workers in (1, 2):
+        got = resampling_experiment(index, m=8, n=8, samples=samples, seed=4, workers=workers)
+        assert np.array_equal(got.values, want), workers
+    assert_no_child_left()
 
 
 def test_index_table_reproducible():
@@ -393,9 +406,9 @@ def test_out_div_runs_in_as_many_workers_as_fit_its_memory_limit(monkeypatch):
         return map_items(fn, count, workers)
 
     monkeypatch.setattr(experiments, "_map_items", spy)
-    # the table's noisy culture draws its 12x20 base: 8 * 60 * (60 + 12) bytes
+    # the table's noisy culture draws 12x20 elections: 8 * 60 * (60 + 12) bytes
     base = CultureSpec("p_ic", 20, 12, params={"p": 0.5})
-    noisy = CultureSpec("noisy", 5, 5, params={"phi": 0.5, "base": base})
+    noisy = CultureSpec("noisy", 20, 12, params={"phi": 0.5, "base": base})
     monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 2 * 8 * 60 * 72)
     index_table([noisy], samples=2, seed=0, indices=["satr", "out_div"], workers=3)
     index_table([noisy], samples=2, seed=0, indices=["satr"], workers=3)

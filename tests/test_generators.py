@@ -10,7 +10,7 @@ import oracles
 from approvaldap import core, generators
 from approvaldap.agreement import AGREEMENT_INDICES
 from approvaldap.core import stats, stream_uniforms
-from approvaldap.experiments import compass_specs
+from approvaldap.experiments import SYNTHETIC_MAP_SEED, compass_specs, synthetic_map_entries
 from approvaldap.generators import (
     FAMILIES,
     CultureSpec,
@@ -213,8 +213,9 @@ def test_sample_validates_square_families():
     assert sample(CultureSpec("diagonal", 10, 10)).num_voters == 10
 
 
-def test_all_families_produce_valid_elections():
-    params = {
+def family_params(m: int, n: int) -> dict:
+    """Parameters of every family for an ``n x m`` spec."""
+    return {
         "p_id": {"p": 0.4},
         "k_party": {"k": 3},
         "xy_two_party": {"x": 0.3, "y": 0.6},
@@ -222,21 +223,85 @@ def test_all_families_produce_valid_elections():
         "triangle": {},
         "cyclic": {},
         "p_ic": {"p": 0.4},
-        "iam": {"probs": [0.2] * 12},
+        "iam": {"probs": [0.2] * m},
         "resampling": {"p": 0.4, "phi": 0.3},
         "euclidean": {"variant": 2},
         "id_ic": {"p": 0.4},
         "lin_ic": {},
-        "noisy": {"phi": 0.4, "base": CultureSpec("k_party", 12, 12, params={"k": 2})},
+        "noisy": {"phi": 0.4, "base": CultureSpec("k_party", m, n, params={"k": 2})},
         "id_mixture": {"k": 3, "p": 0.4},
         "iam_mixture": {"k": 3},
         "uneven_party_list": {},
     }
+
+
+def test_all_families_produce_valid_elections():
+    params = family_params(12, 12)
     assert set(params) == set(FAMILIES)
     for family, par in params.items():
         e = sample(CultureSpec(family, 12, 12, seed=1, params=par))
         assert e.num_candidates == 12 and e.num_voters == 12
         assert e.matrix.max() <= 1
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sample_draws_the_shape_its_spec_states(family):
+    # a size budget reads (spec.n, spec.m) before anything is drawn
+    m, n = (9, 9) if FAMILIES[family].square else (13, 7)
+    spec = CultureSpec(family, m, n, seed=2, params=family_params(m, n)[family])
+    assert sample(spec).matrix.shape == (spec.n, spec.m)
+
+
+def test_the_paper_corpora_construct():
+    specs = compass_specs() + [en.spec for en in synthetic_map_entries(SYNTHETIC_MAP_SEED)]
+    assert len(specs) == 14 + 244
+    noisy = [spec for spec in specs if spec.family == "noisy"]
+    assert len(noisy) == 2 + 2 + 25  # the map holds the compass too
+    for spec in noisy:
+        assert (spec.params["base"].m, spec.params["base"].n) == (spec.m, spec.n)
+
+
+@pytest.mark.parametrize("m, n, field", [(5, 5, "/m"), (20, 5, "/n"), (12, 20, "/m")])
+def test_noisy_spec_keeps_its_base_shape(m, n, field):
+    base = CultureSpec("p_ic", 20, 12, params={"p": 0.5})
+    for build in (
+        lambda: CultureSpec("noisy", m, n, params={"phi": 0.5, "base": base}),
+        lambda: CultureSpec("noisy", m, n, params={"phi": 0.5, "base": base.to_dict()}),
+        lambda: CultureSpec.from_dict(
+            {"family": "noisy", "m": m, "n": n, "params": {"phi": 0.5, "base": base.to_dict()}}
+        ),
+    ):
+        with pytest.raises(SpecError, match="keeps the base's shape m=20 n=12") as info:
+            build()
+        assert info.value.field == field
+    spec = CultureSpec("noisy", 20, 12, params={"phi": 0.5, "base": base})
+    assert sample(spec).matrix.shape == (12, 20)
+
+
+def test_noisy_dict_base_is_checked_and_read_when_built():
+    bad = {"family": "p_ic", "m": 5, "n": 5.5, "params": {"p": 0.5}}
+    with pytest.raises(SpecError) as info:
+        CultureSpec("noisy", 5, 5, params={"phi": 0.5, "base": bad})
+    assert info.value.field == "/params/base/n"
+    doc = {"family": "p_ic", "m": 5, "n": 6, "seed": 3, "params": {"p": 0.5}}
+    spec = CultureSpec("noisy", 5, 6, params={"phi": 0.5, "base": doc})
+    assert spec.params["base"] == CultureSpec.from_dict(doc)
+    assert spec == CultureSpec.from_dict(spec.to_dict())
+
+
+def test_spec_keeps_its_own_params():
+    params = {"p": 0.5}
+    spec = CultureSpec("p_ic", 5, 5, params=params)
+    params["p"] = "not a number"
+    del params["p"]
+    assert spec.params == {"p": 0.5}
+    base = {"family": "p_ic", "m": 5, "n": 5, "params": {"p": 0.5}}
+    noisy_params = {"phi": 0.5, "base": base}
+    noisy = CultureSpec("noisy", 5, 5, params=noisy_params)
+    noisy_params["phi"] = 2.0
+    base["m"] = 9
+    want = CultureSpec("p_ic", 5, 5, params={"p": 0.5})
+    assert noisy == CultureSpec("noisy", 5, 5, params={"phi": 0.5, "base": want})
 
 
 def test_iam_rejects_non_finite_probabilities():
