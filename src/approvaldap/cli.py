@@ -7,7 +7,13 @@ grid), and ``map`` (feature-distance map with MDS embedding).
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or validation error or
 too little memory.  Manifests must carry an explicit seed; ad-hoc commands
-default to seed 0 with a printed notice.  Each command runs with the
+default to seed 0 with a printed notice.  A manifest's specs are checked in
+full when it is read, and a refusal names the field, such as
+``/specs/0/params/k`` (``generate`` names the flag, such as ``--k``).
+Nothing is drawn or parsed before scoring starts: each sample, map entry
+and file is drawn or read inside the item that scores it, and a file that
+cannot be read fails its item, so the first bad file in manifest order is
+the one reported.  Each command runs with the
 OpenBLAS of numpy and of scipy on one thread, unless ``OPENBLAS_NUM_THREADS``
 or ``OMP_NUM_THREADS`` is set (see :func:`approvaldap._solvers.one_blas_thread`).
 ``table``, ``resample``, ``map`` and ``index`` score their independent
@@ -26,6 +32,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -175,25 +182,28 @@ def _ad_hoc_seed(seed: Optional[int]) -> int:
 
 def _cmd_generate(args) -> int:
     seed = _ad_hoc_seed(args.seed)
-    if args.family == "noisy":
-        if not args.base or args.phi is None:
-            raise ValueError("the noisy family needs --base <native election file> and --phi")
-        base = _read_election(Path(args.base))
-        shape = (base.num_candidates, base.num_voters)
-        asked = (shape[0] if args.m is None else args.m, shape[1] if args.n is None else args.n)
-        if asked != shape:
-            raise ValueError(
-                f"the noisy family keeps the base's shape m={shape[0]} n={shape[1]}, "
-                f"not m={asked[0]} n={asked[1]}"
-            )
-        e = gen_noisy(base, args.phi, seed)
-    else:
-        if args.m is None:
-            raise ValueError(f"the {args.family} family needs --m")
-        n = args.n if args.n is not None else args.m
-        params = _collect_params(args)
-        spec = CultureSpec(family=args.family, m=args.m, n=n, seed=seed, params=params)
-        e = sample(spec)
+    params = _collect_params(args)
+    try:
+        if args.family == "noisy":
+            if not args.base or args.phi is None:
+                raise ValueError("the noisy family needs --base <native election file> and --phi")
+            base = _read_election(Path(args.base))
+            shape = (base.num_candidates, base.num_voters)
+            asked = (shape[0] if args.m is None else args.m, shape[1] if args.n is None else args.n)
+            if asked != shape:
+                raise ValueError(
+                    f"the noisy family keeps the base's shape m={shape[0]} n={shape[1]}, "
+                    f"not m={asked[0]} n={asked[1]}"
+                )
+            e = gen_noisy(base, args.phi, seed)
+        else:
+            if args.m is None:
+                raise ValueError(f"the {args.family} family needs --m")
+            n = args.n if args.n is not None else args.m
+            e = sample(CultureSpec(family=args.family, m=args.m, n=n, seed=seed, params=params))
+    except SpecError as exc:  # the flag that set the field: /params/p is --p, /m is --m
+        flag = exc.field.split("/")[2 if exc.field.startswith("/params/") else 1]
+        raise ValueError(f"--{flag}: {exc.message}") from None
     if args.label:
         e.label = args.label
     Path(args.out).write_text(eio.write_native(e), encoding="utf-8")
@@ -203,16 +213,18 @@ def _cmd_generate(args) -> int:
 
 
 def _collect_params(args) -> dict:
+    """The family parameters given as flags, refusing a flag that the
+    family does not take."""
     params: dict = {}
-    for name in ("p", "phi", "x", "y", "k", "variant"):
+    for name in ("p", "phi", "x", "y", "k", "variant", "base"):
         value = getattr(args, name)
         if value is not None:
             params[name] = value
     if args.probs is not None:
         params["probs"] = [float(tok) for tok in args.probs.split(",") if tok.strip()]
-    missing = [key for key in FAMILIES[args.family].params if key not in params]
-    if missing:
-        raise ValueError(f"family {args.family!r} needs --{' --'.join(missing)}")
+    for name in params:
+        if name not in FAMILIES[args.family].params:
+            raise ValueError(f"--{name}: not a parameter of {args.family}")
     return params
 
 
@@ -319,26 +331,18 @@ def _require(doc, key, pointer, kind, type_name):
     return value
 
 
-def _draw_spec(entry, pointer: str) -> tuple[CultureSpec, Election]:
-    """The manifest spec at ``pointer`` and its election, every refusal,
-    the sampler's included, raised as a :class:`ManifestError` there."""
+def _build_spec(entry, pointer: str) -> CultureSpec:
+    """The manifest spec at ``pointer``, built and so checked in full (see
+    :class:`CultureSpec`) but not drawn; a refusal is raised as a
+    :class:`ManifestError` at its field, such as ``/specs/0/params/k``."""
     if not isinstance(entry, dict):
         raise ManifestError(pointer, "must be an object")
-    for key in ("family", "m", "n"):
-        if key not in entry:
-            raise ManifestError(f"{pointer}/{key}", "required field is missing")
     if "seed" not in entry:
         raise ManifestError(f"{pointer}/seed", "manifests must pin an explicit seed")
     try:
-        spec = CultureSpec.from_dict(entry)
+        return CultureSpec.from_dict(entry)
     except SpecError as exc:
         raise ManifestError(f"{pointer}{exc.field}", exc.message) from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(pointer, str(exc)) from None
-    try:
-        return spec, sample(spec)
-    except ValueError as exc:  # parameters the sampler refuses
-        raise ManifestError(pointer, str(exc)) from None
 
 
 def _table_manifest(doc):
@@ -349,9 +353,7 @@ def _table_manifest(doc):
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 1:
         raise ManifestError("/samples", "must be a positive integer")
     raw_specs = _require(doc, "specs", "/", list, "a list")
-    # each spec is drawn once here, so that a value its sampler refuses
-    # gets its pointer; index_table draws its samples later
-    specs = [_draw_spec(entry, f"/specs/{i}")[0] for i, entry in enumerate(raw_specs)]
+    specs = [_build_spec(entry, f"/specs/{i}") for i, entry in enumerate(raw_specs)]
     if not specs:
         raise ManifestError("/specs", "must not be empty")
     indices = doc.get("indices", list(experiments.INDEX_NAMES))
@@ -411,12 +413,29 @@ def _check_group(raw: dict, pointer: str) -> None:
         raise ManifestError(f"{pointer}/group", "must be a string")
 
 
+def _read_map_file(path: Path, pointer: str) -> Election:
+    """The election of the map manifest's file at ``pointer``, labelled with
+    the file's name if it has no label; a file that cannot be read or parsed
+    is refused at ``pointer``."""
+    try:
+        e = _read_election(path)
+    except OSError as exc:
+        raise ManifestError(f"{pointer}/path", f"{path}: {exc.strerror or exc}") from None
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise ManifestError(f"{pointer}/path", f"{path}: {exc}") from None
+    e.label = e.label or path.name
+    return e
+
+
 def _map_manifest(doc):
+    """The seed and the map items of a map manifest.  Each item carries its
+    spec's draw or its file's parser, not an election, so that drawing and
+    parsing happen in the items (see :func:`experiments.map_of_elections`)."""
     if not isinstance(doc, dict):
         raise ManifestError("/", "manifest must be a JSON object")
     seed = _require(doc, "seed", "/", int, "an integer")
 
-    items: list[tuple[str, str, Election]] = []
+    items: list[tuple] = []
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise ManifestError("/entries", "must be a list")
@@ -425,8 +444,8 @@ def _map_manifest(doc):
         if not isinstance(raw, dict) or "spec" not in raw:
             raise ManifestError(pointer, "must be an object with a 'spec' field")
         _check_group(raw, pointer)
-        spec, e = _draw_spec(raw["spec"], f"{pointer}/spec")
-        items.append((spec.display_label(), raw.get("group", spec.family), e))
+        spec = _build_spec(raw["spec"], f"{pointer}/spec")
+        items.append((spec.display_label(), raw.get("group", spec.family), partial(sample, spec)))
     files = doc.get("files", [])
     if not isinstance(files, list):
         raise ManifestError("/files", "must be a list")
@@ -439,15 +458,11 @@ def _map_manifest(doc):
         if not isinstance(raw["path"], str):
             raise ManifestError(f"{pointer}/path", "must be a string")
         _check_group(raw, pointer)
-        path = Path(raw["path"])
-        try:
-            e = _read_election(path)
-        except OSError as exc:
-            raise ManifestError(f"{pointer}/path", f"{path}: {exc.strerror or exc}") from None
-        except (ParseError, UnicodeDecodeError) as exc:
-            raise ManifestError(f"{pointer}/path", f"{path}: {exc}") from None
-        items.append((e.label or path.name, raw.get("group", "file"), e))
+        load = partial(_read_map_file, Path(raw["path"]), pointer)
+        items.append((None, raw.get("group", "file"), load))  # the label comes with the parse
     if len(items) < 2:
+        for _, _, load in items[len(entries) :]:  # a file that cannot be read is named first
+            load()
         raise ManifestError("/", "map needs at least two elections (entries plus files)")
     return seed, items
 
@@ -456,7 +471,7 @@ def _cmd_map(args) -> int:
     if args.synthetic:
         seed = experiments.SYNTHETIC_MAP_SEED
         items = [
-            (en.spec.display_label(), en.group, sample(en.spec))
+            (en.spec.display_label(), en.group, partial(sample, en.spec))
             for en in experiments.synthetic_map_entries(seed)
         ]
     else:

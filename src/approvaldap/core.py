@@ -98,6 +98,16 @@ class Election:
         self._memo: dict = {}
 
     @classmethod
+    def _owning(cls, mat: np.ndarray, label: Optional[str] = None) -> "Election":
+        """An election whose ballots are ``mat`` itself, neither checked nor
+        copied: a fresh C-contiguous ``(n, m)`` uint8 0/1 array, at least
+        1x1, that no other code holds."""
+        mat.setflags(write=False)
+        e = cls.__new__(cls)
+        e._mat, e.label, e._memo = mat, label, {}
+        return e
+
+    @classmethod
     def from_approval_sets(
         cls,
         num_candidates: int,
@@ -250,4 +260,5 @@ def subsample(e: Election, max_candidates: int, max_voters: int, seed: int) -> E
         return np.sort(stream(substream).choice(size, size=cap, replace=False))
 
     rows, cols = keep(n, max_voters, 0xF0), keep(m, max_candidates, 0xC0)
-    return Election(e.matrix[rows][:, cols], label=e.label)
+    # a column cut can come out in Fortran order
+    return Election._owning(np.ascontiguousarray(e.matrix[rows][:, cols]), label=e.label)

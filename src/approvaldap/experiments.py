@@ -676,26 +676,36 @@ class MapResult:
 
 
 def map_of_elections(
-    items: Iterable[tuple[str, str, Election]], seed: int = 0, workers: int = 1
+    items: Iterable[tuple[str | None, str, Election | Callable[[], Election]]],
+    seed: int = 0,
+    workers: int = 1,
 ) -> MapResult:
     """Compute feature vectors for ``(label, group, election)`` items, by
-    up to ``workers`` processes, and embed their pairwise feature distances."""
+    up to ``workers`` processes, and embed their pairwise feature distances.
+
+    An item's election may also be a callable that takes no arguments and
+    returns it, such as a spec's draw or a file's parser.  It is then called
+    inside its item, by the process that scores it, so nothing is drawn or
+    parsed before scoring starts, and the election lives only as long as its
+    item; an exception it raises fails the item.  A label of None stands for
+    the election's own label.
+    """
     items = list(items)
     if len(items) < 2:
         raise ValueError("a map needs at least two elections")
 
-    def features_of(idx: int) -> np.ndarray:
-        e = items[idx][2]
-        vector = feature_vector(e, derive_seed(seed, "map", idx))
-        e.clear_cache()  # its spectral system is not needed past this point
-        return vector
+    def features_of(idx: int) -> tuple:
+        label, _, e = items[idx]
+        e = e() if callable(e) else e
+        return e.label if label is None else label, feature_vector(e, derive_seed(seed, "map", idx))
 
-    features = np.array(list(_map_items(features_of, len(items), workers)))
+    labels, features = zip(*_map_items(features_of, len(items), workers))
+    features = np.array(features)
     # exactly symmetric with a zero diagonal: (a - b)^2 is (b - a)^2, a - a is 0
     distances = _pairwise(features)
     embedding = mds_embed(distances)
     return MapResult(
-        labels=tuple(label for label, _, _ in items),
+        labels=labels,
         groups=tuple(group for _, group, _ in items),
         features=features,
         distances=distances,

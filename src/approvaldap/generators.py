@@ -8,6 +8,13 @@ generator (:func:`~approvaldap.core.stream_uniforms`), so a ballot depends
 neither on ``n`` nor on the block size, and elections are reproducible
 across platforms.  Deterministic families (identity, party, diagonal,
 triangle, cyclic) ignore the seed.
+
+Each family states the range rule of every parameter it reads in
+:data:`FAMILIES`.  A :class:`CultureSpec` is checked against them when it
+is built, so any spec that exists can be drawn; the samplers refuse a
+direct call through the same rules.  Either way a refusal is a
+:class:`SpecError` at the field of the spec's dict form, such as
+``/params/p`` or ``/n``.
 """
 
 from __future__ import annotations
@@ -75,16 +82,6 @@ def _voter_rows(master: int, voters: range, m: int, draws: int, approve) -> np.n
     return out
 
 
-def _check_sizes(m: int, n: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError(f"election sizes must be positive, got m={m}, n={n}")
-
-
-def _check_prob(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
 def _id_prefix(m: int, p: float) -> np.ndarray:
     approved = int(math.floor(p * m))
     ballot = np.zeros(m, dtype=np.uint8)
@@ -103,16 +100,13 @@ def _split_sizes(total: int, k: int) -> list[int]:
 
 def gen_p_id(m: int, n: int, p: float) -> Election:
     """Identity election: every voter approves the same first ``floor(p*m)`` candidates."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
-    return Election(np.tile(_id_prefix(m, p), (n, 1)))
+    _check_family("p_id", m, n, p=p)
+    return Election._owning(np.tile(_id_prefix(m, p), (n, 1)))
 
 
 def gen_k_party(m: int, n: int, k: int) -> Election:
     """``k`` equal blocks of candidates and voters; block ``i`` voters approve block ``i``."""
-    _check_sizes(m, n)
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"party count must satisfy 1 <= k <= min(m, n), got k={k}")
+    _check_family("k_party", m, n, k=k)
     cand_sizes = _split_sizes(m, k)
     voter_sizes = _split_sizes(n, k)
     return _party_blocks(m, cand_sizes, voter_sizes)
@@ -125,15 +119,13 @@ def _party_blocks(m: int, cand_sizes: Sequence[int], voter_sizes: Sequence[int])
         mat[v0 : v0 + vs, c0 : c0 + cs] = 1
         c0 += cs
         v0 += vs
-    return Election(mat)
+    return Election._owning(mat)
 
 
 def gen_xy_two_party(m: int, n: int, x: float, y: float) -> Election:
     """Two-party election whose first party holds an ``x`` fraction of the
     candidates and a ``y`` fraction of the voters."""
-    _check_sizes(m, n)
-    _check_prob(x, "x")
-    _check_prob(y, "y")
+    _check_family("xy_two_party", m, n, x=x, y=y)
     c1 = int(math.floor(x * m))
     v1 = int(math.floor(y * n))
     return _party_blocks(m, [c1, m - c1], [v1, n - v1])
@@ -146,14 +138,14 @@ def gen_diagonal(m: int) -> Election:
 
 def gen_triangle(m: int) -> Election:
     """Voter ``i`` approves the first ``i`` candidates (requires ``n = m``)."""
-    _check_sizes(m, m)
-    return Election(np.tril(np.ones((m, m), dtype=np.uint8)))
+    _check_family("triangle", m, m)
+    return Election._owning(np.tril(np.ones((m, m), dtype=np.uint8)))
 
 
 def gen_cyclic(m: int) -> Election:
     """First ballot approves candidate 1 and the last ``floor(m/2) - 1``
     candidates; each next ballot is the previous shifted cyclically right."""
-    _check_sizes(m, m)
+    _check_family("cyclic", m, m)
     first = np.zeros(m, dtype=np.uint8)
     first[0] = 1
     tail = max(m // 2 - 1, 0)
@@ -161,7 +153,7 @@ def gen_cyclic(m: int) -> Election:
         first[m - tail :] = 1
     # ballot i is ``first`` rolled right by i
     idx = np.arange(m)
-    return Election(first[(idx - idx[:, None]) % m])
+    return Election._owning(first[(idx - idx[:, None]) % m])
 
 
 # -- randomized cultures -----------------------------------------------
@@ -169,23 +161,17 @@ def gen_cyclic(m: int) -> Election:
 
 def gen_p_ic(m: int, n: int, p: float, seed: int) -> Election:
     """Impartial culture: every entry approved independently with probability ``p``."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
+    _check_family("p_ic", m, n, p=p)
     master = _master("p_ic", seed)
-    return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < p))
+    return Election._owning(_voter_rows(master, range(n), m, m, lambda rows, u: u < p))
 
 
 def gen_iam(m: int, n: int, probs: Sequence[float], seed: int) -> Election:
     """Independent approvals with a per-candidate probability vector."""
-    _check_sizes(m, n)
+    _check_family("iam", m, n, probs=probs)
     pvec = np.asarray(probs, dtype=np.float64)
-    if pvec.shape != (m,):
-        raise ValueError(f"need {m} per-candidate probabilities, got shape {pvec.shape}")
-    # NaN fails both comparisons
-    if not ((pvec >= 0.0) & (pvec <= 1.0)).all():
-        raise ValueError(f"per-candidate probabilities must lie in [0, 1], got {pvec.tolist()}")
     master = _master("iam", seed)
-    return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < pvec))
+    return Election._owning(_voter_rows(master, range(n), m, m, lambda rows, u: u < pvec))
 
 
 def _resampled(u: np.ndarray, central: np.ndarray, p, phi: float) -> np.ndarray:
@@ -197,12 +183,10 @@ def _resampled(u: np.ndarray, central: np.ndarray, p, phi: float) -> np.ndarray:
 def gen_resampling(m: int, n: int, p: float, phi: float, seed: int) -> Election:
     """Each entry copies the central identity ballot with probability
     ``1 - phi`` and is otherwise redrawn with approval probability ``p``."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
-    _check_prob(phi, "phi")
+    _check_family("resampling", m, n, p=p, phi=phi)
     central = _id_prefix(m, p).astype(bool)
     master = _master("resampling", seed)
-    return Election(
+    return Election._owning(
         _voter_rows(master, range(n), m, 2 * m, lambda rows, u: _resampled(u, central, p, phi))
     )
 
@@ -215,9 +199,7 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
     ``min(10, m)`` nearest candidates, (5) approve a per-voter uniform
     number of nearest candidates from 1..m.
     """
-    _check_sizes(m, n)
-    if variant not in (1, 2, 3, 4, 5):
-        raise ValueError(f"euclidean variant must be 1..5, got {variant}")
+    _check_family("euclidean", m, n, variant=variant)
     rng = seeded_streams(_master("euclidean", seed))(_ELECTION_STREAM)
     cand_pts = rng.random((m, 2))
     voter_pts = rng.random((n, 2))
@@ -242,37 +224,36 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
         ranks = np.empty_like(order)
         np.put_along_axis(ranks, order, np.broadcast_to(np.arange(m), order.shape), axis=1)
         mat = ranks < counts[:, None]
-    return Election(np.asarray(mat, dtype=np.uint8))
+    return Election._owning(mat.astype(np.uint8))
 
 
 def gen_id_ic(m: int, n: int, p: float, seed: int) -> Election:
     """First half of the voters share the ``p``-identity ballot, the rest
     are impartial culture with the same ``p``."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
+    _check_family("id_ic", m, n, p=p)
     n_id = n // 2
     master = _master("id_ic", seed)
     ic = _voter_rows(master, range(n_id, n), m, m, lambda rows, u: u < p)
-    return Election(np.concatenate([np.tile(_id_prefix(m, p), (n_id, 1)), ic]))
+    return Election._owning(np.concatenate([np.tile(_id_prefix(m, p), (n_id, 1)), ic]))
 
 
 def gen_lin_ic(m: int, n: int, seed: int) -> Election:
     """Impartial culture with approval probability sliding from 1 down to ``1/n``."""
-    _check_sizes(m, n)
+    _check_family("lin_ic", m, n)
     master = _master("lin_ic", seed)
 
     def approve(rows, u):
         return u < (1.0 - np.arange(rows.start, rows.stop) / n)[:, None]
 
-    return Election(_voter_rows(master, range(n), m, m, approve))
+    return Election._owning(_voter_rows(master, range(n), m, m, approve))
 
 
 def gen_noisy(base: Election, phi: float, seed: int) -> Election:
     """Resample each ballot of ``base`` around itself: entries are kept
     with probability ``1 - phi`` and otherwise redrawn with that ballot's
     own approval fraction."""
-    _check_prob(phi, "phi")
     m = base.num_candidates
+    _check_family("noisy", m, base.num_voters, phi=phi)
     master = _master("noisy", seed)
     fractions = base.ballot_lengths() / m
     central = base.matrix.astype(bool)
@@ -281,7 +262,7 @@ def gen_noisy(base: Election, phi: float, seed: int) -> Election:
         return _resampled(u, central[rows], fractions[rows, None], phi)
 
     mat = _voter_rows(master, range(base.num_voters), m, 2 * m, approve)
-    return Election(mat, label=base.label)
+    return Election._owning(mat, label=base.label)
 
 
 def _group_uniforms(master: int, k: int, m: int) -> np.ndarray:
@@ -292,26 +273,23 @@ def _group_uniforms(master: int, k: int, m: int) -> np.ndarray:
 def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
     """Voters split uniformly into ``k`` groups; each group shares one
     ballot drawn from ``p``-impartial culture."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
-    if k < 1:
-        raise ValueError("group count must be positive")
+    _check_family("id_mixture", m, n, k=k, p=p)
     master = _master("id_mixture", seed)
     groups = seeded_streams(master)(_ELECTION_STREAM).integers(0, k, size=n)
     ballots = _group_uniforms(master, k, m) < p
-    return Election(ballots.astype(np.uint8)[groups])
+    return Election._owning(ballots.astype(np.uint8)[groups])
 
 
 def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
     """Voters split uniformly into ``k`` groups; each group draws its own
     per-candidate probabilities uniformly and votes independently."""
-    _check_sizes(m, n)
-    if k < 1:
-        raise ValueError("group count must be positive")
+    _check_family("iam_mixture", m, n, k=k)
     master = _master("iam_mixture", seed)
     groups = seeded_streams(master)(_ELECTION_STREAM).integers(0, k, size=n)
     probs = _group_uniforms(master, k, m)
-    return Election(_voter_rows(master, range(n), m, m, lambda rows, u: u < probs[groups[rows]]))
+    return Election._owning(
+        _voter_rows(master, range(n), m, m, lambda rows, u: u < probs[groups[rows]])
+    )
 
 
 def _random_composition(total: int, k: int, rng) -> list[int]:
@@ -326,7 +304,7 @@ def _random_composition(total: int, k: int, rng) -> list[int]:
 def gen_uneven_party_list(m: int, n: int, seed: int) -> Election:
     """Party-list election with a Poisson(1)+3 number of parties and
     uniformly random (composition) block sizes for candidates and voters."""
-    _check_sizes(m, n)
+    _check_family("uneven_party_list", m, n)
     rng = seeded_streams(_master("uneven_party_list", seed))(_ELECTION_STREAM)
     k = 3 + int(rng.poisson(1.0))
     k = min(k, m, n)
@@ -335,54 +313,7 @@ def gen_uneven_party_list(m: int, n: int, seed: int) -> Election:
     return _party_blocks(m, cand_sizes, voter_sizes)
 
 
-# -- the family table ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Family:
-    """How one family draws: ``draw(m, n, params, seed)``, the parameter
-    names it requires, and whether it requires ``n = m``."""
-
-    draw: Callable[[int, int, Mapping, int], Election]
-    params: tuple = ()
-    square: bool = False
-
-
-def _draw_noisy(m: int, n: int, params: Mapping, seed: int) -> Election:
-    return gen_noisy(sample(params["base"].with_seed(seed)), params["phi"], seed)
-
-
-FAMILIES: dict[str, Family] = {
-    "p_id": Family(lambda m, n, par, seed: gen_p_id(m, n, par["p"]), ("p",)),
-    "k_party": Family(lambda m, n, par, seed: gen_k_party(m, n, int(par["k"])), ("k",)),
-    "xy_two_party": Family(
-        lambda m, n, par, seed: gen_xy_two_party(m, n, par["x"], par["y"]), ("x", "y")
-    ),
-    "diagonal": Family(lambda m, n, par, seed: gen_diagonal(m), square=True),
-    "triangle": Family(lambda m, n, par, seed: gen_triangle(m), square=True),
-    "cyclic": Family(lambda m, n, par, seed: gen_cyclic(m), square=True),
-    "p_ic": Family(lambda m, n, par, seed: gen_p_ic(m, n, par["p"], seed), ("p",)),
-    "iam": Family(lambda m, n, par, seed: gen_iam(m, n, par["probs"], seed), ("probs",)),
-    "resampling": Family(
-        lambda m, n, par, seed: gen_resampling(m, n, par["p"], par["phi"], seed), ("p", "phi")
-    ),
-    "euclidean": Family(
-        lambda m, n, par, seed: gen_euclidean(m, n, int(par["variant"]), seed), ("variant",)
-    ),
-    "id_ic": Family(lambda m, n, par, seed: gen_id_ic(m, n, par["p"], seed), ("p",)),
-    "lin_ic": Family(lambda m, n, par, seed: gen_lin_ic(m, n, seed)),
-    "noisy": Family(_draw_noisy, ("phi", "base")),
-    "id_mixture": Family(
-        lambda m, n, par, seed: gen_id_mixture(m, n, int(par["k"]), par["p"], seed), ("k", "p")
-    ),
-    "iam_mixture": Family(
-        lambda m, n, par, seed: gen_iam_mixture(m, n, int(par["k"]), seed), ("k",)
-    ),
-    "uneven_party_list": Family(lambda m, n, par, seed: gen_uneven_party_list(m, n, seed)),
-}
-
-
-# -- declarative specs --------------------------------------------------
+# -- the range rules of sizes and parameters ------------------------------
 
 
 class SpecError(ValueError):
@@ -410,29 +341,109 @@ def _check_real(value, field: str) -> None:
         raise SpecError(field, f"must be a number, got {value!r}")
 
 
-def _check_reals(value, field: str) -> None:
+# Each rule below is ``rule(value, field, m, n)``: it refuses a family
+# parameter of an ``n x m`` election as a SpecError at ``field``.
+
+
+def _check_prob(value, field: str, m: int, n: int) -> None:
+    _check_real(value, field)
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise SpecError(field, f"must lie in [0, 1], got {value}")
+
+
+def _check_probs(value, field: str, m: int, n: int) -> None:
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise SpecError(field, f"must be a list of numbers, got {value!r}")
     for i, item in enumerate(value):
-        _check_real(item, f"{field}/{i}")
+        _check_prob(item, f"{field}/{i}", m, n)
+    if len(value) != m:
+        raise SpecError(field, f"need {m} per-candidate probabilities, got {len(value)}")
 
 
-def _check_base(value, field: str) -> None:
-    if not isinstance(value, (CultureSpec, Mapping)):
+def _check_party_count(value, field: str, m: int, n: int) -> None:
+    _check_integer(value, field)
+    if not 1 <= value <= min(m, n):
+        raise SpecError(field, f"party count must satisfy 1 <= k <= min(m, n), got k={value}")
+
+
+def _check_group_count(value, field: str, m: int, n: int) -> None:
+    _check_integer(value, field)
+    if value < 1:
+        raise SpecError(field, f"group count must be positive, got {value}")
+
+
+def _check_variant(value, field: str, m: int, n: int) -> None:
+    _check_integer(value, field)
+    if value not in (1, 2, 3, 4, 5):
+        raise SpecError(field, f"euclidean variant must be 1..5, got {value}")
+
+
+def _check_base(value, field: str, m: int, n: int) -> None:
+    if not isinstance(value, CultureSpec):
         raise SpecError(field, f"must be a culture spec, got {value!r}")
+    if (value.m, value.n) != (m, n):
+        shape = f"m={value.m} n={value.n}, not m={m} n={n}"
+        raise SpecError(
+            "/m" if value.m != m else "/n", f"the noisy family keeps the base's shape {shape}"
+        )
 
 
-# the type check of each family parameter, by name
-_PARAM_CHECKS = {
-    "p": _check_real,
-    "phi": _check_real,
-    "x": _check_real,
-    "y": _check_real,
-    "k": _check_integer,
-    "variant": _check_integer,
-    "probs": _check_reals,
-    "base": _check_base,
+def _check_family(family: str, m, n, **params) -> None:
+    """Refuse an ``n x m`` election of ``family`` whose sizes or given
+    ``params`` lie outside the family's rules, as a :class:`SpecError` at
+    the field of the spec's dict form; specs and samplers both check here."""
+    for name, size in (("m", m), ("n", n)):
+        _check_integer(size, f"/{name}")
+        if size < 1:
+            raise SpecError(f"/{name}", f"election sizes must be positive, got m={m}, n={n}")
+    if FAMILIES[family].square and m != n:
+        raise SpecError("/n", f"{family} elections require n = m, got m={m}, n={n}")
+    for name, value in params.items():
+        FAMILIES[family].params[name](value, f"/params/{name}", m, n)
+
+
+# -- the family table ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """How one family draws: ``draw(m=, n=, seed=, **params)``; the
+    parameters it requires, each mapped to its range rule ``rule(value,
+    field, m, n)``, which raises a :class:`SpecError` at ``field``; and
+    whether it requires ``n = m``."""
+
+    draw: Callable[..., Election]
+    params: Mapping = field(default_factory=dict)
+    square: bool = False
+
+
+def _draw_noisy(m: int, n: int, seed: int, phi: float, base: "CultureSpec") -> Election:
+    return gen_noisy(sample(base.with_seed(seed)), phi, seed)
+
+
+FAMILIES: dict[str, Family] = {
+    "p_id": Family(lambda m, n, seed, p: gen_p_id(m, n, p), {"p": _check_prob}),
+    "k_party": Family(lambda m, n, seed, k: gen_k_party(m, n, k), {"k": _check_party_count}),
+    "xy_two_party": Family(
+        lambda m, n, seed, x, y: gen_xy_two_party(m, n, x, y), {"x": _check_prob, "y": _check_prob}
+    ),
+    "diagonal": Family(lambda m, n, seed: gen_diagonal(m), square=True),
+    "triangle": Family(lambda m, n, seed: gen_triangle(m), square=True),
+    "cyclic": Family(lambda m, n, seed: gen_cyclic(m), square=True),
+    "p_ic": Family(gen_p_ic, {"p": _check_prob}),
+    "iam": Family(gen_iam, {"probs": _check_probs}),
+    "resampling": Family(gen_resampling, {"p": _check_prob, "phi": _check_prob}),
+    "euclidean": Family(gen_euclidean, {"variant": _check_variant}),
+    "id_ic": Family(gen_id_ic, {"p": _check_prob}),
+    "lin_ic": Family(gen_lin_ic),
+    "noisy": Family(_draw_noisy, {"phi": _check_prob, "base": _check_base}),
+    "id_mixture": Family(gen_id_mixture, {"k": _check_group_count, "p": _check_prob}),
+    "iam_mixture": Family(gen_iam_mixture, {"k": _check_group_count}),
+    "uneven_party_list": Family(gen_uneven_party_list),
 }
+
+
+# -- declarative specs --------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -444,8 +455,11 @@ class CultureSpec:
     of the spec's own; for the ``noisy`` family it holds ``phi`` plus a
     nested ``base`` spec (a dict is read with :meth:`from_dict`) of the
     same ``m`` and ``n``, whose own seed is superseded by the outer spec's
-    seed when sampling.  Specs serialize to plain dicts so experiment
-    manifests can be stored as JSON.
+    seed when sampling.  A spec is checked in full when it is built: every
+    field of the wrong type, out of its family's range (:class:`Family`)
+    or not read by its family is refused there as a :class:`SpecError`, so
+    :func:`sample` draws any spec that exists.  Specs serialize to plain
+    dicts so experiment manifests can be stored as JSON.
     """
 
     family: str
@@ -456,33 +470,29 @@ class CultureSpec:
     label: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.params, Mapping):
+            raise SpecError("/params", f"must be an object, got {self.params!r}")
         params = dict(self.params)
         object.__setattr__(self, "params", params)  # later changes to the caller's dict stay out
-        family = FAMILIES.get(self.family)
+        family = FAMILIES.get(self.family) if isinstance(self.family, str) else None
         if family is None:
-            raise ValueError(f"unknown family {self.family!r}")
-        for name in ("m", "n", "seed"):
-            _check_integer(getattr(self, name), f"/{name}")
+            raise SpecError("/family", f"unknown family {self.family!r}")
+        _check_integer(self.seed, "/seed")
         if self.label is not None and not isinstance(self.label, str):
             raise SpecError("/label", f"must be a string, got {self.label!r}")
+        for name in params:
+            if name not in family.params:
+                raise SpecError(f"/params/{name}", f"not a parameter of {self.family}")
         missing = [name for name in family.params if name not in params]
         if missing:
-            raise ValueError(f"family {self.family!r} needs parameter(s) {', '.join(missing)}")
-        for name in family.params:
-            _PARAM_CHECKS[name](params[name], f"/params/{name}")
-        if "base" in family.params:
-            base = params["base"]
-            if not isinstance(base, CultureSpec):
-                try:
-                    base = params["base"] = CultureSpec.from_dict(base)
-                except SpecError as exc:
-                    raise SpecError(f"/params/base{exc.field}", exc.message) from None
-            for name in ("m", "n"):
-                if getattr(self, name) != getattr(base, name):
-                    shape = f"m={base.m} n={base.n}, not m={self.m} n={self.n}"
-                    raise SpecError(f"/{name}", f"the noisy family keeps the base's shape {shape}")
-        if family.square and self.m != self.n:
-            raise ValueError(f"{self.family} elections require n = m, got m={self.m}, n={self.n}")
+            needs = f"family {self.family!r} needs parameter(s) {', '.join(missing)}"
+            raise SpecError(f"/params/{missing[0]}", needs)
+        if isinstance(params.get("base"), Mapping):
+            try:
+                params["base"] = CultureSpec.from_dict(params["base"])
+            except SpecError as exc:
+                raise SpecError(f"/params/base{exc.field}", exc.message) from None
+        _check_family(self.family, self.m, self.n, **params)
 
     def with_seed(self, seed: int) -> "CultureSpec":
         return replace(self, seed=seed)
@@ -504,6 +514,9 @@ class CultureSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CultureSpec":
+        for key in ("family", "m", "n"):
+            if key not in data:
+                raise SpecError(f"/{key}", "required field is missing")
         return cls(
             family=data["family"],
             m=data["m"],
@@ -516,6 +529,6 @@ class CultureSpec:
 
 def sample(spec: CultureSpec) -> Election:
     """Draw the election described by a spec; deterministic per (spec, seed)."""
-    e = FAMILIES[spec.family].draw(spec.m, spec.n, spec.params, spec.seed)
+    e = FAMILIES[spec.family].draw(m=spec.m, n=spec.n, seed=spec.seed, **spec.params)
     e.label = spec.display_label()
     return e

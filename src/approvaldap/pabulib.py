@@ -136,7 +136,7 @@ def parse_pabulib(text: str) -> Election:
     flat += cols[approved]
     mat.reshape(-1)[flat] = 1  # repeated ids collapse
     label = meta.get("description") or meta.get("unit")
-    return Election(mat, label=label)
+    return Election._owning(mat, label=label)
 
 
 def _pabulib_bytes(text) -> bytes:

@@ -14,8 +14,7 @@ from approvaldap.experiments import P_GRID, PHI_GRID, derive_seed, evaluate_inde
 from approvaldap.generators import (
     _ELECTION_STREAM,
     CultureSpec,
-    _check_prob,
-    _check_sizes,
+    _check_family,
     _id_prefix,
     _master,
     sample,
@@ -246,7 +245,7 @@ def _election_rng(master: int, slot: int = 0):
 def gen_cyclic(m: int) -> Election:
     """First ballot approves candidate 1 and the last ``floor(m/2) - 1``
     candidates; each next ballot is the previous shifted cyclically right."""
-    _check_sizes(m, m)
+    _check_family("cyclic", m, m)
     first = np.zeros(m, dtype=np.uint8)
     first[0] = 1
     tail = max(m // 2 - 1, 0)
@@ -258,8 +257,7 @@ def gen_cyclic(m: int) -> Election:
 
 def gen_p_ic(m: int, n: int, p: float, seed: int) -> Election:
     """Impartial culture: every entry approved independently with probability ``p``."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
+    _check_family("p_ic", m, n, p=p)
     master = _master("p_ic", seed)
     rows = [(_voter_rng(master, i).random(m) < p) for i in range(n)]
     return Election(np.array(rows, dtype=np.uint8))
@@ -267,7 +265,7 @@ def gen_p_ic(m: int, n: int, p: float, seed: int) -> Election:
 
 def gen_iam(m: int, n: int, probs: Sequence[float], seed: int) -> Election:
     """Independent approvals with a per-candidate probability vector."""
-    _check_sizes(m, n)
+    _check_family("iam", m, n)
     pvec = np.asarray(probs, dtype=np.float64)
     if pvec.shape != (m,):
         raise ValueError(f"need {m} per-candidate probabilities, got shape {pvec.shape}")
@@ -287,9 +285,7 @@ def _resample_row(rng, central: np.ndarray, p: float, phi: float) -> np.ndarray:
 def gen_resampling(m: int, n: int, p: float, phi: float, seed: int) -> Election:
     """Each entry copies the central identity ballot with probability
     ``1 - phi`` and is otherwise redrawn with approval probability ``p``."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
-    _check_prob(phi, "phi")
+    _check_family("resampling", m, n, p=p, phi=phi)
     central = _id_prefix(m, p)
     master = _master("resampling", seed)
     rows = [_resample_row(_voter_rng(master, i), central, p, phi) for i in range(n)]
@@ -304,7 +300,7 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
     ``min(10, m)`` nearest candidates, (5) approve a per-voter uniform
     number of nearest candidates from 1..m.
     """
-    _check_sizes(m, n)
+    _check_family("euclidean", m, n)
     if variant not in (1, 2, 3, 4, 5):
         raise ValueError(f"euclidean variant must be 1..5, got {variant}")
     rng = _election_rng(_master("euclidean", seed))
@@ -329,8 +325,7 @@ def gen_euclidean(m: int, n: int, variant: int, seed: int) -> Election:
 def gen_id_ic(m: int, n: int, p: float, seed: int) -> Election:
     """First half of the voters share the ``p``-identity ballot, the rest
     are impartial culture with the same ``p``."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
+    _check_family("id_ic", m, n, p=p)
     n_id = n // 2
     central = _id_prefix(m, p)
     master = _master("id_ic", seed)
@@ -341,7 +336,7 @@ def gen_id_ic(m: int, n: int, p: float, seed: int) -> Election:
 
 def gen_lin_ic(m: int, n: int, seed: int) -> Election:
     """Impartial culture with approval probability sliding from 1 down to ``1/n``."""
-    _check_sizes(m, n)
+    _check_family("lin_ic", m, n)
     master = _master("lin_ic", seed)
     rows = [(_voter_rng(master, i).random(m) < (1.0 - i / n)) for i in range(n)]
     return Election(np.array(rows, dtype=np.uint8))
@@ -351,8 +346,8 @@ def gen_noisy(base: Election, phi: float, seed: int) -> Election:
     """Resample each ballot of ``base`` around itself: entries are kept
     with probability ``1 - phi`` and otherwise redrawn with that ballot's
     own approval fraction."""
-    _check_prob(phi, "phi")
     m = base.num_candidates
+    _check_family("noisy", m, base.num_voters, phi=phi)
     master = _master("noisy", seed)
     lengths = base.ballot_lengths()
     mat = base.matrix
@@ -366,8 +361,7 @@ def gen_noisy(base: Election, phi: float, seed: int) -> Election:
 def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
     """Voters split uniformly into ``k`` groups; each group shares one
     ballot drawn from ``p``-impartial culture."""
-    _check_sizes(m, n)
-    _check_prob(p, "p")
+    _check_family("id_mixture", m, n, p=p)
     if k < 1:
         raise ValueError("group count must be positive")
     master = _master("id_mixture", seed)
@@ -379,7 +373,7 @@ def gen_id_mixture(m: int, n: int, k: int, p: float, seed: int) -> Election:
 def gen_iam_mixture(m: int, n: int, k: int, seed: int) -> Election:
     """Voters split uniformly into ``k`` groups; each group draws its own
     per-candidate probabilities uniformly and votes independently."""
-    _check_sizes(m, n)
+    _check_family("iam_mixture", m, n)
     if k < 1:
         raise ValueError("group count must be positive")
     master = _master("iam_mixture", seed)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,7 +48,36 @@ def test_generate_rejects_invalid_probability(tmp_path, capsys):
         "--seed", "0", "--out", str(tmp_path / "x.json"),
     )
     assert code == 2
-    assert "error" in stderr
+    # the flag that set the value, not the spec field /params/p
+    assert stderr == "error: --p: must lie in [0, 1], got 1.5\n"
+    code, _, stderr = run(
+        capsys, "generate", "--family", "k_party", "--k", "0", "--m", "10",
+        "--seed", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 2 and stderr.startswith("error: --k: party count must satisfy")
+    code, _, stderr = run(
+        capsys, "generate", "--family", "p_ic", "--p", "0.5", "--m", "0",
+        "--seed", "0", "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 2 and stderr.startswith("error: --m: election sizes must be positive")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "family, flags, refusal",
+    [
+        ("p_ic", ["--p", "0.5", "--k", "2"], "--k: not a parameter of p_ic"),
+        ("diagonal", ["--probs", "0.5"], "--probs: not a parameter of diagonal"),
+        ("p_ic", ["--p", "0.5", "--base", "b.json"], "--base: not a parameter of p_ic"),
+        ("noisy", ["--phi", "0.5", "--base", "b.json", "--p", "0.5"], "--p: not a parameter of noisy"),
+    ],
+)
+def test_generate_refuses_a_flag_its_family_does_not_take(tmp_path, capsys, family, flags, refusal):
+    out = tmp_path / "x.json"
+    code, _, stderr = run(
+        capsys, "generate", "--family", family, *flags, "--m", "6", "--seed", "0", "--out", str(out)
+    )
+    assert code == 2 and stderr == f"error: {refusal}\n" and not out.exists()
 
 
 def test_generate_requires_family_params(tmp_path, capsys):
@@ -126,6 +156,14 @@ def test_resample_command(tmp_path, capsys):
     assert (tmp_path / "resampling_pair_agr.svg").read_text().startswith("<svg")
 
 
+def test_resample_refuses_zero_samples(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "resample", "--index", "satr", "--samples", "0", "--seed", "0", "--out-dir", str(tmp_path),
+    )
+    assert code == 2 and stdout == "" and stderr == "error: --samples must be positive\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_command(tmp_path, capsys):
     manifest = {
         "seed": 5,
@@ -158,14 +196,14 @@ def test_table_manifest_spec_pointer(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "table", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and "/specs/1" in stderr
-    # family parameters and n = m are checked before any sampling starts
-    for spec, message in (
-        ({"family": "p_ic", "m": 6, "n": 6, "seed": 0, "params": {}}, "needs parameter(s) p"),
-        ({"family": "diagonal", "m": 6, "n": 7, "seed": 0}, "require n = m"),
+    # family parameters and n = m are checked, at their fields, before any sampling starts
+    for spec, pointer, message in (
+        ({"family": "p_ic", "m": 6, "n": 6, "seed": 0, "params": {}}, "/params/p", "needs parameter(s) p"),
+        ({"family": "diagonal", "m": 6, "n": 7, "seed": 0}, "/n", "require n = m"),
     ):
         path.write_text(json.dumps({"seed": 1, "samples": 1, "specs": [spec]}))
         code, _, stderr = run(capsys, "table", "--manifest", str(path), "--out-dir", str(tmp_path))
-        assert code == 2 and "/specs/0" in stderr and message in stderr
+        assert code == 2 and stderr.startswith(f"error: /specs/0{pointer}: ") and message in stderr
 
 
 @pytest.mark.parametrize(
@@ -204,9 +242,9 @@ NOISY = {"family": "noisy", "m": 5, "n": 5, "seed": 0, "params": {"phi": 0.5, "b
         ("table", {"seed": 1, "specs": []}, "/specs"),
         ("table", {"seed": 1, "specs": [IC, "p_ic"]}, "/specs/1"),
         ("table", {"seed": 1, "specs": [{k: v for k, v in IC.items() if k != "seed"}]}, "/specs/0/seed"),
-        ("table", {"seed": 1, "specs": [{**IC, "family": "martian"}]}, "/specs/0"),
-        # the sampler refuses k > m; index_table would draw it only later
-        ("table", {"seed": 1, "specs": [IC, {**PARTY, "params": {"k": 9}}]}, "/specs/1"),
+        ("table", {"seed": 1, "specs": [{**IC, "family": "martian"}]}, "/specs/0/family"),
+        # k > min(m, n): refused when the spec is built, before anything is drawn
+        ("table", {"seed": 1, "specs": [IC, {**PARTY, "params": {"k": 9}}]}, "/specs/1/params/k"),
         ("table", {"seed": 1, "specs": [IC], "indices": []}, "/indices"),
         ("table", {"seed": 1, "specs": [IC], "indices": "satr"}, "/indices"),
         ("table", {"seed": 1, "specs": [IC], "indices": ["satr", "bogus"]}, "/indices/1"),
@@ -214,7 +252,7 @@ NOISY = {"family": "noisy", "m": 5, "n": 5, "seed": 0, "params": {"phi": 0.5, "b
         ("map", {"entries": [{"spec": IC}, {"spec": PARTY}]}, "/seed"),
         ("map", {"seed": 1, "entries": {}}, "/entries"),
         ("map", {"seed": 1, "entries": [{"spec": IC}, {"group": "x"}]}, "/entries/1"),
-        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**IC, "m": 0}}]}, "/entries/1/spec"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**IC, "m": 0}}]}, "/entries/1/spec/m"),
         ("map", {"seed": 1, "entries": [{"spec": IC}], "files": "a.pb"}, "/files"),
         ("map", {"seed": 1, "entries": [{"spec": IC}], "files": [{"file": "a.pb"}]}, "/files/0"),
         ("map", {"seed": 1, "entries": [{"spec": IC}]}, "/"),
@@ -230,6 +268,13 @@ NOISY = {"family": "noisy", "m": 5, "n": 5, "seed": 0, "params": {"phi": 0.5, "b
         ("table", {"seed": 1, "specs": [IC, {**NOISY, "m": 20}]}, "/specs/1/n"),
         ("table", {"seed": 1, "specs": [{**NOISY, "params": {"phi": 0.5, "base": {**IC, "n": 5.5}}}]}, "/specs/0/params/base/n"),
         ("map", {"seed": 1, "entries": [{"spec": NOISY}, {"spec": IC}]}, "/entries/0/spec/m"),
+        # range rules and parameters the family does not read, at their fields
+        ("table", {"seed": 1, "specs": [{**IC, "params": {"p": 0.5, "extra": 1}}]}, "/specs/0/params/extra"),
+        ("table", {"seed": 1, "specs": [IC, {**IC, "params": {"p": 1.5}}]}, "/specs/1/params/p"),
+        ("table", {"seed": 1, "specs": [{"family": "cyclic", "m": 5, "n": 4, "seed": 0}]}, "/specs/0/n"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**IC, "family": "euclidean", "params": {"variant": 6}}}]}, "/entries/1/spec/params/variant"),
+        ("map", {"seed": 1, "entries": [{"spec": IC}, {"spec": {**IC, "n": 0}}]}, "/entries/1/spec/n"),
+        ("map", {"seed": 1, "entries": [{"spec": {**NOISY, "params": {"phi": 0.5, "base": {"m": 5, "n": 5}}}}, {"spec": IC}]}, "/entries/0/spec/params/base/family"),
     ],
 )
 def test_manifest_refusals_name_their_pointer(tmp_path, capsys, command, doc, pointer):
@@ -336,7 +381,8 @@ def test_map_manifest_missing_file(tmp_path, capsys):
     doc = {"seed": 1, "entries": [{"spec": party}, {"spec": {**party, "params": {}}}]}
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
-    assert code == 2 and "/entries/1/spec" in stderr and "needs parameter(s) k" in stderr
+    assert code == 2 and stderr.startswith("error: /entries/1/spec/params/k: ")
+    assert "needs parameter(s) k" in stderr
 
 
 def test_map_manifest_names_a_spec_the_sampler_refuses(tmp_path, capsys):
@@ -346,7 +392,7 @@ def test_map_manifest_names_a_spec_the_sampler_refuses(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2
-    assert stderr.startswith("error: /entries/1/spec: ") and "party count must satisfy" in stderr
+    assert stderr.startswith("error: /entries/1/spec/params/k: ") and "party count must satisfy" in stderr
 
 
 def test_map_manifest_names_a_bad_file_and_its_pointer(tmp_path, capsys):
@@ -362,6 +408,54 @@ def test_map_manifest_names_a_bad_file_and_its_pointer(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
     assert code == 2 and f"/files/0/path: {tmp_path}: " in stderr
+    # each file is read in its own item: of two bad files, the first is the one named
+    doc["files"] = [str(DATA / "city_small.pb"), str(bad), str(tmp_path), str(DATA / "missing_votes.pb")]
+    path.write_text(json.dumps(doc))
+    for workers in (1, 2):
+        with mock.patch.object(cli, "_worker_count", return_value=workers):
+            code, stdout, stderr = run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))
+        assert code == 2 and stdout == "" and stderr.startswith(f"error: /files/1/path: {bad}: ")
+        assert stderr.count("\n") == 1
+
+
+def test_manifests_draw_and_parse_nothing_before_scoring(tmp_path, capsys, monkeypatch):
+    from approvaldap import experiments, generators
+
+    calls, started = [], []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(started)))
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    draw = spy("sample", generators.sample)
+    for module in (cli, experiments, generators):
+        monkeypatch.setattr(module, "sample", draw)
+    monkeypatch.setattr(cli, "_read_election", spy("read", cli._read_election))
+    map_items = experiments._map_items
+    monkeypatch.setattr(
+        experiments, "_map_items", lambda *args: started.append(True) or map_items(*args)
+    )
+    monkeypatch.setattr(cli, "_worker_count", lambda: 1)  # every item in this process
+
+    doc = {"seed": 1, "samples": 2, "specs": [IC, NOISY | {"m": 20, "n": 12}, PARTY]}
+    assert len(cli._table_manifest(doc)[0]) == 3 and calls == []
+
+    path = tmp_path / "m.json"
+    doc = {"seed": 1, "entries": [{"spec": IC}, {"spec": NOISY | {"m": 20, "n": 12}}],
+           "files": [str(DATA / "city_small.pb")]}
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "map", "--manifest", str(path), "--out-dir", str(tmp_path))[0] == 0
+    # the noisy spec draws its base inside its own draw
+    assert calls == [("sample", True)] * 3 + [("read", True)]
+
+    calls.clear(), started.clear()
+    entries = experiments.synthetic_map_entries(experiments.SYNTHETIC_MAP_SEED)
+    monkeypatch.setattr(experiments, "synthetic_map_entries", lambda seed: entries[:3])
+    assert run(capsys, "map", "--synthetic", "--out-dir", str(tmp_path))[0] == 0
+    assert calls == [("sample", True)] * 4  # the third entry, N(2-Party,0.6), is noisy
 
 
 def test_bundled_synthetic_manifest_loads():

@@ -91,6 +91,8 @@ def test_construction_validates_entries():
         Election(np.zeros((3, 0)))
     with pytest.raises(ValueError):
         Election([1, 0, 1])
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Election(np.array([[0, 1], [2, 0]], dtype=np.uint8))
 
 
 def test_from_approval_sets_round_trip(rng):
@@ -165,6 +167,9 @@ def test_subsample_noop_and_determinism(rng):
     assert np.array_equal(a.matrix, b.matrix) and a.matrix.shape == (20, 10)
     c = subsample(big, 10, 20, seed=10)
     assert c.num_candidates == 10 and c.num_voters == 20
+    # a cut of rows, of columns or of both keeps its ballots C-contiguous and read-only
+    for cut in (a, subsample(big, 30, 20, seed=9), subsample(big, 10, 50, seed=9)):
+        assert cut.matrix.flags.c_contiguous and not cut.matrix.flags.writeable
     with pytest.raises(ValueError):
         subsample(big, 0, 5, seed=1)
 

@@ -18,6 +18,7 @@ from approvaldap.clustering import spectral_pcc
 from approvaldap.core import Election, stats
 from approvaldap.divpol import (
     a_div,
+    check_out_div_size,
     a_pol,
     cntr_div,
     cntr_pol,
@@ -132,6 +133,16 @@ def test_out_div_identity_and_degenerate():
     assert out_div(Election([[0, 0, 0]])) == 0.0
     single = gen_p_id(30, 30, 0.5)
     assert out_div(single, seed=8) <= 0.05
+
+
+def test_saturated_elections_skip_the_out_div_solve_and_its_size_check(monkeypatch):
+    # a budget that refuses any solve: saturation 0 and 1 score 0 without one
+    monkeypatch.setattr(divpol, "_MATCHING_MAX_BYTES", 1)
+    with pytest.raises(ValueError, match="over the"):
+        check_out_div_size(Election([[1, 0], [0, 1]]))
+    for e in (Election(np.zeros((40, 3), dtype=np.uint8)), Election(np.ones((40, 3), dtype=np.uint8))):
+        check_out_div_size(e)
+        assert out_div(e) == 0.0
 
 
 def test_out_div_two_party_value():

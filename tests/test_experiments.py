@@ -194,6 +194,22 @@ def test_complementarity_identical_and_constant_sum(rng):
         complementarity(np.ones(5), np.ones(5), np.ones(5))
     with pytest.raises(ValueError):
         complementarity(np.ones(3), np.ones(4), np.ones(3))
+    with pytest.raises(ValueError, match="equal-length vectors"):
+        complementarity(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="at least two observations"):
+        complementarity([0.5], [0.5], [0.5])
+
+
+def test_experiments_refuse_bad_sample_counts_and_index_names():
+    specs = [CultureSpec("p_ic", 4, 4, params={"p": 0.5})]
+    with pytest.raises(ValueError, match="at least one sample per culture"):
+        index_table(specs, samples=0)
+    with pytest.raises(ValueError, match="unknown index 'bogus'"):
+        index_table(specs, samples=1, indices=["satr", "bogus"])
+    with pytest.raises(ValueError, match="at least one sample per cell"):
+        resampling_experiment("satr", m=4, n=4, samples=0)
+    with pytest.raises(ValueError, match="unknown index 'bogus'"):
+        resampling_experiment("bogus", m=4, n=4, samples=1)
 
 
 def test_correlations_examples(rng):
@@ -257,6 +273,25 @@ def test_map_of_elections_small():
     assert "label,group,agr,div,pol" in result.feature_csv().splitlines()[0]
     with pytest.raises(ValueError):
         map_of_elections(items[:1], seed=4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_items_may_make_their_elections(workers):
+    spec = CultureSpec("p_ic", 12, 12, seed=3, params={"p": 0.5}, label="ic")
+    given = [("id", "a", gen_p_id(12, 12, 0.5)), ("ic", "c", sample(spec))]
+    want = map_of_elections(given, seed=4)
+    # a draw in the item, and a label of None read from the election it makes
+    made = [("id", "a", lambda: gen_p_id(12, 12, 0.5)), (None, "c", lambda: sample(spec))]
+    got = map_of_elections(made, seed=4, workers=workers)
+    assert got.labels == want.labels == ("id", "ic")
+    assert np.array_equal(got.features, want.features)
+    assert got.feature_csv() == want.feature_csv()
+
+    def refused():
+        raise ManifestError("/files/0/path", "a.pb: unreadable")
+
+    with pytest.raises(ManifestError, match="a.pb: unreadable"):
+        map_of_elections([*made, (None, "f", refused)], seed=4, workers=workers)
 
 
 # -- items scored in worker processes ------------------------------------------

@@ -249,7 +249,10 @@ def test_sample_draws_the_shape_its_spec_states(family):
     # a size budget reads (spec.n, spec.m) before anything is drawn
     m, n = (9, 9) if FAMILIES[family].square else (13, 7)
     spec = CultureSpec(family, m, n, seed=2, params=family_params(m, n)[family])
-    assert sample(spec).matrix.shape == (spec.n, spec.m)
+    mat = sample(spec).matrix
+    assert mat.shape == (spec.n, spec.m)
+    # the array the sampler built, kept without a copy: still C-contiguous and read-only
+    assert mat.dtype == np.uint8 and mat.flags.c_contiguous and not mat.flags.writeable
 
 
 def test_the_paper_corpora_construct():
@@ -342,6 +345,66 @@ def test_spec_accepts_numpy_integers():
 def test_spec_parameters_are_type_checked_when_built(family, params, field):
     with pytest.raises(SpecError) as info:
         CultureSpec.from_dict({"family": family, "m": 5, "n": 5, "params": params})
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "doc, field, message",
+    [
+        ({"family": "p_ic", "params": {"p": 1.5}}, "/params/p", "must lie in [0, 1], got 1.5"),
+        ({"family": "p_ic", "params": {"p": float("nan")}}, "/params/p", "must lie in [0, 1], got nan"),
+        ({"family": "resampling", "params": {"p": 0.5, "phi": -0.1}}, "/params/phi", "must lie in"),
+        ({"family": "xy_two_party", "params": {"x": 0.5, "y": 2}}, "/params/y", "must lie in"),
+        ({"family": "k_party", "params": {"k": 6}}, "/params/k", "party count must satisfy"),
+        ({"family": "k_party", "params": {"k": 0}}, "/params/k", "party count must satisfy"),
+        ({"family": "id_mixture", "params": {"k": 0, "p": 0.5}}, "/params/k", "group count must be positive"),
+        ({"family": "iam_mixture", "params": {"k": -1}}, "/params/k", "group count must be positive"),
+        ({"family": "euclidean", "params": {"variant": 6}}, "/params/variant", "euclidean variant must be 1..5"),
+        ({"family": "iam", "params": {"probs": [0.5] * 4}}, "/params/probs", "need 5 per-candidate"),
+        ({"family": "iam", "params": {"probs": [0.5, 0.5, float("inf"), 0.5, 0.5]}}, "/params/probs/2",
+         "must lie in"),
+        ({"family": "noisy", "params": {"phi": 1.1, "base": {"family": "lin_ic", "m": 5, "n": 5}}},
+         "/params/phi", "must lie in"),
+        ({"family": "noisy", "params": {"phi": 0.5, "base": {"family": "p_ic", "m": 5, "n": 5, "params": {"p": 2}}}},
+         "/params/base/params/p", "must lie in"),
+        ({"family": "noisy", "params": {"phi": 0.5, "base": {"m": 5, "n": 5}}}, "/params/base/family",
+         "required field is missing"),
+        ({"family": "p_ic", "m": 0, "params": {"p": 0.5}}, "/m", "election sizes must be positive"),
+        ({"family": "lin_ic", "n": -2}, "/n", "election sizes must be positive"),
+        ({"family": "triangle", "n": 6}, "/n", "triangle elections require n = m, got m=5, n=6"),
+        ({"family": "martian"}, "/family", "unknown family 'martian'"),
+        ({"family": ["p_ic"]}, "/family", "unknown family"),
+        ({"family": "p_ic", "params": {}}, "/params/p", "family 'p_ic' needs parameter(s) p"),
+        ({"family": "lin_ic", "params": [0.5]}, "/params", "must be an object"),
+        # a key the family does not read would only have ended up in the label
+        ({"family": "p_ic", "params": {"p": 0.5, "extra": 1}}, "/params/extra", "not a parameter of p_ic"),
+        ({"family": "diagonal", "params": {"p": 0.5}}, "/params/p", "not a parameter of diagonal"),
+    ],
+)
+def test_spec_ranges_are_checked_when_built(doc, field, message):
+    with pytest.raises(SpecError) as info:
+        CultureSpec.from_dict({"m": 5, "n": 5, **doc})
+    assert info.value.field == field and message in info.value.message
+
+
+@pytest.mark.parametrize(
+    "draw, field",
+    [
+        (lambda: gen_p_id(5, 3, 1.5), "/params/p"),
+        (lambda: gen_k_party(10, 4, 5), "/params/k"),
+        (lambda: gen_iam(3, 2, [0.5], seed=0), "/params/probs"),
+        (lambda: gen_euclidean(10, 10, 6, seed=0), "/params/variant"),
+        (lambda: gen_id_mixture(5, 5, 0, 0.5, seed=0), "/params/k"),
+        (lambda: gen_noisy(gen_k_party(4, 4, 2), 1.5, seed=0), "/params/phi"),
+        (lambda: gen_diagonal(0), "/m"),
+        (lambda: gen_lin_ic(4, 0, seed=0), "/n"),
+    ],
+    ids=["p_id", "k_party", "iam", "euclidean", "id_mixture", "noisy", "diagonal", "lin_ic"],
+)
+def test_samplers_refuse_through_the_spec_rules(draw, field):
+    # a direct call meets the same rule, and the same field, as a spec
+    with pytest.raises(SpecError) as info:
+        draw()
     assert info.value.field == field
 
 
@@ -453,6 +516,20 @@ def test_samplers_build_no_bit_generator_per_voter(monkeypatch):
         built.clear()
         assert sample(spec).num_voters == 1000
         assert len(built) <= 2
+
+
+def test_sample_peak_memory_is_one_matrix_plus_one_block():
+    m, n = 200, 50_000
+    spec = CultureSpec("p_ic", m, n, seed=1, params={"p": 0.3})
+    tracemalloc.start()
+    try:
+        e = sample(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.matrix.shape == (n, m)
+    # one block of float64 draws and its 0/1 comparison: no second n x m copy
+    assert peak <= n * m + 9 * generators._BLOCK_DRAWS + 2**20
 
 
 def test_resampling_peak_memory_is_the_matrix_plus_one_block():

@@ -130,6 +130,13 @@ def test_read_native_errors():
         read_native('{"num_candidates": 2, "ballots": [[5]]}')
     with pytest.raises(ParseError):
         read_native('{"num_candidates": 2, "ballots": "zap"}')
+    for doc, message in (
+        ('{"ballots": [[0]]}', "missing field: 'num_candidates'"),
+        ('{"num_candidates": 2}', "missing field: 'ballots'"),
+        ('{"num_candidates": 2, "ballots": [[0]], "label": 3}', "label must be a string or null"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            read_native(doc)
 
 
 def test_csv_matrix():
